@@ -1,6 +1,6 @@
 """Feeder-dispatch benchmark: one workload, one run, one JSON result line.
 
-    python3 perfbench/run.py --workload day_track --seed 1 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload day_track --seed 1 --seconds 36 --trace 0
 
 Run it from the root of a checkout; it imports ``feederdispatch`` from
 ``src/`` there. ``--trace 0`` prints the end-to-end metrics, ``--trace 1`` the

@@ -7,10 +7,15 @@ of PLAN_DAYS consecutive days (``plan_days``). Every round of a run has the
 same inputs and repeats the same operations, and a run attempts whole rounds
 only, so the share of failed operations is the same in every run.
 
-Timings of an operation are the fastest of its identical repeats in the run.
-On a shared 2-vCPU virtual machine, processes slowed down by 1.4-1.9x in phases
-that lasted seconds to minutes (contention from outside the VM); the fastest
-repeat is the one these phases disturbed least.
+Before the first timed round, one short unmeasured run warms the caches and the
+code paths. The timing of an operation is the upper quartile of its identical
+repeats in the run. On a shared 2-vCPU virtual machine, contention from outside
+the VM set the speed: most of the time the host was contended, and in bursts
+of seconds to a minute the same code ran up to 1.6x faster. The fastest repeat
+depended on whether a run caught a burst, and the median repeat flipped between
+the two speeds when bursts filled about half of a run. The upper quartile
+stays on the contended speed unless bursts fill three quarters of the run; in
+recorded rounds its spread between runs was 0.5-0.8x that of the median.
 """
 
 from __future__ import annotations
@@ -29,6 +34,8 @@ import checks
 from tracer import Tracer, install_layers
 
 MIN_ROUNDS = 3          # measured repeats of every operation, at the least
+MIN_TRACED_ROUNDS = 2   # the same in a traced run, where every other round is traced
+REPEAT_Q = 75           # percentile of an operation's repeats that gives its time
 SETUP_EVERY_S = 2.0     # set-up samples are spread over the run
 SAMPLE_EVERY = 10       # traced run: check every 10th step of one round
 HISTORY = (7, 60)       # synthesize_history(seed, days) of the ROADMAP scenario
@@ -78,6 +85,11 @@ def _pct(values, q: float) -> float:
     return float(np.percentile(values, q)) if len(values) else 0.0
 
 
+def _repeat(values, axis=None):
+    """Upper quartile of repeated timings (see the module docstring)."""
+    return np.percentile(values, REPEAT_Q, axis=axis)
+
+
 @dataclass
 class Round:
     seconds: float
@@ -107,10 +119,10 @@ class Outcome:
     tracer: Tracer | None = None
 
 
-def _measure(setup, do_round, seconds: float, tracer: Tracer | None = None,
+def _measure(setup, warm_up, do_round, seconds: float, tracer: Tracer | None = None,
              on_mpc_solve=None) -> Measurement:
-    """Set up, then repeat rounds until ``seconds`` have passed and MIN_ROUNDS
-    rounds were measured.
+    """Set up, warm up once (untimed), then repeat rounds until ``seconds`` have
+    passed and MIN_ROUNDS (traced: MIN_TRACED_ROUNDS) rounds were measured.
 
     The set-up runs again, timed, after any round that ends SETUP_EVERY_S or
     more after the previous set-up; the rounds keep the first set-up's inputs,
@@ -138,9 +150,11 @@ def _measure(setup, do_round, seconds: float, tracer: Tracer | None = None,
 
     m = Measurement()
     m.prepared = set_up()
+    warm_up(m.prepared)
     last_setup = start = time.perf_counter()
     trace = tracer is not None
-    while time.perf_counter() - start < seconds or len(m.measured(trace)) < MIN_ROUNDS:
+    min_rounds = MIN_TRACED_ROUNDS if trace else MIN_ROUNDS
+    while time.perf_counter() - start < seconds or len(m.measured(trace)) < min_rounds:
         traced = trace and len(m.rounds) % 2 == 1
         out, wall = timed(lambda: do_round(m.prepared), traced, len(m.rounds) + 1)
         m.rounds.append(Round(wall, traced, out))
@@ -190,7 +204,6 @@ def _closed_loop_setup(wl: ClosedLoop):
     from feederdispatch import dayahead, forecast, sim
     from feederdispatch.battery import ModelBank
     from feederdispatch.mpc import MpcLimits
-    from feederdispatch.timegrid import TimeGrid
 
     history = forecast.synthesize_history(*HISTORY)
     bank = ModelBank()
@@ -205,20 +218,27 @@ def _closed_loop_setup(wl: ClosedLoop):
     plan_s = time.perf_counter() - t0
     trace = sim.step_trace(fc.point * wl.realization, np.random.default_rng(3), 1.0, 0.9)
 
-    lo, hi = wl.slot_lo, wl.slot_hi
+    limits = MpcLimits()
+    if wl.rate_limit_a is not None:
+        limits = replace(limits, di_min=-wl.rate_limit_a, di_max=wl.rate_limit_a)
+    return _cut(plan, trace, bank, limits, wl.slot_lo, wl.slot_hi), plan_s
+
+
+def _cut(plan, trace_kw, bank, limits, lo: int, hi: int) -> _Prepared:
+    """The plan and the 10-s trace cut to the slots [lo, hi)."""
+    from feederdispatch import forecast
+    from feederdispatch.timegrid import TimeGrid
+
+    fc = plan.forecast
     cut = forecast.ProsumptionForecast(point=fc.point[lo:hi],
                                        envelope_low=fc.envelope_low[lo:hi],
                                        envelope_high=fc.envelope_high[lo:hi],
                                        members=fc.members)
-    limits = MpcLimits()
-    if wl.rate_limit_a is not None:
-        limits = replace(limits, di_min=-wl.rate_limit_a, di_max=wl.rate_limit_a)
-    prepared = _Prepared(plan=replace(plan, p_hat=plan.p_hat[lo:hi], forecast=cut),
-                         trace_kw=trace[STEPS_PER_SLOT * lo:STEPS_PER_SLOT * hi],
-                         bank=bank, grid=TimeGrid(n_slots=hi - lo,
-                                                  n_steps=STEPS_PER_SLOT * (hi - lo)),
-                         limits=limits)
-    return prepared, plan_s
+    return _Prepared(plan=replace(plan, p_hat=plan.p_hat[lo:hi], forecast=cut),
+                     trace_kw=trace_kw[STEPS_PER_SLOT * lo:STEPS_PER_SLOT * hi],
+                     bank=bank, grid=TimeGrid(n_slots=hi - lo,
+                                              n_steps=STEPS_PER_SLOT * (hi - lo)),
+                     limits=limits)
 
 
 def _closed_loop_checks(wl: ClosedLoop, rounds: list[Round], samples) -> list[str]:
@@ -249,25 +269,29 @@ def run_closed_loop(name: str, seconds: float, trace: bool) -> Outcome:
     sampler = _Sampler()
     plant_cfg = sim.PlantConfig()
 
-    def do_round(prep):
-        run = sim.run_day(prep.plan, plant_cfg, sim.InitState(soc=wl.initial_soc),
-                          trace_kw=prep.trace_kw, seed=PLANT_SEED,
-                          rng=np.random.default_rng([PLANT_SEED, 1]),
-                          plant=sim.BatteryPlant(plant_cfg, PLANT_SEED, wl.initial_soc),
-                          bank=prep.bank, limits=prep.limits, grid=prep.grid)
-        sampler.close_after(run.k.size)
-        return run
+    def run(prep):
+        return sim.run_day(prep.plan, plant_cfg, sim.InitState(soc=wl.initial_soc),
+                           trace_kw=prep.trace_kw, seed=PLANT_SEED,
+                           rng=np.random.default_rng([PLANT_SEED, 1]),
+                           plant=sim.BatteryPlant(plant_cfg, PLANT_SEED, wl.initial_soc),
+                           bank=prep.bank, limits=prep.limits, grid=prep.grid)
 
-    m = _measure(lambda: _closed_loop_setup(wl), do_round, seconds, tracer, sampler)
+    def warm_up(prep):
+        # the first slot of the stretch: its first steps ran ~16 % slower in
+        # the first round of a process than in later rounds
+        run(_cut(prep.plan, prep.trace_kw, prep.bank, prep.limits, 0, 1))
+
+    def do_round(prep):
+        out = run(prep)
+        sampler.close_after(out.k.size)
+        return out
+
+    m = _measure(lambda: _closed_loop_setup(wl), warm_up, do_round, seconds, tracer,
+                 sampler)
     rss = _peak_rss_mb()
     prep, measured = m.prepared, m.measured(trace)
     solve = np.array([r.output.solve_seconds for r in measured])
-    # a round's wall, rebuilt from the fastest repeat of each step's timed part
-    # (build, solve, actuation) and the fastest repeat of the rest (Kalman
-    # update, measurement, bookkeeping)
-    best_wall = solve.min(axis=0).sum() + min(r.seconds - s.sum()
-                                              for r, s in zip(measured, solve))
-    step_ms = 1e3 * solve.min(axis=0)
+    step_ms = 1e3 * _repeat(solve, axis=0)
     failed = sum(s == "solver-failure" for r in m.rounds for s in r.output.status)
     rmse = checks.slot_rmse(m.rounds[0].output, prep.plan.p_hat, prep.plan.forecast.point)
     errors = checks.tracking(*rmse) + _closed_loop_checks(wl, m.rounds, sampler.samples)
@@ -275,10 +299,11 @@ def run_closed_loop(name: str, seconds: float, trace: bool) -> Outcome:
         errors.append("traced run sampled no steps")
     metrics = {
         "setup_s": (float(np.median(m.setup_seconds)), "s"),
-        "steps_per_s": (step_ms.size / best_wall, "steps/s"),
+        "steps_per_s": (step_ms.size / float(_repeat([r.seconds for r in measured])),
+                        "steps/s"),
         "step_p50_ms": (_pct(step_ms, 50), "ms"),
         "step_p99_ms": (_pct(step_ms, 99), "ms"),
-        "plans_per_s": (1.0 / min(m.plan_seconds), "plans/s"),
+        "plans_per_s": (1.0 / float(_repeat(m.plan_seconds)), "plans/s"),
         "peak_rss_mb": (rss, "MB"),
     }
     if trace:
@@ -367,16 +392,19 @@ def run_plan_days(seed: int, seconds: float, trace: bool, out_dir: Path) -> Outc
                 rows.append((rc, time.perf_counter() - t0))
             return rows
 
-        m = _measure(lambda: _plan_days_setup(seed, workdir / "history.csv"), do_round,
-                     seconds, tracer)
+        def warm_up(history):
+            _quiet_main(_plan_argv(history, workdir / "warm-up.csv", days[0]))
+
+        m = _measure(lambda: _plan_days_setup(seed, workdir / "history.csv"), warm_up,
+                     do_round, seconds, tracer)
         rss = _peak_rss_mb()
         failed = sum(rc != 0 for r in m.rounds for rc, _ in r.output)
         ok_days = [d for d, (rc, _) in zip(days, m.rounds[-1].output) if rc == 0]
         errors = (_plan_days_checks(m.prepared, workdir, ok_days) if ok_days
                   else ["no plan succeeded"])
     measured = m.measured(trace)
-    plan_ms = 1e3 * np.min([[s for _, s in r.output] for r in measured], axis=0)
-    rate = PLAN_DAYS / (1e-3 * plan_ms.sum())
+    plan_ms = 1e3 * _repeat([[s for _, s in r.output] for r in measured], axis=0)
+    rate = PLAN_DAYS / float(_repeat([r.seconds for r in measured]))
     metrics = {
         "setup_s": (float(np.median(m.setup_seconds)), "s"),
         "steps_per_s": (rate, "steps/s"),

@@ -35,25 +35,18 @@ def _short_run(name: str):
     """The first SLOTS slots of a closed-loop workload, with every step's
     (problem, decision) kept."""
     from feederdispatch import sim
-    from feederdispatch.forecast import ProsumptionForecast
-    from feederdispatch.timegrid import TimeGrid
 
     wl = scenarios.CLOSED_LOOP[name]
     prep, _ = scenarios._closed_loop_setup(wl)
-    fc = prep.plan.forecast
-    plan = replace(prep.plan, p_hat=prep.plan.p_hat[:SLOTS],
-                   forecast=ProsumptionForecast(
-                       point=fc.point[:SLOTS], envelope_low=fc.envelope_low[:SLOTS],
-                       envelope_high=fc.envelope_high[:SLOTS], members=fc.members))
+    prep = scenarios._cut(prep.plan, prep.trace_kw, prep.bank, prep.limits, 0, SLOTS)
     samples = []
     with Tracer() as capture:
         capture.wrap(sim, "solve", "mpc.solve",
                      note=lambda args, d: samples.append((args[0], d)))
-        run = sim.run_day(plan, sim.PlantConfig(), sim.InitState(soc=wl.initial_soc),
-                          trace_kw=prep.trace_kw[:30 * SLOTS], seed=0, bank=prep.bank,
-                          limits=prep.limits, grid=TimeGrid(n_slots=SLOTS,
-                                                            n_steps=30 * SLOTS))
-    return plan, run, [s for s in samples if s[1].status == "solved"]
+        run = sim.run_day(prep.plan, sim.PlantConfig(), sim.InitState(soc=wl.initial_soc),
+                          trace_kw=prep.trace_kw, seed=0, bank=prep.bank,
+                          limits=prep.limits, grid=prep.grid)
+    return prep.plan, run, [s for s in samples if s[1].status == "solved"]
 
 
 def _pushed(i: np.ndarray, j: int, value: float) -> np.ndarray:

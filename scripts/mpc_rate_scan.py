@@ -2,8 +2,9 @@
 
 Draws random control problems (horizon 2-30, SOC 0.12-0.88, energy target
 within +-2 kWh * h/30, voltage-model state within +-1, rate limit +-2..40
-A/step), solves each with ``mpc.solve`` and prints the decision-status counts
-and the draws that did not return ``solved``.
+A/step), solves each with ``mpc.solve`` and prints the decision-status counts,
+the solve-path counts (closed form, barrier, ...) and the draws that did not
+return ``solved``.
 
 Run from the repository root:
 
@@ -43,16 +44,19 @@ def main() -> None:
     bank = ModelBank()
     rng = np.random.default_rng(args.seed)
     statuses = Counter()
+    paths = Counter()
     iterations = []
     for j in range(args.count):
         p = draw(bank, rng)
         dec = solve(p)
         statuses[dec.status] += 1
+        paths[dec.path] += 1
         iterations.append(dec.iterations)
         if dec.status != "solved":
             print(f"draw {j}: h={p.horizon} soc={p.soc_k:.3f} e_k={p.e_k:.4f} "
                   f"di={p.limits.di_max:.2f} -> {dec.status} ({dec.iterations} iterations)")
     print("status counts:", dict(statuses))
+    print("path counts:", dict(paths))
     print("Newton iterations p50/p99/max:",
           "/".join(f"{v:.0f}" for v in np.percentile(iterations, [50, 99, 100])))
 

@@ -76,18 +76,17 @@ class MpcProblem:
     limits: MpcLimits
     alpha: float = ALPHA
     _a_ineq: np.ndarray = field(init=False, repr=False)
+    _qcqp: solver.QcqpProblem = field(init=False, repr=False)
 
     def __post_init__(self):
         if not 1 <= self.horizon <= 30:
             raise ValueError("horizon must be in 1..30")
-        sym = 0.5 * (self.psi_v_i + self.psi_v_i.T)
-        shift = 1e-9 * max(1.0, float(np.abs(sym).max()))
-        try:
-            np.linalg.cholesky(sym + shift * np.eye(self.horizon))
-        except np.linalg.LinAlgError:
-            w_min = float(np.linalg.eigvalsh(sym).min())
-            raise ValueError(f"psi_v_i symmetric part not PSD (min eig {w_min:.3e})")
         self._a_ineq = _stack_constraints(self.psi_v_i, self.psi_soc_i, self.horizon)
+        # QcqpProblem's Cholesky of the throughput quadratic is the PSD guard of
+        # psi_v_i (ValueError when indefinite) and the factor of the closed form
+        q, l = _throughput_terms(self)
+        self._qcqp = solver.QcqpProblem(c=np.ones(self.horizon), q=q, l=l, r=self.e_k,
+                                        a_ineq=self._a_ineq, b_ineq=_rhs(self))
 
 
 def _diff_matrix(h: int) -> np.ndarray:
@@ -150,6 +149,7 @@ class ControlDecision:
     active: str = ""           # active constraint groups at the optimum
     kkt_residual: float = np.nan
     iterations: int = 0
+    path: str = "none"         # "closed-form" | "barrier" | "closest-feasible" | "none"
 
     def __post_init__(self):
         if self.i_traj.size and self.i_first != self.i_traj[0]:
@@ -188,21 +188,17 @@ def _throughput_terms(p: MpcProblem) -> tuple[np.ndarray, np.ndarray]:
     return q, l
 
 
-def _active_groups(p: MpcProblem, x: np.ndarray, fq: float) -> str:
-    names = ("box", "box", "rate", "rate", "v", "v", "soc", "soc")
-    h = p.horizon
-    sizes = (h, h, h - 1, h - 1, h, h, h, h)
-    slack = _rhs(p) - p._a_ineq @ x
-    active = []
-    if abs(fq) < 1e-6 * (1.0 + abs(p.e_k)):
-        active.append("throughput")
-    pos = 0
-    seen = set(active)
-    for name, size in zip(names, sizes):
-        if size and float(slack[pos:pos + size].min()) < 1e-6 and name not in seen:
+_GROUPS = ("box", "box", "rate", "rate", "v", "v", "soc", "soc")
+
+
+def _active_groups(h: int, sol: solver.QcqpSolution) -> str:
+    """Names of the constraint groups holding a constraint the solver found
+    active, in the row order of :func:`_stack_constraints`."""
+    ends = np.cumsum((h, h, h - 1, h - 1, h, h, h, h))
+    active = ["throughput"] if sol.quad_active else []
+    for name, lo, hi in zip(_GROUPS, np.concatenate([[0], ends[:-1]]), ends):
+        if name not in active and np.any(sol.active[lo:hi]):
             active.append(name)
-            seen.add(name)
-        pos += size
     return ",".join(active) if active else "-"
 
 
@@ -226,10 +222,14 @@ def _warm_start(prob: solver.QcqpProblem, h: int) -> np.ndarray | None:
 
 def solve(p: MpcProblem) -> ControlDecision:
     """Solve the control problem; on infeasibility the throughput constraint is
-    dropped first (closest achievable energy), then the box alone decides."""
-    q, l = _throughput_terms(p)
-    prob = solver.QcqpProblem(c=np.ones(p.horizon), q=q, l=l, r=p.e_k,
-                              a_ineq=p._a_ineq, b_ineq=_rhs(p))
+    dropped first (closest achievable energy), then the box alone decides.
+
+    :func:`solver.solve_qcqp` returns the closed-form optimum when only the
+    throughput row binds (it is checked against every linear row and the KKT
+    gate) and runs its log-barrier otherwise; ``path`` records which ran, or
+    ``closest-feasible``, or ``none`` when the decision actuates zero current.
+    """
+    prob = p._qcqp
     x0 = _warm_start(prob, p.horizon) if p.e_k <= 1e-3 else None
     sol, cert = solver.solve_qcqp(prob, x0=x0)
     if cert.status == "optimal" and cert.kkt_residual <= KKT_ACCEPT:
@@ -237,36 +237,38 @@ def solve(p: MpcProblem) -> ControlDecision:
         return ControlDecision(i_traj=i_traj, i_first=float(i_traj[0]),
                                b_setpoint=to_power_setpoint(float(i_traj[0]), p.v_k),
                                status=STATUS_SOLVED,
-                               active=_active_groups(p, i_traj, prob.f_quad(i_traj)),
+                               active=_active_groups(p.horizon, sol),
                                kkt_residual=cert.kkt_residual,
-                               iterations=cert.iterations)
+                               iterations=cert.iterations, path=cert.path)
     if cert.status == "infeasible":
-        i_traj, ok = _closest_feasible(p, q, l)
+        i_traj, ok = _closest_feasible(p)
         status = STATUS_CLIPPED if ok else STATUS_FAILURE
         i_first = float(i_traj[0])
         return ControlDecision(i_traj=i_traj, i_first=i_first,
                                b_setpoint=to_power_setpoint(i_first, p.v_k),
                                status=status, active="-",
-                               iterations=cert.iterations)
+                               iterations=cert.iterations,
+                               path="closest-feasible" if ok else "none")
     zero = np.zeros(p.horizon)
     return ControlDecision(i_traj=zero, i_first=0.0, b_setpoint=0.0,
                            status=STATUS_FAILURE, active="-",
+                           kkt_residual=cert.kkt_residual,
                            iterations=cert.iterations)
 
 
-def _closest_feasible(p: MpcProblem, q: np.ndarray, l: np.ndarray) -> tuple[np.ndarray, bool]:
+def _closest_feasible(p: MpcProblem) -> tuple[np.ndarray, bool]:
     """Throughput constraint dropped: minimize the energy throughput subject to
     the linear constraints (the infeasible case is always a too-negative energy
     target, so the minimum-throughput point is the closest achievable one)."""
     h = p.horizon
     # epigraph variable t bounds the throughput from above
     q_aug = np.zeros((h + 1, h + 1))
-    q_aug[:h, :h] = q
-    l_aug = np.concatenate([l, [-1.0]])
+    q_aug[:h, :h] = p._qcqp.q
+    l_aug = np.concatenate([p._qcqp.l, [-1.0]])
     a_aug = np.hstack([p._a_ineq, np.zeros((p._a_ineq.shape[0], 1))])
     prob = solver.QcqpProblem(c=np.concatenate([np.zeros(h), [-1.0]]),
                               q=q_aug, l=l_aug, r=0.0,
-                              a_ineq=a_aug, b_ineq=_rhs(p))
+                              a_ineq=a_aug, b_ineq=p._qcqp.b_ineq)
     x0 = np.zeros(h + 1)
     x0[h] = 1.0
     sol, cert = solver.solve_qcqp(prob, x0=x0)

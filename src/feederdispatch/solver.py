@@ -2,10 +2,14 @@
 
 The LP side (day-ahead problem, ~1000 variables, solved once per day) wraps the
 HiGHS backend of :func:`scipy.optimize.linprog`. The QCQP side (real-time MPC,
-<= 30 variables, solved every 10 seconds) is a log-barrier interior-point method
-specialized to the class "linear objective, one convex quadratic inequality,
-linear inequalities". Both return a certificate whose KKT residual is computed
-by the same public evaluators used in the test suite.
+<= 30 variables, solved every 10 seconds) handles the class "linear objective,
+one convex quadratic inequality, linear inequalities" in two stages. When the
+quadratic is positive definite it first tries the closed-form optimum with the
+quadratic row alone binding, which is what most control steps are; that point
+is returned only if every linear row holds and it passes the KKT gate. Every
+other problem goes to a log-barrier interior-point method. Both sides return a
+certificate whose KKT residual is computed by the same public evaluators used
+in the test suite.
 
 Conventions: LPs minimize, QCQPs maximize. All solves are deterministic for
 identical inputs (fixed iteration schedules, no randomized pivoting).
@@ -13,16 +17,19 @@ identical inputs (fixed iteration schedules, no randomized pivoting).
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import cho_solve
 from scipy.optimize import linprog, nnls
 
 LP_ITERATION_CAP = 200
 QCQP_ITERATION_CAP = 100
 FEAS_TOL = 1e-8          # absolute feasibility
 GAP_TOL = 1e-8           # relative duality gap driven below this
+KKT_GATE = 1e-6          # relative KKT residual at or below this certifies "optimal"
 PSD_EIG_TOL = -1e-9
 ACTIVE_RATIO = 1e3       # slack / (multiplier |a_i|^2) at or below this marks a row active
 ACTIVE_SET_ROUNDS = 10
@@ -39,6 +46,7 @@ class SolveCertificate:
     kkt_residual: float = np.nan
     iterations: int = 0
     wall_time: float = 0.0
+    path: str = ""              # QCQP stage that ran last: "closed-form" | "barrier"
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +224,7 @@ class QcqpProblem:
     b_ineq: np.ndarray
     q_obj: np.ndarray | None = None
     q_sym: np.ndarray = field(init=False, repr=False)
+    q_chol: np.ndarray | None = field(init=False, repr=False)   # lower factor, None unless PD
 
     def __post_init__(self):
         self.c = np.asarray(self.c, dtype=float).ravel()
@@ -229,9 +238,17 @@ class QcqpProblem:
         if self.a_ineq.shape[1] != n or self.a_ineq.shape[0] != self.b_ineq.size:
             raise ValueError("inequality system dimension mismatch")
         self.q_sym = 0.5 * (self.q + self.q.T)
-        w_min = float(np.linalg.eigvalsh(self.q_sym).min()) if n else 0.0
-        if w_min < PSD_EIG_TOL * max(1.0, float(np.abs(self.q_sym).max(initial=0.0))):
-            raise ValueError(f"quadratic constraint not PSD (min eigenvalue {w_min:.3e})")
+        # a Cholesky factor proves positive definiteness and serves the closed
+        # form; only a failed one pays for the eigenvalues, which tell a
+        # singular PSD q (accepted) from an indefinite one. The tolerance is
+        # relative to q alone: MPC quadratics are ~1e-8 in kWh/A^2.
+        try:
+            self.q_chol = np.linalg.cholesky(self.q_sym)
+        except np.linalg.LinAlgError:
+            self.q_chol = None
+            w_min = float(np.linalg.eigvalsh(self.q_sym).min())
+            if w_min < PSD_EIG_TOL * float(np.abs(self.q_sym).max(initial=0.0)):
+                raise ValueError(f"quadratic constraint not PSD (min eigenvalue {w_min:.3e})")
         if self.q_obj is not None:
             self.q_obj = 0.5 * (np.asarray(self.q_obj, dtype=float).reshape(n, n)
                                 + np.asarray(self.q_obj, dtype=float).reshape(n, n).T)
@@ -259,6 +276,10 @@ class QcqpSolution:
     x: np.ndarray
     dual_quad: float
     dual_ineq: np.ndarray
+    # constraints the solve found active: the quadratic, and a mask over the
+    # rows of a_ineq (set by solve_qcqp)
+    quad_active: bool = False
+    active: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=bool))
 
 
 def qcqp_kkt_residual(p: QcqpProblem, sol: QcqpSolution) -> float:
@@ -290,9 +311,12 @@ def _newton_center(p: QcqpProblem, x: np.ndarray, t: float, iter_budget: int):
     a, b = p.a_ineq, p.b_ineq
     used = 0
     centered = False
+    # f_q, the slacks and the barrier value at x are carried over from the
+    # line search that accepted x, so each is evaluated once per point
+    fq = p.f_quad(x)
+    slack = b - a @ x
+    phi = None
     for _ in range(iter_budget):
-        fq = p.f_quad(x)
-        slack = b - a @ x
         gq = 2.0 * p.q_sym @ x + p.l
         inv_f = 1.0 / (-fq)
         inv_s = 1.0 / slack
@@ -308,12 +332,12 @@ def _newton_center(p: QcqpProblem, x: np.ndarray, t: float, iter_budget: int):
             step = -np.linalg.solve(hess, grad)
         used += 1
         decrement = float(-grad @ step)
-        if not np.isfinite(decrement) or decrement < 0.0:
+        if not math.isfinite(decrement) or decrement < 0.0:
             # numerical breakdown of the Newton system; retry regularized once
             hess = hess + 1e-8 * np.eye(x.size) * max(1.0, np.abs(hess).max())
             step = -np.linalg.solve(hess, grad)
             decrement = float(-grad @ step)
-            if not np.isfinite(decrement) or decrement < 0.0:
+            if not math.isfinite(decrement) or decrement < 0.0:
                 break
         if decrement <= 2e-9:
             centered = True
@@ -321,24 +345,26 @@ def _newton_center(p: QcqpProblem, x: np.ndarray, t: float, iter_budget: int):
         # consume at most 90% of any slack per step: full plunges toward a
         # boundary poison the next Newton system's conditioning
         alpha = min(1.0, _max_step(fq, gq, p.q_sym, slack, a, step))
-        phi0 = t * (-p.objective(x)) - np.log(-fq) - float(np.sum(np.log(slack)))
+        if phi is None:
+            phi = t * (-p.objective(x)) - np.log(-fq) - float(np.log(slack).sum())
+        phi0 = phi
         ok = False
         for _ in range(40):
             x_new = x + alpha * step
             fq_new = p.f_quad(x_new)
             slack_new = b - a @ x_new
-            if fq_new < 0.0 and np.all(slack_new > 0.0):
+            if fq_new < 0.0 and (slack_new > 0.0).all():
                 phi = t * (-p.objective(x_new)) - np.log(-fq_new) \
-                    - float(np.sum(np.log(slack_new)))
+                    - float(np.log(slack_new).sum())
                 if phi <= phi0 - 0.25 * alpha * decrement:
                     ok = True
                     break
             alpha *= 0.5
-        if not ok or np.array_equal(x_new, x):
+        if not ok or (x_new == x).all():
             # the decrement sits on its rounding floor above the threshold and
             # the accepted step rounds away: every further step repeats it
             break
-        x = x_new
+        x, fq, slack = x_new, fq_new, slack_new
     return x, used, centered
 
 
@@ -346,7 +372,7 @@ def _max_step(fq, gq, q_sym, slack, a, step, consume: float = 0.99):
     """Largest alpha consuming at most ``consume`` of each constraint slack."""
     d = a @ step
     pos = d > 0.0
-    alpha = consume * float(np.min(slack[pos] / d[pos])) if np.any(pos) else np.inf
+    alpha = consume * float((slack[pos] / d[pos]).min()) if pos.any() else np.inf
     qd = float(step @ q_sym @ step)
     gd = float(gq @ step)
     fq_room = consume * fq          # fq < 0: leave (1-consume) of the slack
@@ -424,14 +450,66 @@ def _phase1(p: QcqpProblem, iterations: list[int]) -> np.ndarray | None:
 
 def solve_qcqp(p: QcqpProblem,
                x0: np.ndarray | None = None) -> tuple[QcqpSolution | None, SolveCertificate]:
-    """Barrier interior-point solve of the maximization QCQP.
+    """Solve the maximization QCQP: closed form first, log-barrier as fallback.
 
-    ``x0`` optionally supplies a strictly feasible starting point; the optimum
-    does not depend on it (convexity), only the path taken. A barrier point
-    that fails the 1e-6 KKT gate gets one primal polish (:func:`_polish_primal`);
-    points that pass it are returned as the barrier left them.
+    For a linear objective and a positive definite quadratic,
+    :func:`_closed_form` gives the optimum with the quadratic row alone active.
+    It is returned (``path="closed-form"``, no iterations) only if every linear
+    row holds and its :func:`qcqp_kkt_residual` passes the 1e-6 gate; it is then
+    the optimum of the full problem. Every other problem, including one whose
+    candidate breaks a linear row or misses the gate, goes to :func:`_barrier`
+    (``path="barrier"``).
+
+    ``x0`` optionally supplies a strictly feasible starting point for the
+    barrier; the optimum does not depend on it (convexity), only the path
+    taken. The solution names the constraints found active (``quad_active``,
+    ``active``).
     """
     t_start = time.perf_counter()
+    sol = _closed_form(p)
+    if sol is not None and np.all(p.b_ineq - p.a_ineq @ sol.x >= 0.0):
+        residual = qcqp_kkt_residual(p, sol)
+        if residual <= KKT_GATE:
+            return sol, SolveCertificate(status="optimal", objective=p.objective(sol.x),
+                                         kkt_residual=residual,
+                                         wall_time=time.perf_counter() - t_start,
+                                         path="closed-form")
+    sol, cert = _barrier(p, x0)
+    cert.wall_time = time.perf_counter() - t_start
+    return sol, cert
+
+
+def _closed_form(p: QcqpProblem) -> QcqpSolution | None:
+    """Optimum with the quadratic row alone active, without checking the rows.
+
+    Stationarity c = (2Qx + l) / mu and f_q(x) = 0 give x = (mu y - z) / 2 with
+    y = Q^-1 c, z = Q^-1 l and mu = sqrt((4r + l'z) / (c'y)); the quadratic's
+    multiplier is 1/mu (Boyd & Vandenberghe, Convex Optimization, 5.5). None
+    unless the objective is linear and nonzero, Q is positive definite and the
+    quadratic's feasible set has an interior (4r + l'z > 0).
+    """
+    if p.q_obj is not None or p.q_chol is None:
+        return None
+    y, z = cho_solve((p.q_chol, True), np.column_stack([p.c, p.l]), check_finite=False).T
+    cy = float(p.c @ y)
+    disc = 4.0 * p.r + float(p.l @ z)
+    if not (cy > 0.0 and disc > 0.0):
+        return None
+    mu = np.sqrt(disc / cy)
+    return QcqpSolution(x=0.5 * (mu * y - z), dual_quad=1.0 / mu,
+                        dual_ineq=np.zeros(p.b_ineq.size), quad_active=True,
+                        active=np.zeros(p.b_ineq.size, dtype=bool))
+
+
+def _barrier(p: QcqpProblem,
+             x0: np.ndarray | None = None) -> tuple[QcqpSolution | None, SolveCertificate]:
+    """Barrier interior-point solve of the maximization QCQP.
+
+    A barrier point that fails the 1e-6 KKT gate gets one primal polish
+    (:func:`_polish_primal`); points that pass it are returned as the barrier
+    left them. The active constraints are the polish's final set, or else the
+    barrier's slack/multiplier ratio rule (:func:`_ratio_active`).
+    """
     n = p.c.size
     m = p.b_ineq.size + 1
     iterations = [0]
@@ -450,9 +528,8 @@ def solve_qcqp(p: QcqpProblem,
     else:
         x = _phase1(p, iterations)
         if x is None:
-            wall = time.perf_counter() - t_start
             return None, SolveCertificate(status="infeasible", iterations=iterations[0],
-                                          wall_time=wall)
+                                          path="barrier")
 
     p_scaled = object.__new__(QcqpProblem)
     p_scaled.__dict__.update(p.__dict__)
@@ -486,21 +563,23 @@ def solve_qcqp(p: QcqpProblem,
     scale_back = c_norm if c_norm > 0 else 1.0
     dual_quad = scale_back / (t * (-fq))
     dual_ineq = scale_back / (t * slack)
+    quad_act, act = _ratio_active(p, x, dual_quad, dual_ineq)
     sol = QcqpSolution(x=x, dual_quad=dual_quad, dual_ineq=dual_ineq)
     refined = _refine_duals(p, x, fq, slack)
     if refined is not None and qcqp_kkt_residual(p, refined) < qcqp_kkt_residual(p, sol):
         sol = refined
+    sol.quad_active, sol.active = quad_act, act
     residual = qcqp_kkt_residual(p, sol)
-    if residual > 1e-6:
-        polished = _polish_primal(p, x, dual_quad, dual_ineq)
+    if residual > KKT_GATE:
+        polished = _polish_primal(p, x, dual_quad, dual_ineq, quad_act, act)
         if polished is not None:
             polished_residual = qcqp_kkt_residual(p, polished)
             if polished_residual < residual:
                 sol, residual = polished, polished_residual
-    status = "optimal" if residual <= 1e-6 else "failure"
+    status = "optimal" if residual <= KKT_GATE else "failure"
     cert = SolveCertificate(status=status, objective=p.objective(sol.x),
                             kkt_residual=residual, iterations=iterations[0],
-                            wall_time=time.perf_counter() - t_start)
+                            path="barrier")
     return (sol, cert) if status == "optimal" else (None, cert)
 
 
@@ -534,26 +613,38 @@ def _refine_duals(p: QcqpProblem, x: np.ndarray, fq: float,
     return QcqpSolution(x=x, dual_quad=dual_quad, dual_ineq=dual_ineq)
 
 
-def _polish_primal(p: QcqpProblem, x: np.ndarray, dual_quad: float,
-                   dual_ineq: np.ndarray) -> QcqpSolution | None:
-    """Re-solve the KKT equalities on the active set the barrier identified.
+def _ratio_active(p: QcqpProblem, x: np.ndarray, dual_quad: float,
+                  dual_ineq: np.ndarray) -> tuple[bool, np.ndarray]:
+    """Active set the barrier identified: (quadratic active, row mask).
 
     The barrier pairs each slack with a multiplier whose product is the same
     small number for every row, so the row-scale-free ratio
     slack / (multiplier |a_i|^2) is tiny on active rows and huge on inactive
-    ones, whatever the size of the multiplier. On that set the optimum solves stationarity, f_q(x) = 0 and A_act x = b_act,
-    which Newton's method reaches to machine precision from the barrier point;
-    this certifies weakly active rows whose slack is still far above any
-    absolute threshold. Rows the solve violates join the set and rows with a
-    negative multiplier leave it (primal-dual active-set rounds). Returns None
-    unless the result is primal feasible with nonnegative multipliers.
+    ones, whatever the size of the multiplier.
     """
     fq = p.f_quad(x)
     slack = p.b_ineq - p.a_ineq @ x
     gq = 2.0 * p.q_sym @ x + p.l
     with np.errstate(divide="ignore", invalid="ignore"):
-        quad_act = -fq <= ACTIVE_RATIO * dual_quad * float(gq @ gq)
+        quad_act = bool(-fq <= ACTIVE_RATIO * dual_quad * float(gq @ gq))
         act = slack <= ACTIVE_RATIO * dual_ineq * np.sum(p.a_ineq**2, axis=1)
+    return quad_act, act
+
+
+def _polish_primal(p: QcqpProblem, x: np.ndarray, dual_quad: float,
+                   dual_ineq: np.ndarray, quad_act: bool,
+                   act: np.ndarray) -> QcqpSolution | None:
+    """Re-solve the KKT equalities on the active set the barrier identified
+    (:func:`_ratio_active`).
+
+    On that set the optimum solves stationarity, f_q(x) = 0 and A_act x = b_act,
+    which Newton's method reaches to machine precision from the barrier point;
+    this certifies weakly active rows whose slack is still far above any
+    absolute threshold. Rows the solve violates join the set and rows with a
+    negative multiplier leave it (primal-dual active-set rounds). Returns None
+    unless the result is primal feasible with nonnegative multipliers; the
+    solution carries the final set.
+    """
     quad_tol = FEAS_TOL * (1.0 + abs(p.r))
     row_tol = FEAS_TOL * (1.0 + np.abs(p.b_ineq))
     for _ in range(ACTIVE_SET_ROUNDS):
@@ -567,7 +658,8 @@ def _polish_primal(p: QcqpProblem, x: np.ndarray, dual_quad: float,
         quad_viol = p.f_quad(x_new) > quad_tol
         viol = p.b_ineq - p.a_ineq @ x_new < -row_tol
         if not (quad_viol or np.any(viol) or mu < 0.0 or np.any(lam < 0.0)):
-            return QcqpSolution(x=x_new, dual_quad=mu, dual_ineq=lam)
+            return QcqpSolution(x=x_new, dual_quad=mu, dual_ineq=lam,
+                                quad_active=bool(quad_act), active=act)
         quad_act = (quad_act and mu >= 0.0) or quad_viol
         act = (act & (lam >= 0.0)) | viol
     return None

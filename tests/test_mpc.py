@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from feederdispatch import solver
 from feederdispatch.battery import ModelBank, soc_step, voltage_step
 from feederdispatch.dayahead import DispatchPlan
 from feederdispatch.mpc import (ALPHA, ControlDecision, MpcLimits, MpcProblem,
-                                StepTelemetry, build_problem, dispatch_error,
-                                expected_average, solve, to_power_setpoint)
+                                StepTelemetry, _warm_start, build_problem,
+                                dispatch_error, expected_average, solve,
+                                to_power_setpoint)
 from feederdispatch.timegrid import DEFAULT_GRID
 
 from oracles import grid_current_search, mpc_constraints_satisfied, mpc_throughput
@@ -142,6 +145,12 @@ def test_active_soc_ceiling_blocks_charging(bank):
     assert np.all(np.cumsum(dec.i_traj) <= 1e-6)
     assert "soc" in dec.active
     assert mpc_constraints_satisfied(p, dec.i_traj)
+    # the closed-form candidate (throughput row alone) charges past the
+    # ceiling, so the solve falls back to the barrier, which certifies
+    cand = solver._closed_form(p._qcqp).x
+    assert float(np.max(p.phi_soc.ravel() * p.soc_k + p.psi_soc_i @ cand)) > limits.soc_max
+    assert dec.path == "barrier"
+    assert dec.kkt_residual <= 1e-6
 
 
 def test_rate_limit_active(bank):
@@ -173,8 +182,46 @@ def test_binding_rate_limits_seeded(bank, rng):
         dec = solve(p)
         assert dec.status == "solved"
         assert dec.kkt_residual <= 1e-6
+        assert "rate" in dec.active
         assert mpc_constraints_satisfied(p, dec.i_traj)
         assert mpc_throughput(p, dec.i_traj) <= p.e_k + 1e-6
+
+
+@settings(max_examples=100, deadline=None)
+@given(h=st.integers(1, 30), soc=st.floats(0.12, 0.88),
+       e_per_step=st.floats(-2.0 / 30, 2.0 / 30),
+       x_k=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)))
+def test_closed_form_matches_barrier(bank, h, soc, e_per_step, x_k):
+    # default limits: whenever the solve takes the closed form, the barrier run
+    # directly on the same problem reaches the same optimum
+    p = _problem(bank, h=h, e_k=e_per_step * h, x=x_k, soc=soc)
+    dec = solve(p)
+    assert dec.status == "solved"
+    assert mpc_constraints_satisfied(p, dec.i_traj)
+    if dec.path == "closed-form":
+        assert dec.active == "throughput"
+        x0 = _warm_start(p._qcqp, h) if p.e_k <= 1e-3 else None
+        sol, cert = solver._barrier(p._qcqp, x0)
+        assert cert.status == "optimal"
+        objective = float(dec.i_traj.sum())
+        assert abs(objective - cert.objective) <= 1e-6 * (1.0 + abs(cert.objective))
+
+
+def test_failed_solve_reports_residual(bank, monkeypatch):
+    # a solve that misses the gate actuates zero current, but the decision
+    # still says how close it came
+    def failing(prob, x0=None):
+        return None, solver.SolveCertificate(status="failure", kkt_residual=2e-6,
+                                             iterations=7, path="barrier")
+
+    monkeypatch.setattr(solver, "solve_qcqp", failing)
+    dec = solve(_problem(bank, h=5, e_k=0.3))
+    assert dec.status == "solver-failure"
+    assert dec.i_first == 0.0
+    assert dec.kkt_residual == 2e-6
+    assert dec.iterations == 7
+    assert dec.path == "none"
+
 
 def test_infeasible_target_clipped_to_min_throughput(bank):
     # -50 kWh in two steps is far beyond the current limits
@@ -184,6 +231,7 @@ def test_infeasible_target_clipped_to_min_throughput(bank):
     assert mpc_constraints_satisfied(p, dec.i_traj)
     # the clip lands on the most-discharging feasible point
     assert dec.i_traj == pytest.approx(np.full(2, p.limits.i_min), abs=1e-3)
+    assert dec.path == "closest-feasible"
 
 
 def test_clipped_when_soc_already_outside(bank):

@@ -78,6 +78,39 @@ def test_qcqp_rejects_indefinite():
                     r=1.0, a_ineq=np.eye(2), b_ineq=[1.0, 1.0])
 
 
+def test_qcqp_singular_quadratic_takes_barrier():
+    # a singular PSD q is accepted without a Cholesky factor, so the closed
+    # form (which needs q positive definite) is skipped: the optimum x = (1, 1)
+    # sits on the box with the quadratic x0^2 <= 4 inactive
+    p = QcqpProblem(c=[1.0, 1.0], q=[[1.0, 0.0], [0.0, 0.0]], l=np.zeros(2), r=4.0,
+                    a_ineq=np.vstack([np.eye(2), -np.eye(2)]), b_ineq=np.ones(4))
+    assert p.q_chol is None
+    assert QcqpProblem(c=[1.0], q=[[2.0]], l=[0.0], r=1.0, a_ineq=[[1.0]],
+                       b_ineq=[1.0]).q_chol[0, 0] == pytest.approx(np.sqrt(2.0))
+    sol, cert = solve_qcqp(p)
+    assert cert.status == "optimal" and cert.path == "barrier"
+    assert sol.x == pytest.approx([1.0, 1.0], abs=1e-6)
+    assert not sol.quad_active
+    assert list(sol.active) == [True, True, False, False]
+
+
+def test_qcqp_psd_tolerance_relative_to_q():
+    # an eigenvalue of -1e-11 against entries of 1e-3 (-1e-8 relative) is
+    # indefinite, however small it is in absolute terms; MPC quadratics have
+    # entries of ~1e-8
+    with pytest.raises(ValueError):
+        QcqpProblem(c=[1.0, 1.0], q=[[1e-3, 0.0], [0.0, -1e-11]], l=np.zeros(2),
+                    r=1.0, a_ineq=np.eye(2), b_ineq=[1.0, 1.0])
+    p = QcqpProblem(c=[1.0, 1.0], q=[[1e-3, 0.0], [0.0, -1e-13]], l=np.zeros(2),
+                    r=1.0, a_ineq=np.eye(2), b_ineq=[1.0, 1.0])
+    assert p.q_chol is None
+
+
+# a box this tight cuts off the closed-form optimum of the seeded instances
+# below, so their solves take the barrier path
+BINDING_BOX = 0.5
+
+
 def _random_instance(rng, n=2, box=20.0):
     m = rng.standard_normal((n, n))
     q = m @ m.T + 0.1 * np.eye(n)
@@ -125,6 +158,7 @@ def test_qcqp_closed_form_five_vars():
                         b_ineq=np.full(2 * n, box))
         sol, cert = solve_qcqp(p)
         assert cert.status == "optimal"
+        assert cert.path == "closed-form" and cert.iterations == 0
         assert cert.objective == pytest.approx(float(c @ x_star), rel=1e-6, abs=1e-6)
         assert sol.x == pytest.approx(x_star, rel=1e-4, abs=1e-5)
 
@@ -136,36 +170,43 @@ def test_qcqp_certificate_honesty(rng):
 
 
 def test_qcqp_deterministic():
-    p = _random_instance(np.random.default_rng(5))
-    x1 = solve_qcqp(p)[0].x
-    x2 = solve_qcqp(p)[0].x
-    assert np.array_equal(x1, x2)
+    for box, path in ((20.0, "closed-form"), (BINDING_BOX, "barrier")):
+        p = _random_instance(np.random.default_rng(5), box=box)
+        assert solve_qcqp(p)[1].path == path
+        x1 = solve_qcqp(p)[0].x
+        x2 = solve_qcqp(p)[0].x
+        assert np.array_equal(x1, x2)
 
 
 def test_qcqp_objective_scaling_invariance():
-    p = _random_instance(np.random.default_rng(6))
-    x1 = solve_qcqp(p)[0].x
-    p2 = QcqpProblem(c=7.0 * p.c, q=p.q, l=p.l, r=p.r, a_ineq=p.a_ineq,
-                     b_ineq=p.b_ineq)
-    x2 = solve_qcqp(p2)[0].x
-    assert x2 == pytest.approx(x1, abs=1e-7)
+    for box, path in ((20.0, "closed-form"), (BINDING_BOX, "barrier")):
+        p = _random_instance(np.random.default_rng(6), box=box)
+        assert solve_qcqp(p)[1].path == path
+        x1 = solve_qcqp(p)[0].x
+        p2 = QcqpProblem(c=7.0 * p.c, q=p.q, l=p.l, r=p.r, a_ineq=p.a_ineq,
+                         b_ineq=p.b_ineq)
+        x2 = solve_qcqp(p2)[0].x
+        assert x2 == pytest.approx(x1, abs=1e-7)
 
 
 def test_qcqp_start_point_independence():
-    p = _random_instance(np.random.default_rng(8))
-    objs = []
-    rng = np.random.default_rng(80)
-    found = 0
-    while found < 10:
-        x0 = rng.uniform(-2, 2, size=2)
-        if p.f_quad(x0) < -1e-6 and np.all(p.b_ineq - p.a_ineq @ x0 > 1e-6):
-            sol, cert = solve_qcqp(p, x0=x0)
-            assert cert.status == "optimal"
-            objs.append(cert.objective)
-            found += 1
-    objs = np.array(objs)
-    scale = 1.0 + np.abs(objs).max()
-    assert (objs.max() - objs.min()) / scale <= 1e-6
+    # the closed form ignores x0; the barrier path starts from it
+    for box, path in ((20.0, "closed-form"), (BINDING_BOX, "barrier")):
+        p = _random_instance(np.random.default_rng(8), box=box)
+        objs = []
+        rng = np.random.default_rng(80)
+        found = 0
+        while found < 10:
+            x0 = rng.uniform(-2, 2, size=2)
+            if p.f_quad(x0) < -1e-6 and np.all(p.b_ineq - p.a_ineq @ x0 > 1e-6):
+                sol, cert = solve_qcqp(p, x0=x0)
+                assert cert.status == "optimal"
+                assert cert.path == path
+                objs.append(cert.objective)
+                found += 1
+        objs = np.array(objs)
+        scale = 1.0 + np.abs(objs).max()
+        assert (objs.max() - objs.min()) / scale <= 1e-6
 
 
 def test_qcqp_weakly_active_rate_rows(bank):

@@ -3,12 +3,18 @@
 Draws random control problems (horizon 2-30, SOC 0.12-0.88, energy target
 within +-2 kWh * h/30, voltage-model state within +-1, rate limit +-2..40
 A/step), solves each with ``mpc.solve`` and prints the decision-status counts,
-the solve-path counts (closed form, barrier, ...) and the draws that did not
-return ``solved``.
+the solve-path counts (closed form, barrier, least distance, ...) and the draws
+that did not return ``solved``.
+
+``--low-soc`` draws the SOC at or just below ``soc_min`` instead (a third of
+the draws exactly at it, the rest up to 0.002 below, which one step of
+charging can make up) and a discharge target of 0.2-2 kWh * h/30, which the
+SOC floor puts beyond reach: every draw should come back
+``infeasible-clipped`` through the least-distance path.
 
 Run from the repository root:
 
-    PYTHONPATH=src python scripts/mpc_rate_scan.py [--seed 0] [--count 600]
+    PYTHONPATH=src python scripts/mpc_rate_scan.py [--seed 0] [--count 600] [--low-soc]
 """
 
 from __future__ import annotations
@@ -22,10 +28,14 @@ from feederdispatch.battery import ModelBank
 from feederdispatch.mpc import MpcLimits, MpcProblem, solve
 
 
-def draw(bank: ModelBank, rng: np.random.Generator) -> MpcProblem:
+def draw(bank: ModelBank, rng: np.random.Generator, low_soc: bool) -> MpcProblem:
     h = int(rng.integers(2, 31))
-    soc = float(rng.uniform(0.12, 0.88))
-    e_k = float(rng.uniform(-2, 2)) * h / 30.0
+    if low_soc:
+        soc = MpcLimits().soc_min - max(0.0, float(rng.uniform(-1e-3, 2e-3)))
+        e_k = -float(rng.uniform(0.2, 2)) * h / 30.0
+    else:
+        soc = float(rng.uniform(0.12, 0.88))
+        e_k = float(rng.uniform(-2, 2)) * h / 30.0
     x = rng.uniform(-1, 1, 2)
     di = float(rng.uniform(2, 40))
     tv = bank.transitions(bank.voltage_model(soc), h)
@@ -40,25 +50,30 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--count", type=int, default=600)
+    ap.add_argument("--low-soc", action="store_true",
+                    help="SOC at or just below soc_min with unreachable discharge targets")
     args = ap.parse_args()
     bank = ModelBank()
     rng = np.random.default_rng(args.seed)
     statuses = Counter()
     paths = Counter()
     iterations = []
+    residuals = []
     for j in range(args.count):
-        p = draw(bank, rng)
+        p = draw(bank, rng, args.low_soc)
         dec = solve(p)
         statuses[dec.status] += 1
         paths[dec.path] += 1
         iterations.append(dec.iterations)
-        if dec.status != "solved":
-            print(f"draw {j}: h={p.horizon} soc={p.soc_k:.3f} e_k={p.e_k:.4f} "
+        residuals.append(dec.kkt_residual)
+        if dec.status != ("infeasible-clipped" if args.low_soc else "solved"):
+            print(f"draw {j}: h={p.horizon} soc={p.soc_k:.5f} e_k={p.e_k:.4f} "
                   f"di={p.limits.di_max:.2f} -> {dec.status} ({dec.iterations} iterations)")
     print("status counts:", dict(statuses))
     print("path counts:", dict(paths))
     print("Newton iterations p50/p99/max:",
           "/".join(f"{v:.0f}" for v in np.percentile(iterations, [50, 99, 100])))
+    print(f"largest KKT residual: {np.nanmax(residuals):.2e}")
 
 
 if __name__ == "__main__":

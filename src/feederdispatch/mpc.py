@@ -149,7 +149,7 @@ class ControlDecision:
     active: str = ""           # active constraint groups at the optimum
     kkt_residual: float = np.nan
     iterations: int = 0
-    path: str = "none"         # "closed-form" | "barrier" | "closest-feasible" | "none"
+    path: str = "none"         # "closed-form" | "barrier" | "least-distance" | "none"
 
     def __post_init__(self):
         if self.i_traj.size and self.i_first != self.i_traj[0]:
@@ -221,57 +221,34 @@ def _warm_start(prob: solver.QcqpProblem, h: int) -> np.ndarray | None:
 
 
 def solve(p: MpcProblem) -> ControlDecision:
-    """Solve the control problem; on infeasibility the throughput constraint is
-    dropped first (closest achievable energy), then the box alone decides.
+    """Solve the control problem, or actuate the closest achievable energy when
+    the target is out of reach.
 
     :func:`solver.solve_qcqp` returns the closed-form optimum when only the
     throughput row binds (it is checked against every linear row and the KKT
-    gate) and runs its log-barrier otherwise; ``path`` records which ran, or
-    ``closest-feasible``, or ``none`` when the decision actuates zero current.
+    gate) and runs its log-barrier otherwise. The infeasible case is always a
+    too-negative energy target, so the trajectory of least throughput over the
+    linear rows is the closest achievable one: it is
+    :func:`solver.least_distance`'s certified minimiser, the same one that
+    showed the target infeasible (``infeasible-clipped``). ``path`` records
+    which of the three ran, or ``none`` when the decision actuates zero current.
     """
     prob = p._qcqp
     x0 = _warm_start(prob, p.horizon) if p.e_k <= 1e-3 else None
     sol, cert = solver.solve_qcqp(prob, x0=x0)
+    iterations, status = cert.iterations, STATUS_SOLVED
+    if cert.status == "infeasible":
+        sol, cert = solver.least_distance(prob)
+        status = STATUS_CLIPPED
     if cert.status == "optimal" and cert.kkt_residual <= KKT_ACCEPT:
-        i_traj = sol.x
-        return ControlDecision(i_traj=i_traj, i_first=float(i_traj[0]),
-                               b_setpoint=to_power_setpoint(float(i_traj[0]), p.v_k),
-                               status=STATUS_SOLVED,
+        i_first = float(sol.x[0])
+        return ControlDecision(i_traj=sol.x, i_first=i_first,
+                               b_setpoint=to_power_setpoint(i_first, p.v_k),
+                               status=status,
                                active=_active_groups(p.horizon, sol),
                                kkt_residual=cert.kkt_residual,
-                               iterations=cert.iterations, path=cert.path)
-    if cert.status == "infeasible":
-        i_traj, ok = _closest_feasible(p)
-        status = STATUS_CLIPPED if ok else STATUS_FAILURE
-        i_first = float(i_traj[0])
-        return ControlDecision(i_traj=i_traj, i_first=i_first,
-                               b_setpoint=to_power_setpoint(i_first, p.v_k),
-                               status=status, active="-",
-                               iterations=cert.iterations,
-                               path="closest-feasible" if ok else "none")
+                               iterations=iterations, path=cert.path)
     zero = np.zeros(p.horizon)
     return ControlDecision(i_traj=zero, i_first=0.0, b_setpoint=0.0,
                            status=STATUS_FAILURE, active="-",
-                           kkt_residual=cert.kkt_residual,
-                           iterations=cert.iterations)
-
-
-def _closest_feasible(p: MpcProblem) -> tuple[np.ndarray, bool]:
-    """Throughput constraint dropped: minimize the energy throughput subject to
-    the linear constraints (the infeasible case is always a too-negative energy
-    target, so the minimum-throughput point is the closest achievable one)."""
-    h = p.horizon
-    # epigraph variable t bounds the throughput from above
-    q_aug = np.zeros((h + 1, h + 1))
-    q_aug[:h, :h] = p._qcqp.q
-    l_aug = np.concatenate([p._qcqp.l, [-1.0]])
-    a_aug = np.hstack([p._a_ineq, np.zeros((p._a_ineq.shape[0], 1))])
-    prob = solver.QcqpProblem(c=np.concatenate([np.zeros(h), [-1.0]]),
-                              q=q_aug, l=l_aug, r=0.0,
-                              a_ineq=a_aug, b_ineq=p._qcqp.b_ineq)
-    x0 = np.zeros(h + 1)
-    x0[h] = 1.0
-    sol, cert = solver.solve_qcqp(prob, x0=x0)
-    if cert.status == "optimal":
-        return sol.x[:h], True
-    return np.zeros(h), False
+                           kkt_residual=cert.kkt_residual, iterations=iterations)

@@ -7,9 +7,12 @@ one convex quadratic inequality, linear inequalities" in two stages. When the
 quadratic is positive definite it first tries the closed-form optimum with the
 quadratic row alone binding, which is what most control steps are; that point
 is returned only if every linear row holds and it passes the KKT gate. Every
-other problem goes to a log-barrier interior-point method. Both sides return a
-certificate whose KKT residual is computed by the same public evaluators used
-in the test suite.
+other problem goes to a log-barrier interior-point method. A barrier that has
+no strictly feasible start first minimizes the quadratic over the linear rows,
+a least-distance program solved exactly by one NNLS; a positive minimum proves
+the problem infeasible, and the minimiser is the controller's closest
+achievable point. Every solve returns a certificate whose KKT residual is
+computed by the same public evaluators used in the test suite.
 
 Conventions: LPs minimize, QCQPs maximize. All solves are deterministic for
 identical inputs (fixed iteration schedules, no randomized pivoting).
@@ -22,7 +25,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve
+from scipy.linalg import cho_solve, solve_triangular
 from scipy.optimize import linprog, nnls
 
 LP_ITERATION_CAP = 200
@@ -46,7 +49,8 @@ class SolveCertificate:
     kkt_residual: float = np.nan
     iterations: int = 0
     wall_time: float = 0.0
-    path: str = ""              # QCQP stage that ran last: "closed-form" | "barrier"
+    # QCQP stage that ran last: "closed-form" | "barrier" | "least-distance"
+    path: str = ""
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +229,7 @@ class QcqpProblem:
     q_obj: np.ndarray | None = None
     q_sym: np.ndarray = field(init=False, repr=False)
     q_chol: np.ndarray | None = field(init=False, repr=False)   # lower factor, None unless PD
+    _least_distance: tuple | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         self.c = np.asarray(self.c, dtype=float).ravel()
@@ -299,6 +304,84 @@ def qcqp_kkt_residual(p: QcqpProblem, sol: QcqpSolution) -> float:
                primal / obj_scale, dual / c_scale, comp / obj_scale)
 
 
+def qp_kkt_residual(p: QcqpProblem, sol: QcqpSolution) -> float:
+    """Relative KKT residual of ``sol`` for minimize f_q(x) s.t. a_ineq x <= b_ineq
+    (the least-distance problem of :func:`least_distance`), recomputed from
+    scratch.
+
+    Stationarity is measured against the size of its own terms, since f_q's
+    gradient carries the quadratic's units (kWh/A in the controller); row
+    violations are relative to 1 + |b_i|, complementarity to 1 + |f_q|.
+    """
+    x, lam = sol.x, sol.dual_ineq
+    fq = p.f_quad(x)
+    slack = p.b_ineq - p.a_ineq @ x
+    qx = 2.0 * p.q_sym @ x
+    row_pull = p.a_ineq.T @ lam
+    stat = qx + p.l + row_pull
+    g_scale = max(float(np.abs(qx).max(initial=0.0)), float(np.abs(p.l).max(initial=0.0)),
+                  float(np.abs(row_pull).max(initial=0.0))) or 1.0
+    row_norm = np.sqrt(np.sum(p.a_ineq**2, axis=1))
+    primal = float(np.max(-slack / (1.0 + np.abs(p.b_ineq)), initial=0.0))
+    dual = float(np.max(-lam * row_norm, initial=0.0)) / g_scale
+    comp = float(np.max(np.abs(lam * slack), initial=0.0)) / (1.0 + abs(fq))
+    return max(float(np.abs(stat).max(initial=0.0)) / g_scale, primal, dual, comp)
+
+
+def least_distance(p: QcqpProblem) -> tuple[QcqpSolution | None, SolveCertificate]:
+    """Minimize f_q(x) = x'Qx + l'x - r subject to a_ineq x <= b_ineq, for a
+    positive definite Q; computed once per problem and kept on it.
+
+    With Q = L L' and z = Q^-1 l, u = L'x + L^-1 l / 2 turns f_q into
+    |u|^2 - l'z/4 - r and the rows into G u <= b + A z/2 with G = A L^-T: a
+    least-distance program, solved exactly by one NNLS on the row-normalised
+    system (Lawson & Hanson, Solving Least Squares Problems, 1974, ch. 23).
+    The row multipliers are 2 w / (-r_{n+1}) for the NNLS solution w and
+    residual r. The certificate's ``objective`` is the minimum of f_q. Status
+    is "optimal" when :func:`qp_kkt_residual` passes the gate, "infeasible"
+    when NNLS finds the rows themselves infeasible, and "failure" otherwise,
+    or when Q has no Cholesky factor.
+    """
+    if p._least_distance is None:
+        t0 = time.perf_counter()
+        sol, cert = _least_distance(p)
+        cert.wall_time = time.perf_counter() - t0
+        p._least_distance = (sol, cert)
+    return p._least_distance
+
+
+def _least_distance(p: QcqpProblem) -> tuple[QcqpSolution | None, SolveCertificate]:
+    if p.q_chol is None:
+        return None, SolveCertificate(status="failure", path="least-distance")
+    chol = p.q_chol
+    n = p.c.size
+    w0 = 0.5 * solve_triangular(chol, p.l, lower=True, check_finite=False)    # L^-1 l / 2
+    g = solve_triangular(chol, p.a_ineq.T, lower=True, check_finite=False).T  # A L^-T
+    h = p.b_ineq + g @ w0
+    # rows of unit norm, and the right-hand side scaled to unit size, so the
+    # NNLS target 1 and the infeasibility test below are free of units
+    norms = np.sqrt(np.sum(g**2, axis=1))
+    norms[norms == 0.0] = 1.0
+    h_scale = float(np.abs(h / norms).max(initial=0.0)) or 1.0
+    e = np.vstack([-g.T / norms, -h / (norms * h_scale)])
+    f = np.zeros(n + 1)
+    f[n] = 1.0
+    w, _ = nnls(e, f)
+    res = e @ w - f
+    if not -res[n] > 1e-12:
+        # |u|^2 = -1/r_{n+1} - 1: a vanishing r_{n+1} leaves no bounded point
+        return None, SolveCertificate(status="infeasible", path="least-distance")
+    u = h_scale * (-res[:n] / res[n])
+    x = solve_triangular(chol, u - w0, lower=True, trans="T", check_finite=False)
+    lam = 2.0 * h_scale * w / (-res[n] * norms)
+    sol = QcqpSolution(x=x, dual_quad=0.0, dual_ineq=lam, active=lam > 0.0)
+    residual = qp_kkt_residual(p, sol)
+    status = "optimal" if residual <= KKT_GATE else "failure"
+    return (sol if status == "optimal" else None,
+            SolveCertificate(status=status, objective=p.f_quad(x), kkt_residual=residual,
+                             path="least-distance"))
+
+
 def _newton_center(p: QcqpProblem, x: np.ndarray, t: float, iter_budget: int):
     """Damped Newton minimization of the barrier at parameter t.
 
@@ -360,9 +443,10 @@ def _newton_center(p: QcqpProblem, x: np.ndarray, t: float, iter_budget: int):
                     ok = True
                     break
             alpha *= 0.5
-        if not ok or (x_new == x).all():
+        if not ok or phi >= phi0:
             # the decrement sits on its rounding floor above the threshold and
-            # the accepted step rounds away: every further step repeats it
+            # the accepted step no longer lowers the barrier: every further
+            # step repeats it
             break
         x, fq, slack = x_new, fq_new, slack_new
     return x, used, centered
@@ -458,7 +542,8 @@ def solve_qcqp(p: QcqpProblem,
     row holds and its :func:`qcqp_kkt_residual` passes the 1e-6 gate; it is then
     the optimum of the full problem. Every other problem, including one whose
     candidate breaks a linear row or misses the gate, goes to :func:`_barrier`
-    (``path="barrier"``).
+    (``path="barrier"``), or is proved infeasible by :func:`least_distance`
+    before the barrier starts (``path="least-distance"``).
 
     ``x0`` optionally supplies a strictly feasible starting point for the
     barrier; the optimum does not depend on it (convexity), only the path
@@ -505,6 +590,10 @@ def _barrier(p: QcqpProblem,
              x0: np.ndarray | None = None) -> tuple[QcqpSolution | None, SolveCertificate]:
     """Barrier interior-point solve of the maximization QCQP.
 
+    Without a strictly feasible start (``x0`` or zero), a certified
+    :func:`least_distance` minimum of f_q above FEAS_TOL (1 + |r|) returns
+    "infeasible" at once; phase 1 runs on every other problem.
+
     A barrier point that fails the 1e-6 KKT gate gets one primal polish
     (:func:`_polish_primal`); points that pass it are returned as the barrier
     left them. The active constraints are the polish's final set, or else the
@@ -526,6 +615,12 @@ def _barrier(p: QcqpProblem,
     elif _strictly_feasible(p, np.zeros(n)):
         x = np.zeros(n)
     else:
+        _, ld = least_distance(p)
+        if ld.status == "optimal" and ld.objective > FEAS_TOL * (1.0 + abs(p.r)):
+            # the certified minimum of f_q over the rows is positive
+            return None, SolveCertificate(status="infeasible", objective=ld.objective,
+                                          kkt_residual=ld.kkt_residual,
+                                          path="least-distance")
         x = _phase1(p, iterations)
         if x is None:
             return None, SolveCertificate(status="infeasible", iterations=iterations[0],

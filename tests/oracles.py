@@ -165,3 +165,38 @@ def active_set_qcqp(q_sym, l, r, c, a_act, b_act):
     x = x_p + basis @ ((u / mu - w) / 2.0)
     lam = np.linalg.lstsq(a_act.T, c - mu * (2.0 * q_sym @ x + l), rcond=None)[0]
     return x, mu, lam
+
+
+def min_quadratic_over_rows(q_sym, l, a_ineq, b_ineq, x_scale: float = 100.0):
+    """Minimizer of x'Qx + l'x subject to a_ineq x <= b_ineq, found without
+    NNLS: HiGHS proves the rows infeasible (returns None) or gives a feasible
+    start, and SLSQP minimizes from it on u = x / x_scale, with each row
+    normalised and the objective scaled so that its gradient is of order one.
+    """
+    from scipy.optimize import linprog, minimize
+
+    n = l.size
+    lp = linprog(np.zeros(n), A_ub=a_ineq, b_ub=b_ineq, bounds=[(None, None)] * n,
+                 method="highs")
+    if lp.status == 2:
+        return None
+    assert lp.status == 0, lp.message
+    norms = np.linalg.norm(a_ineq, axis=1)
+    a_u = a_ineq / norms[:, None]
+    b_u = b_ineq / norms / x_scale
+    f_scale = 1.0 / (x_scale * max(float(np.abs(l).max()), 1e-300))
+
+    def f(u):
+        x = x_scale * u
+        return f_scale * float(x @ q_sym @ x + l @ x)
+
+    def grad(u):
+        return f_scale * x_scale * (2.0 * q_sym @ (x_scale * u) + l)
+
+    res = minimize(f, lp.x / x_scale, jac=grad, method="SLSQP",
+                   constraints=[{"type": "ineq", "fun": lambda u: b_u - a_u @ u,
+                                 "jac": lambda u: -a_u}],
+                   options={"maxiter": 1000, "ftol": 1e-12})
+    # 8: the line search stalled on rounding at the optimum
+    assert res.status in (0, 8), res.message
+    return x_scale * res.x

@@ -11,7 +11,8 @@ from feederdispatch.mpc import (ALPHA, ControlDecision, MpcLimits, MpcProblem,
                                 to_power_setpoint)
 from feederdispatch.timegrid import DEFAULT_GRID
 
-from oracles import grid_current_search, mpc_constraints_satisfied, mpc_throughput
+from oracles import (grid_current_search, min_quadratic_over_rows,
+                     mpc_constraints_satisfied, mpc_throughput)
 
 grid = DEFAULT_GRID
 
@@ -231,7 +232,51 @@ def test_infeasible_target_clipped_to_min_throughput(bank):
     assert mpc_constraints_satisfied(p, dec.i_traj)
     # the clip lands on the most-discharging feasible point
     assert dec.i_traj == pytest.approx(np.full(2, p.limits.i_min), abs=1e-3)
-    assert dec.path == "closest-feasible"
+    assert dec.path == "least-distance"
+    assert dec.kkt_residual <= 1e-6
+    assert dec.active == "box"
+
+
+def test_clipped_below_soc_floor(bank):
+    # below soc_min no discharge target is reachable; the linear rows are
+    # feasible (charge back to the floor), so the step actuates the
+    # least-throughput trajectory instead of zero current
+    p = _problem(bank, h=10, e_k=-0.3, soc=0.09999)
+    dec = solve(p)
+    assert dec.status == "infeasible-clipped"
+    assert dec.path == "least-distance"
+    assert dec.i_first != 0.0
+    assert mpc_constraints_satisfied(p, dec.i_traj)
+    assert dec.kkt_residual <= 1e-6
+
+
+@settings(max_examples=100, deadline=None)
+@given(h=st.integers(1, 30),
+       soc=st.one_of(st.floats(0.0995, 0.1005), st.floats(0.09, 0.2)),
+       e_per_step=st.floats(-2.0 / 30, -1e-4),
+       x_k=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+       i_max=st.floats(50.0, 810.0), di=st.floats(2.0, 200.0))
+def test_least_distance_matches_oracle(bank, h, soc, e_per_step, x_k, i_max, di):
+    # the least-throughput trajectory over the linear rows against HiGHS +
+    # SLSQP; where its minimum is positive, the target is out of reach and
+    # the controller actuates exactly that trajectory
+    limits = MpcLimits(i_min=-i_max, i_max=i_max, di_min=-di, di_max=di)
+    p = _problem(bank, h=h, e_k=e_per_step * h, x=x_k, soc=soc, limits=limits)
+    prob = p._qcqp
+    sol, cert = solver.least_distance(prob)
+    x_ref = min_quadratic_over_rows(prob.q_sym, prob.l, prob.a_ineq, prob.b_ineq)
+    if x_ref is None:
+        assert cert.status == "infeasible"
+        return
+    assert cert.status == "optimal"
+    assert cert.kkt_residual == solver.qp_kkt_residual(prob, sol) <= 1e-6
+    assert mpc_constraints_satisfied(p, sol.x)
+    f_ref = prob.f_quad(x_ref)
+    assert abs(cert.objective - f_ref) <= 1e-8 * (1.0 + abs(f_ref))
+    if cert.objective > solver.FEAS_TOL * (1.0 + abs(p.e_k)):
+        dec = solve(p)
+        assert dec.status == "infeasible-clipped" and dec.path == "least-distance"
+        assert np.array_equal(dec.i_traj, sol.x)
 
 
 def test_clipped_when_soc_already_outside(bank):

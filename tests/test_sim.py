@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from feederdispatch import solver
+from feederdispatch import sim, solver
 from feederdispatch.battery import ModelBank
 from feederdispatch.dayahead import (DayAheadConfig, DispatchPlan, OffsetPlan,
                                      _ForecastView, plan_day)
@@ -11,7 +11,9 @@ from feederdispatch.sim import (BatteryPlant, ErrorStats, InitState, PlantConfig
                                 PlantStateError, SimulationRun, format_report,
                                 peak_shave_check, run_day, run_multi_day,
                                 step_trace, tracking_report, write_run_artifacts)
-from feederdispatch.timegrid import DEFAULT_GRID
+from feederdispatch.timegrid import DEFAULT_GRID, TimeGrid
+
+from oracles import mpc_constraints_satisfied
 
 grid = DEFAULT_GRID
 
@@ -247,3 +249,35 @@ def test_three_day_perfect_forecast_soc_band(bank_module):
                             initial_soc=0.5, shape=shape, bank=bank_module)
     for res in results:
         assert np.abs(res.run.soc - 0.5).max() <= 0.2
+
+
+def test_soc_floor_hour_clips_without_failures(day_forecast, bank_module, monkeypatch):
+    # 08:00-09:00 from SOC 0.12 with prosumption 10 % above the forecast: the
+    # battery reaches soc_min and the discharge targets go out of reach. Every
+    # such step must actuate its certified least-throughput trajectory, never
+    # fall back to zero current
+    lo, hi = 96, 108
+    plan = plan_day(day_forecast, DayAheadConfig(soe0=60.0))
+    trace = step_trace(day_forecast.point * 1.1, np.random.default_rng(3), 1.0, 0.9)
+    fc = plan.forecast
+    hour = DispatchPlan(p_hat=plan.p_hat[lo:hi], offset=plan.offset,
+                        forecast=_ForecastView(fc.point[lo:hi], fc.envelope_low[lo:hi],
+                                               fc.envelope_high[lo:hi]))
+    hour_grid = TimeGrid(n_slots=hi - lo, n_steps=30 * (hi - lo))
+    steps = []
+    sim_solve = sim.solve
+
+    def recording_solve(problem):
+        decision = sim_solve(problem)
+        steps.append((problem, decision))
+        return decision
+
+    monkeypatch.setattr(sim, "solve", recording_solve)
+    run = run_day(hour, PlantConfig(), InitState(soc=0.12), trace_kw=trace[30 * lo:30 * hi],
+                  seed=0, bank=bank_module, grid=hour_grid)
+    assert "solver-failure" not in run.status
+    clipped = [(p, d) for p, d in steps if d.status == "infeasible-clipped"]
+    assert clipped
+    for p, d in clipped:
+        assert d.path == "least-distance" and d.kkt_residual <= 1e-6
+        assert mpc_constraints_satisfied(p, d.i_traj)

@@ -72,6 +72,46 @@ def test_qcqp_infeasible():
     assert cert.status == "infeasible"
 
 
+def test_least_distance_proves_infeasibility():
+    # min x^2 + 1 over |x| <= 10 is 1 > 0: infeasible without phase 1, and the
+    # minimiser is computed once and kept on the problem
+    p = QcqpProblem(c=[1.0], q=[[1.0]], l=[0.0], r=-1.0,
+                    a_ineq=[[1.0], [-1.0]], b_ineq=[10.0, 10.0])
+    sol, cert = solve_qcqp(p)
+    assert sol is None and cert.status == "infeasible"
+    assert cert.path == "least-distance" and cert.iterations == 0
+    assert cert.objective == pytest.approx(1.0)
+    ld, ld_cert = solver.least_distance(p)
+    assert ld_cert.status == "optimal" and ld_cert.path == "least-distance"
+    assert ld.x == pytest.approx([0.0], abs=1e-12)
+    assert solver.least_distance(p)[0] is ld
+    # rows that exclude each other (x <= -1, x >= 1) have no least-distance
+    # point; phase 1 still decides the solve
+    p = QcqpProblem(c=[1.0], q=[[1.0]], l=[0.0], r=-1.0,
+                    a_ineq=[[1.0], [-1.0]], b_ineq=[-1.0, -1.0])
+    ld, ld_cert = solver.least_distance(p)
+    assert ld is None and ld_cert.status == "infeasible"
+    sol, cert = solve_qcqp(p)
+    assert sol is None and cert.status == "infeasible" and cert.path == "barrier"
+
+
+def test_least_distance_two_binding_rows():
+    # projection of (3, 3) onto {x0 + x1 <= 2, x0 <= 0.5, x1 >= -10}: both
+    # first rows bind at (0.5, 1.5), and 2x + l + A'lam = 0 gives lam = (3, 2)
+    p = QcqpProblem(c=[1.0, 1.0], q=np.eye(2), l=[-6.0, -6.0], r=0.0,
+                    a_ineq=[[1.0, 1.0], [1.0, 0.0], [0.0, -1.0]], b_ineq=[2.0, 0.5, 10.0])
+    sol, cert = solver.least_distance(p)
+    assert cert.status == "optimal"
+    assert sol.x == pytest.approx([0.5, 1.5], abs=1e-12)
+    assert sol.dual_ineq == pytest.approx([3.0, 2.0, 0.0], abs=1e-12)
+    assert list(sol.active) == [True, True, False]
+    assert cert.objective == pytest.approx(0.25 + 2.25 - 12.0, abs=1e-12)
+    assert cert.kkt_residual == solver.qp_kkt_residual(p, sol) <= 1e-12
+    # the evaluator catches wrong multipliers
+    wrong = solver.QcqpSolution(x=sol.x, dual_quad=0.0, dual_ineq=np.array([3.0, 1.0, 0.0]))
+    assert solver.qp_kkt_residual(p, wrong) > 1e-2
+
+
 def test_qcqp_rejects_indefinite():
     with pytest.raises(ValueError):
         QcqpProblem(c=[1.0, 1.0], q=[[1.0, 0.0], [0.0, -1.0]], l=np.zeros(2),

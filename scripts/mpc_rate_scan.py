@@ -3,8 +3,8 @@
 Draws random control problems (horizon 2-30, SOC 0.12-0.88, energy target
 within +-2 kWh * h/30, voltage-model state within +-1, rate limit +-2..40
 A/step), solves each with ``mpc.solve`` and prints the decision-status counts,
-the solve-path counts (closed form, barrier, least distance, ...) and the draws
-that did not return ``solved``.
+the solve-path counts (closed form, parametric, least distance), the NNLS
+solves per draw and the draws that did not return ``solved``.
 
 ``--low-soc`` draws the SOC at or just below ``soc_min`` instead (a third of
 the draws exactly at it, the rest up to 0.002 below, which one step of
@@ -68,10 +68,10 @@ def main() -> None:
         residuals.append(dec.kkt_residual)
         if dec.status != ("infeasible-clipped" if args.low_soc else "solved"):
             print(f"draw {j}: h={p.horizon} soc={p.soc_k:.5f} e_k={p.e_k:.4f} "
-                  f"di={p.limits.di_max:.2f} -> {dec.status} ({dec.iterations} iterations)")
+                  f"di={p.limits.di_max:.2f} -> {dec.status} ({dec.iterations} NNLS solves)")
     print("status counts:", dict(statuses))
     print("path counts:", dict(paths))
-    print("Newton iterations p50/p99/max:",
+    print("NNLS solves p50/p99/max:",
           "/".join(f"{v:.0f}" for v in np.percentile(iterations, [50, 99, 100])))
     print(f"largest KKT residual: {np.nanmax(residuals):.2e}")
 

@@ -88,9 +88,7 @@ def table1_parameters() -> tuple[TtcParameters, ...]:
 def schedule_model(soc: float, table: tuple[TtcParameters, ...] = TABLE1) -> TtcParameters:
     """Parameter set whose SOC range contains ``soc``; boundaries belong to the
     upper range (soc = 0.20 selects 20-40%)."""
-    if not 0.0 <= soc <= 1.0:
-        raise ValueError(f"soc {soc} outside [0, 1]")
-    return table[min(bisect_right(_RANGE_EDGES, soc), 4)]
+    return table[schedule_index(soc)]
 
 
 def schedule_index(soc: float) -> int:
@@ -248,30 +246,24 @@ class KalmanState:
 
 
 def kalman_update(st: KalmanState, m: DiscreteStateSpace, i_prev: float,
-                  v_meas: float, form: str = "information") -> KalmanState:
+                  v_meas: float) -> KalmanState:
     """One predict + measurement-update cycle.
 
     The innovation subtracts the full output prediction including the
     feedthrough d_i*i_prev + d_1 (the EMF channel), since the measured terminal
-    voltage contains both. The covariance update uses the information form by
-    default; ``form="joseph"`` selects the numerically symmetric alternative.
+    voltage contains both. The covariance update is the Joseph form, which
+    needs no inverse and keeps the covariance symmetric.
     """
     x_pred = m.a @ st.x + m.b_i * i_prev + m.b_1
     p_pred = m.a @ st.p @ m.a.T + m.k @ m.k.T
     cv = m.c.ravel()
-    c = cv.reshape(1, -1)
     r = m.g**2
     s = float(cv @ p_pred @ cv) + r
     gain = p_pred @ cv / s
     innov = v_meas - float(cv @ x_pred) - m.d_i * i_prev - m.d_1
     x_new = x_pred + gain * innov
-    if form == "information":
-        p_new = np.linalg.inv(np.linalg.inv(p_pred) + c.T @ c / r)
-    elif form == "joseph":
-        ikc = np.eye(m.n) - np.outer(gain, cv)
-        p_new = ikc @ p_pred @ ikc.T + np.outer(gain, gain) * r
-    else:
-        raise ValueError(f"unknown covariance update form {form!r}")
+    ikc = np.eye(m.n) - np.outer(gain, cv)
+    p_new = ikc @ p_pred @ ikc.T + np.outer(gain, gain) * r
     p_new = 0.5 * (p_new + p_new.T)
     w, vecs = np.linalg.eigh(p_new)
     if w.min() < 0.0:
@@ -291,8 +283,10 @@ class ModelBank:
     with cached prediction matrices per (model, horizon).
 
     Construction asserts the convexity hypothesis of the real-time problem: the
-    symmetric part of every voltage psi_i must be positive semidefinite (checked
-    at the maximum horizon; leading principal blocks inherit it).
+    symmetric part of every voltage psi_i must have a Cholesky factor, as each
+    control step's QCQP requires (checked at the maximum horizon; leading
+    principal blocks inherit it), so a parameter table that breaks it is
+    rejected here rather than at a control step.
     """
 
     def __init__(self, table: tuple[TtcParameters, ...] = TABLE1,
@@ -306,10 +300,11 @@ class ModelBank:
         self._cache: dict[tuple[str, int], TransitionMatrices] = {}
         for m in self.voltage_models:
             tm = self.transitions(m, max_horizon)
-            w_min = float(np.linalg.eigvalsh(0.5 * (tm.psi_i + tm.psi_i.T)).min())
-            if w_min < -1e-9:
+            try:
+                np.linalg.cholesky(0.5 * (tm.psi_i + tm.psi_i.T))
+            except np.linalg.LinAlgError:
                 raise ValueError(f"voltage model {m.label}: psi_i symmetric part "
-                                 f"not PSD (min eigenvalue {w_min:.3e})")
+                                 f"not positive definite") from None
 
     def voltage_model(self, soc: float) -> DiscreteStateSpace:
         return self.voltage_models[schedule_index(soc)]

@@ -52,7 +52,7 @@ _SCHEMA = {
         "soe0_kwh": float, "soe_min_kwh": float, "soe_max_kwh": float,
         "b_min_kw": float, "b_max_kw": float, "p_max_kw": (float, type(None)),
         "eta": float, "e_nom_kwh": float, "soe_backoff_kwh": float,
-        "power_backoff_kw": float, "objective": str,
+        "power_backoff_kw": float,
     },
     "mpc": {
         "i_min_a": float, "i_max_a": float, "di_min_a": float, "di_max_a": float,
@@ -116,7 +116,6 @@ def dayahead_config(doc: dict, soe0: float | None = None,
         e_nom=float(d.get("e_nom_kwh", 500.0)),
         soe_backoff=float(d.get("soe_backoff_kwh", 0.0)),
         power_backoff=float(d.get("power_backoff_kw", 0.0)),
-        objective=d.get("objective", "l1"),
     )
     if soe0 is not None:
         cfg = replace(cfg, soe0=soe0)

@@ -8,8 +8,9 @@ bounds; it thereby steers the battery back toward a flexible energy level.
 The optimization is solved as a linear program over the positive/negative parts
 of the two worst-case battery powers K = f + envelope_low and
 G = f + envelope_high (charging and discharging are weighted by different
-efficiency coefficients, which the split keeps linear). A quadratic-cost
-variant (sum of squared offsets) is available behind ``objective="quadratic"``.
+efficiency coefficients, which the split keeps linear). Plan files rebuild
+the forecast from their columns, without members, so they are held to the same
+envelope signs as a fresh forecast.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ class DayAheadConfig:
     e_nom: float = E_NOM_KWH          # kWh, for SOC <-> SOE conversion
     soe_backoff: float = 0.0          # kWh margin inside the SOE bounds
     power_backoff: float = 0.0        # kW margin inside the power bounds
-    objective: str = "l1"             # "l1" | "quadratic"
 
     def __post_init__(self):
         if not self.soe_min < self.soe_max:
@@ -59,8 +59,6 @@ class DayAheadConfig:
             raise ValueError("need b_min < 0 < b_max")
         if not 0.0 < self.eta <= 1.0:
             raise ValueError("eta must be in (0, 1]")
-        if self.objective not in ("l1", "quadratic"):
-            raise ValueError(f"unknown objective {self.objective!r}")
 
 
 @dataclass(frozen=True)
@@ -77,15 +75,6 @@ class DispatchPlan:
     p_hat: np.ndarray
     forecast: ProsumptionForecast
     offset: OffsetPlan
-
-
-class _ForecastView:
-    """Duck-typed forecast view used where only the three arrays matter."""
-
-    def __init__(self, point, envelope_low, envelope_high):
-        self.point = np.asarray(point, dtype=float)
-        self.envelope_low = np.asarray(envelope_low, dtype=float)
-        self.envelope_high = np.asarray(envelope_high, dtype=float)
 
 
 def beta_coeffs(cfg: DayAheadConfig) -> tuple[float, float]:
@@ -187,13 +176,10 @@ def _diagnose_infeasibility(l_hat, env_low, env_high, cfg: DayAheadConfig) -> In
         slot=first_slot, constraint=first_group)
 
 
-def _solve_offset_arrays(l_hat, env_low, env_high, cfg: DayAheadConfig) -> OffsetPlan:
-    l_hat = np.asarray(l_hat, dtype=float)
-    env_low = np.asarray(env_low, dtype=float)
-    env_high = np.asarray(env_high, dtype=float)
+def solve_offset(forecast: ProsumptionForecast, cfg: DayAheadConfig) -> OffsetPlan:
+    """Compute the offset profile for a full day's forecast."""
+    l_hat, env_low, env_high = forecast.point, forecast.envelope_low, forecast.envelope_high
     n = l_hat.size
-    if cfg.objective == "quadratic":
-        return _solve_offset_quadratic(l_hat, env_low, env_high, cfg)
     p = _offset_lp(l_hat, env_low, env_high, cfg)
     sol, cert = solver.solve_lp(p)
     if cert.status == "infeasible":
@@ -211,77 +197,9 @@ def _solve_offset_arrays(l_hat, env_low, env_high, cfg: DayAheadConfig) -> Offse
             f"offset solution not physically realizable: positive/negative split "
             f"overlaps by {comp:.2e} (binding SOE ceiling requires dissipation)")
     f = kp - km - env_low
-    soe_low, soe_high = worst_case_soe(f, _ForecastView(l_hat, env_low, env_high), cfg)
+    soe_low, soe_high = worst_case_soe(f, forecast, cfg)
     return OffsetPlan(f=f, soe_low=soe_low, soe_high=soe_high,
                       objective=cert.objective, certificate=cert)
-
-
-def _solve_offset_quadratic(l_hat, env_low, env_high, cfg: DayAheadConfig) -> OffsetPlan:
-    """min sum f^2 variant: a concave-maximization over [K+, K-, G+] with G-
-    eliminated through the coupling equality."""
-    n = l_hat.size
-    lp = _offset_lp(l_hat, env_low, env_high, cfg)
-    # substitution: G- = G+ - (K+ - K-) + env_low - env_high
-    sub = np.zeros((4 * n, 3 * n))
-    sub[:n, :n] = np.eye(n)
-    sub[n:2 * n, n:2 * n] = np.eye(n)
-    sub[2 * n:3 * n, 2 * n:] = np.eye(n)
-    sub[3 * n:, :n] = -np.eye(n)
-    sub[3 * n:, n:2 * n] = np.eye(n)
-    sub[3 * n:, 2 * n:] = np.eye(n)
-    shift = np.concatenate([np.zeros(3 * n), env_low - env_high])
-    # the split direction (1,1,1) is objective-flat, so the variables need
-    # explicit ceilings for the interior-point geometry to stay bounded
-    env_span = float(max(np.abs(env_low).max(initial=0.0),
-                         np.abs(env_high).max(initial=0.0)))
-    big = 2.0 * (cfg.b_max - cfg.b_min) + 2.0 * env_span + 100.0
-    a_rows = np.vstack([lp.a_ineq @ sub,
-                        -sub[:n], -sub[n:2 * n], -sub[2 * n:3 * n], -sub[3 * n:],
-                        np.eye(3 * n)])
-    b_rows = np.concatenate([lp.b_ineq - lp.a_ineq @ shift,
-                             np.zeros(3 * n), -shift[3 * n:],
-                             np.full(3 * n, big)])
-    # maximize -|f|^2 with f = K+ - K- - env_low (constant term dropped)
-    sel = np.zeros((n, 3 * n))
-    sel[:, :n] = np.eye(n)
-    sel[:, n:2 * n] = -np.eye(n)
-    prob = solver.QcqpProblem(c=2.0 * sel.T @ env_low, q=np.zeros((3 * n, 3 * n)),
-                              l=np.zeros(3 * n), r=1.0,
-                              a_ineq=a_rows, b_ineq=b_rows,
-                              q_obj=sel.T @ sel)
-    # interior start from a Chebyshev-center LP
-    m_rows = a_rows.shape[0]
-    cheb = solver.LinearProgram(
-        c=np.concatenate([np.zeros(3 * n), [-1.0]]),
-        a_ineq=np.hstack([a_rows, np.ones((m_rows, 1))]), b_ineq=b_rows,
-        lb=np.concatenate([np.full(3 * n, -np.inf), [0.0]]),
-        ub=np.concatenate([np.full(3 * n, np.inf), [1e6]]))
-    cheb_sol, cheb_cert = solver.solve_lp(cheb)
-    if cheb_cert.status != "optimal" or cheb_sol.x[-1] <= 1e-9:
-        raise _diagnose_infeasibility(l_hat, env_low, env_high, cfg)
-    sol, cert = solver.solve_qcqp(prob, x0=cheb_sol.x[:3 * n])
-    if cert.status == "infeasible":
-        raise _diagnose_infeasibility(l_hat, env_low, env_high, cfg)
-    if cert.status != "optimal" or cert.kkt_residual > 1e-6:
-        raise solver.SolverError("day-ahead quadratic solve failed")
-    kp, km = sol.x[:n], sol.x[n:2 * n]
-    f = kp - km - env_low
-    soe_low, soe_high = worst_case_soe(f, _ForecastView(l_hat, env_low, env_high), cfg)
-    # the split relaxation can understate the high trajectory; accept only
-    # physically realizable offsets
-    if soe_low.min() < cfg.soe_min + cfg.soe_backoff - 1e-6 \
-            or soe_high.max() > cfg.soe_max - cfg.soe_backoff + 1e-6:
-        raise InfeasiblePlanError(
-            "offset solution not physically realizable: worst-case SOE "
-            "re-propagation leaves the configured bounds")
-    return OffsetPlan(f=f, soe_low=soe_low, soe_high=soe_high,
-                      objective=float(f @ f), certificate=cert)
-
-
-def solve_offset(forecast: ProsumptionForecast, cfg: DayAheadConfig) -> OffsetPlan:
-    """Compute the offset profile for a full day's forecast."""
-    return _solve_offset_arrays(forecast.point, forecast.envelope_low,
-                                forecast.envelope_high, cfg)
 
 
 def assemble_plan(forecast: ProsumptionForecast, offset: OffsetPlan) -> DispatchPlan:
@@ -320,7 +238,8 @@ def save_plan(path, plan: DispatchPlan) -> None:
 
 def load_plan(path, cfg: DayAheadConfig | None = None) -> DispatchPlan:
     """Rebuild a DispatchPlan from a plan file (SOE trajectories re-propagated
-    when a config is supplied, zero otherwise)."""
+    when a config is supplied, zero otherwise). A file whose envelopes have the
+    wrong sign raises ValueError."""
     rows = []
     with open(path, newline="") as fh:
         for line in fh:
@@ -332,13 +251,13 @@ def load_plan(path, cfg: DayAheadConfig | None = None) -> DispatchPlan:
         raise ValueError(f"{path}: expected 6 columns per plan row")
     order = np.argsort(data[:, 0])
     data = data[order]
-    view = _ForecastView(data[:, 3], data[:, 4], data[:, 5])
+    forecast = ProsumptionForecast(data[:, 3], data[:, 4], data[:, 5], members=())
     f = data[:, 2]
     if cfg is not None:
-        soe_low, soe_high = worst_case_soe(f, view, cfg)
+        soe_low, soe_high = worst_case_soe(f, forecast, cfg)
     else:
         soe_low = soe_high = np.zeros(f.size + 1)
     offset = OffsetPlan(f=f, soe_low=soe_low, soe_high=soe_high,
                         objective=np.nan,
                         certificate=solver.SolveCertificate(status="optimal"))
-    return DispatchPlan(p_hat=data[:, 1], forecast=view, offset=offset)
+    return DispatchPlan(p_hat=data[:, 1], forecast=forecast, offset=offset)

@@ -148,8 +148,8 @@ class ControlDecision:
     status: str
     active: str = ""           # active constraint groups at the optimum
     kkt_residual: float = np.nan
-    iterations: int = 0
-    path: str = "none"         # "closed-form" | "barrier" | "least-distance" | "none"
+    iterations: int = 0        # NNLS solves of the QCQP (0 for the closed form)
+    path: str = "none"         # "closed-form" | "parametric" | "least-distance" | "none"
 
     def __post_init__(self):
         if self.i_traj.size and self.i_first != self.i_traj[0]:
@@ -202,40 +202,22 @@ def _active_groups(h: int, sol: solver.QcqpSolution) -> str:
     return ",".join(active) if active else "-"
 
 
-def _warm_start(prob: solver.QcqpProblem, h: int) -> np.ndarray | None:
-    """Strictly feasible start on the uniform-current ray (rate rows are zero
-    there); needed whenever the zero current does not satisfy the throughput
-    constraint strictly, i.e. for non-positive energy targets."""
-    ones = np.ones(h)
-    q1 = float(ones @ prob.q_sym @ ones)
-    l1 = float(prob.l @ ones)
-    if q1 <= 0.0 or l1 <= 0.0:
-        return None
-    target = prob.r - 0.05 * (1.0 + abs(prob.r))
-    disc = l1 * l1 + 4.0 * q1 * target
-    c = (-l1 + np.sqrt(disc)) / (2.0 * q1) if disc >= 0.0 else -l1 / (2.0 * q1)
-    x0 = c * ones
-    if prob.f_quad(x0) < 0.0 and np.all(prob.b_ineq - prob.a_ineq @ x0 > 0.0):
-        return x0
-    return None
-
-
 def solve(p: MpcProblem) -> ControlDecision:
     """Solve the control problem, or actuate the closest achievable energy when
     the target is out of reach.
 
     :func:`solver.solve_qcqp` returns the closed-form optimum when only the
     throughput row binds (it is checked against every linear row and the KKT
-    gate) and runs its log-barrier otherwise. The infeasible case is always a
-    too-negative energy target, so the trajectory of least throughput over the
-    linear rows is the closest achievable one: it is
+    gate) and its parametric least-distance solve otherwise. The infeasible
+    case is always a too-negative energy target, so the trajectory of least
+    throughput over the linear rows is the closest achievable one: it is
     :func:`solver.least_distance`'s certified minimiser, the same one that
     showed the target infeasible (``infeasible-clipped``). ``path`` records
-    which of the three ran, or ``none`` when the decision actuates zero current.
+    which of the three ran, or ``none`` when the decision actuates zero
+    current; ``iterations`` counts the NNLS solves of the first solve.
     """
     prob = p._qcqp
-    x0 = _warm_start(prob, p.horizon) if p.e_k <= 1e-3 else None
-    sol, cert = solver.solve_qcqp(prob, x0=x0)
+    sol, cert = solver.solve_qcqp(prob)
     iterations, status = cert.iterations, STATUS_SOLVED
     if cert.status == "infeasible":
         sol, cert = solver.least_distance(prob)

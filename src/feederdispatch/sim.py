@@ -120,11 +120,9 @@ class BatteryPlant:
         return self._advance(i, step)
 
     def _advance(self, i: float, step: int) -> tuple[float, float, float]:
-        m = self._model()
-        v = float(m.c @ self.x + m.d_i * i + m.d_1)
+        self.x, v = battery.voltage_step(self._model(), self.x, i)
         b_real = CONVERTER_EFF * v * i / 1000.0
-        self.x = m.a @ self.x + m.b_i * i + m.b_1
-        self.soc = self.soc + (self.ts / 3600.0) * i / self.c_nom
+        self.soc = battery.soc_step(self.soc, i, self.ts, self.c_nom)
         self.last_i = i
         if not 0.0 <= self.soc <= 1.0:
             raise PlantStateError(f"plant SOC {self.soc:.4f} left [0, 1] at step {step}",

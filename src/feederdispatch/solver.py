@@ -3,16 +3,16 @@
 The LP side (day-ahead problem, ~1000 variables, solved once per day) wraps the
 HiGHS backend of :func:`scipy.optimize.linprog`. The QCQP side (real-time MPC,
 <= 30 variables, solved every 10 seconds) handles the class "linear objective,
-one convex quadratic inequality, linear inequalities" in two stages. When the
-quadratic is positive definite it first tries the closed-form optimum with the
-quadratic row alone binding, which is what most control steps are; that point
-is returned only if every linear row holds and it passes the KKT gate. Every
-other problem goes to a log-barrier interior-point method. A barrier that has
-no strictly feasible start first minimizes the quadratic over the linear rows,
-a least-distance program solved exactly by one NNLS; a positive minimum proves
-the problem infeasible, and the minimiser is the controller's closest
-achievable point. Every solve returns a certificate whose KKT residual is
-computed by the same public evaluators used in the test suite.
+one positive definite quadratic inequality, linear inequalities" with one
+exact method. Most control steps bind the quadratic row alone and take its
+closed form. Every other step walks the path of least-distance programs
+minimize x'Qx + (l - t c)'x over the rows, parametric in t = 1/mu: one NNLS
+gives the active set at a t, on which the path is affine and the root of the
+quadratic row is a scalar equation. The t = 0 end of that path is the
+minimum of the quadratic over the rows; a positive minimum proves the problem
+infeasible and its minimiser is the controller's closest achievable point.
+Every solve returns a certificate whose KKT residual is computed by the same
+public evaluators used in the test suite.
 
 Conventions: LPs minimize, QCQPs maximize. All solves are deterministic for
 identical inputs (fixed iteration schedules, no randomized pivoting).
@@ -22,24 +22,20 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import cho_factor, cho_solve, solve_triangular
 from scipy.optimize import linprog, nnls
 
 LP_ITERATION_CAP = 200
-QCQP_ITERATION_CAP = 100
+QCQP_ITERATION_CAP = 50  # NNLS solves per QCQP
 FEAS_TOL = 1e-8          # absolute feasibility
-GAP_TOL = 1e-8           # relative duality gap driven below this
 KKT_GATE = 1e-6          # relative KKT residual at or below this certifies "optimal"
-PSD_EIG_TOL = -1e-9
-ACTIVE_RATIO = 1e3       # slack / (multiplier |a_i|^2) at or below this marks a row active
-ACTIVE_SET_ROUNDS = 10
 
 
 class SolverError(Exception):
-    """Numerical failure inside a solve (iteration cap, singular KKT system)."""
+    """Numerical failure inside a solve."""
 
 
 @dataclass
@@ -49,7 +45,10 @@ class SolveCertificate:
     kkt_residual: float = np.nan
     iterations: int = 0
     wall_time: float = 0.0
-    # QCQP stage that ran last: "closed-form" | "barrier" | "least-distance"
+    # QCQP stage that ran last: "closed-form" | "parametric" | "least-distance";
+    # an "infeasible" least-distance verdict holds either the positive minimum
+    # of the quadratic (objective) or a Farkas vector's relative b'y
+    # (objective, < 0) and |A'y| (kkt_residual)
     path: str = ""
 
 
@@ -214,10 +213,10 @@ def _phase1_violation(p: LinearProgram) -> float:
 
 @dataclass
 class QcqpProblem:
-    """maximize c'x - x'(q_obj)x  s.t.  x'(sym q)x + l'x <= r,  a_ineq x <= b_ineq.
+    """maximize c'x  s.t.  x'(sym q)x + l'x <= r,  a_ineq x <= b_ineq.
 
-    ``q_obj`` is an optional PSD concavity term of the objective (None for the
-    plain linear-objective class used by the controller).
+    The symmetric part of q must be positive definite: its Cholesky factor is
+    both the check (ValueError without one) and the whitening every solve uses.
     """
 
     c: np.ndarray
@@ -226,9 +225,9 @@ class QcqpProblem:
     r: float
     a_ineq: np.ndarray
     b_ineq: np.ndarray
-    q_obj: np.ndarray | None = None
     q_sym: np.ndarray = field(init=False, repr=False)
-    q_chol: np.ndarray | None = field(init=False, repr=False)   # lower factor, None unless PD
+    q_chol: np.ndarray = field(init=False, repr=False)     # lower factor of q_sym
+    _whitened: "_Whitened | None" = field(init=False, repr=False, compare=False, default=None)
     _least_distance: tuple | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
@@ -243,37 +242,13 @@ class QcqpProblem:
         if self.a_ineq.shape[1] != n or self.a_ineq.shape[0] != self.b_ineq.size:
             raise ValueError("inequality system dimension mismatch")
         self.q_sym = 0.5 * (self.q + self.q.T)
-        # a Cholesky factor proves positive definiteness and serves the closed
-        # form; only a failed one pays for the eigenvalues, which tell a
-        # singular PSD q (accepted) from an indefinite one. The tolerance is
-        # relative to q alone: MPC quadratics are ~1e-8 in kWh/A^2.
         try:
             self.q_chol = np.linalg.cholesky(self.q_sym)
         except np.linalg.LinAlgError:
-            self.q_chol = None
-            w_min = float(np.linalg.eigvalsh(self.q_sym).min())
-            if w_min < PSD_EIG_TOL * float(np.abs(self.q_sym).max(initial=0.0)):
-                raise ValueError(f"quadratic constraint not PSD (min eigenvalue {w_min:.3e})")
-        if self.q_obj is not None:
-            self.q_obj = 0.5 * (np.asarray(self.q_obj, dtype=float).reshape(n, n)
-                                + np.asarray(self.q_obj, dtype=float).reshape(n, n).T)
-            w_min = float(np.linalg.eigvalsh(self.q_obj).min())
-            if w_min < PSD_EIG_TOL * max(1.0, float(np.abs(self.q_obj).max(initial=0.0))):
-                raise ValueError("objective curvature q_obj must be PSD")
+            raise ValueError("quadratic constraint not positive definite") from None
 
     def f_quad(self, x: np.ndarray) -> float:
         return float(x @ self.q_sym @ x + self.l @ x - self.r)
-
-    def objective(self, x: np.ndarray) -> float:
-        val = float(self.c @ x)
-        if self.q_obj is not None:
-            val -= float(x @ self.q_obj @ x)
-        return val
-
-    def objective_gradient(self, x: np.ndarray) -> np.ndarray:
-        if self.q_obj is None:
-            return self.c
-        return self.c - 2.0 * self.q_obj @ x
 
 
 @dataclass
@@ -292,9 +267,8 @@ def qcqp_kkt_residual(p: QcqpProblem, sol: QcqpSolution) -> float:
     x = sol.x
     fq = p.f_quad(x)
     slack = p.b_ineq - p.a_ineq @ x
-    stat = -p.objective_gradient(x) + sol.dual_quad * (2.0 * p.q_sym @ x + p.l) \
-        + p.a_ineq.T @ sol.dual_ineq
-    obj_scale = 1.0 + abs(p.objective(x))
+    stat = -p.c + sol.dual_quad * (2.0 * p.q_sym @ x + p.l) + p.a_ineq.T @ sol.dual_ineq
+    obj_scale = 1.0 + abs(float(p.c @ x))
     c_scale = 1.0 + float(np.max(np.abs(p.c), initial=0.0))
     primal = max(fq, float(np.max(-slack, initial=0.0)), 0.0)
     dual = max(0.0, -sol.dual_quad, float(np.max(-sol.dual_ineq, initial=0.0)))
@@ -328,19 +302,56 @@ def qp_kkt_residual(p: QcqpProblem, sol: QcqpSolution) -> float:
     return max(float(np.abs(stat).max(initial=0.0)) / g_scale, primal, dual, comp)
 
 
-def least_distance(p: QcqpProblem) -> tuple[QcqpSolution | None, SolveCertificate]:
-    """Minimize f_q(x) = x'Qx + l'x - r subject to a_ineq x <= b_ineq, for a
-    positive definite Q; computed once per problem and kept on it.
+class _Whitened:
+    """The rows of a QCQP seen from the whitened variable of
+    minimize x'Qx + (l - t c)'x.
 
-    With Q = L L' and z = Q^-1 l, u = L'x + L^-1 l / 2 turns f_q into
-    |u|^2 - l'z/4 - r and the rows into G u <= b + A z/2 with G = A L^-T: a
-    least-distance program, solved exactly by one NNLS on the row-normalised
-    system (Lawson & Hanson, Solving Least Squares Problems, 1974, ch. 23).
-    The row multipliers are 2 w / (-r_{n+1}) for the NNLS solution w and
-    residual r. The certificate's ``objective`` is the minimum of f_q. Status
-    is "optimal" when :func:`qp_kkt_residual` passes the gate, "infeasible"
-    when NNLS finds the rows themselves infeasible, and "failure" otherwise,
-    or when Q has no Cholesky factor.
+    With Q = L L', w0 = L^-1 l / 2 and wc = L^-1 c / 2, u = L'x + w0 - t wc
+    turns that objective into |u|^2 less a constant, and the rows into
+    G u <= h0 - t h1 with G = A L^-T, h0 = b + G w0 and h1 = G wc: only the
+    right-hand side moves with t.
+    """
+
+    def __init__(self, p: QcqpProblem):
+        self.n = p.c.size
+        self.chol = p.q_chol
+        self.w0 = 0.5 * solve_triangular(self.chol, p.l, lower=True, check_finite=False)
+        self.wc = 0.5 * solve_triangular(self.chol, p.c, lower=True, check_finite=False)
+        self.g = solve_triangular(self.chol, p.a_ineq.T, lower=True, check_finite=False).T
+        self.h0 = p.b_ineq + self.g @ self.w0
+        self.h1 = self.g @ self.wc
+        # rows of unit norm, so the NNLS target and its infeasibility test are
+        # free of units
+        self.norms = np.sqrt(np.sum(self.g**2, axis=1))
+        self.norms[self.norms == 0.0] = 1.0
+        self.e_rows = -self.g.T / self.norms
+
+    def nnls(self, t: float) -> tuple[np.ndarray, np.ndarray, float]:
+        """Least-distance point of G u <= h0 - t h1 by one NNLS (Lawson &
+        Hanson, Solving Least Squares Problems, 1974, ch. 23) on the
+        row-normalised system, with the right-hand side scaled to unit size.
+        Returns the NNLS solution w, its residual and that scale: the point is
+        u = -scale r[:n] / r[n], and r[n] ~ 0 means the rows are infeasible."""
+        h = self.h0 - t * self.h1
+        h_scale = float(np.abs(h / self.norms).max(initial=0.0)) or 1.0
+        e = np.vstack([self.e_rows, -h / (self.norms * h_scale)])
+        f = np.zeros(self.n + 1)
+        f[self.n] = 1.0
+        w, _ = nnls(e, f)
+        return w, e @ w - f, h_scale
+
+
+def least_distance(p: QcqpProblem) -> tuple[QcqpSolution | None, SolveCertificate]:
+    """Minimize f_q(x) = x'Qx + l'x - r subject to a_ineq x <= b_ineq; computed
+    once per problem and kept on it.
+
+    This is the t = 0 point of :class:`_Whitened`: a least-distance program in
+    u = L'x + L^-1 l / 2, solved exactly by one NNLS, whose row multipliers are
+    2 w / (-r_{n+1}) for the NNLS solution w and residual r. The certificate's
+    ``objective`` is the minimum of f_q. Status is "optimal" when
+    :func:`qp_kkt_residual` passes the gate, "infeasible" when the NNLS
+    solution is instead a checked Farkas vector of the rows (:func:`_farkas`),
+    and "failure" otherwise.
     """
     if p._least_distance is None:
         t0 = time.perf_counter()
@@ -350,204 +361,77 @@ def least_distance(p: QcqpProblem) -> tuple[QcqpSolution | None, SolveCertificat
     return p._least_distance
 
 
+def _whitened(p: QcqpProblem) -> _Whitened:
+    if p._whitened is None:
+        p._whitened = _Whitened(p)
+    return p._whitened
+
+
 def _least_distance(p: QcqpProblem) -> tuple[QcqpSolution | None, SolveCertificate]:
-    if p.q_chol is None:
-        return None, SolveCertificate(status="failure", path="least-distance")
-    chol = p.q_chol
+    wh = _whitened(p)
     n = p.c.size
-    w0 = 0.5 * solve_triangular(chol, p.l, lower=True, check_finite=False)    # L^-1 l / 2
-    g = solve_triangular(chol, p.a_ineq.T, lower=True, check_finite=False).T  # A L^-T
-    h = p.b_ineq + g @ w0
-    # rows of unit norm, and the right-hand side scaled to unit size, so the
-    # NNLS target 1 and the infeasibility test below are free of units
-    norms = np.sqrt(np.sum(g**2, axis=1))
-    norms[norms == 0.0] = 1.0
-    h_scale = float(np.abs(h / norms).max(initial=0.0)) or 1.0
-    e = np.vstack([-g.T / norms, -h / (norms * h_scale)])
-    f = np.zeros(n + 1)
-    f[n] = 1.0
-    w, _ = nnls(e, f)
-    res = e @ w - f
-    if not -res[n] > 1e-12:
-        # |u|^2 = -1/r_{n+1} - 1: a vanishing r_{n+1} leaves no bounded point
-        return None, SolveCertificate(status="infeasible", path="least-distance")
-    u = h_scale * (-res[:n] / res[n])
-    x = solve_triangular(chol, u - w0, lower=True, trans="T", check_finite=False)
-    lam = 2.0 * h_scale * w / (-res[n] * norms)
-    sol = QcqpSolution(x=x, dual_quad=0.0, dual_ineq=lam, active=lam > 0.0)
-    residual = qp_kkt_residual(p, sol)
-    status = "optimal" if residual <= KKT_GATE else "failure"
-    return (sol if status == "optimal" else None,
-            SolveCertificate(status=status, objective=p.f_quad(x), kkt_residual=residual,
-                             path="least-distance"))
+    w, res, h_scale = wh.nnls(0.0)
+    objective = residual = np.nan
+    # |u|^2 = -1/r_{n+1} - 1: a vanishing r_{n+1} leaves no bounded point
+    if -res[n] > 1e-12:
+        u = h_scale * (-res[:n] / res[n])
+        x = solve_triangular(wh.chol, u - wh.w0, lower=True, trans="T", check_finite=False)
+        lam = 2.0 * h_scale * w / (-res[n] * wh.norms)
+        sol = QcqpSolution(x=x, dual_quad=0.0, dual_ineq=lam, active=lam > 0.0)
+        residual = qp_kkt_residual(p, sol)
+        if residual > KKT_GATE:
+            # rounding in the whitened point: solve the same active set in x
+            x, _, nu, _, _ = _piece(p, sol.active, 0.0)
+            sol = QcqpSolution(x=x, dual_quad=0.0, dual_ineq=nu, active=sol.active)
+            residual = qp_kkt_residual(p, sol)
+        objective = p.f_quad(sol.x)
+        if residual <= KKT_GATE:
+            return sol, SolveCertificate(status="optimal", objective=objective,
+                                         kkt_residual=residual, iterations=1,
+                                         path="least-distance")
+    farkas = _farkas(p, w / wh.norms)
+    if farkas is not None:
+        return None, farkas
+    return None, SolveCertificate(status="failure", objective=objective, kkt_residual=residual,
+                                  iterations=1, path="least-distance")
 
 
-def _newton_center(p: QcqpProblem, x: np.ndarray, t: float, iter_budget: int):
-    """Damped Newton minimization of the barrier at parameter t.
+def _farkas(p: QcqpProblem, y: np.ndarray) -> SolveCertificate | None:
+    """Certificate that the rows admit no point: y >= 0 with A'y = 0 and
+    b'y < 0 (Farkas' lemma), as NNLS leaves it when the rows are infeasible.
 
-    Returns (x, used, centered); the duality-gap bound m/t is only valid at a
-    centered point, so callers must not trust it when ``centered`` is False.
-    Step length 1/(1+lambda) in the damped phase (self-concordance guarantees
-    descent without a merit-function search); full steps near the center. A
-    halving loop only guards strict feasibility against rounding.
+    The "infeasible" certificate holds |A'y| relative to the sum of |y_i a_i|
+    as ``kkt_residual`` and b'y relative to the sum of |y_i b_i| as
+    ``objective``; it is returned when the first is at most FEAS_TOL and the
+    second at most -FEAS_TOL, and None otherwise.
     """
-    a, b = p.a_ineq, p.b_ineq
-    used = 0
-    centered = False
-    # f_q, the slacks and the barrier value at x are carried over from the
-    # line search that accepted x, so each is evaluated once per point
-    fq = p.f_quad(x)
-    slack = b - a @ x
-    phi = None
-    for _ in range(iter_budget):
-        gq = 2.0 * p.q_sym @ x + p.l
-        inv_f = 1.0 / (-fq)
-        inv_s = 1.0 / slack
-        grad = -t * p.objective_gradient(x) + gq * inv_f + a.T @ inv_s
-        hess = (2.0 * p.q_sym) * inv_f + np.outer(gq, gq) * inv_f**2 \
-            + (a * inv_s[:, None]**2).T @ a
-        if p.q_obj is not None:
-            hess = hess + (2.0 * t) * p.q_obj
-        try:
-            step = -np.linalg.solve(hess, grad)
-        except np.linalg.LinAlgError:
-            hess = hess + 1e-10 * np.eye(x.size) * max(1.0, np.abs(hess).max())
-            step = -np.linalg.solve(hess, grad)
-        used += 1
-        decrement = float(-grad @ step)
-        if not math.isfinite(decrement) or decrement < 0.0:
-            # numerical breakdown of the Newton system; retry regularized once
-            hess = hess + 1e-8 * np.eye(x.size) * max(1.0, np.abs(hess).max())
-            step = -np.linalg.solve(hess, grad)
-            decrement = float(-grad @ step)
-            if not math.isfinite(decrement) or decrement < 0.0:
-                break
-        if decrement <= 2e-9:
-            centered = True
-            break
-        # consume at most 90% of any slack per step: full plunges toward a
-        # boundary poison the next Newton system's conditioning
-        alpha = min(1.0, _max_step(fq, gq, p.q_sym, slack, a, step))
-        if phi is None:
-            phi = t * (-p.objective(x)) - np.log(-fq) - float(np.log(slack).sum())
-        phi0 = phi
-        ok = False
-        for _ in range(40):
-            x_new = x + alpha * step
-            fq_new = p.f_quad(x_new)
-            slack_new = b - a @ x_new
-            if fq_new < 0.0 and (slack_new > 0.0).all():
-                phi = t * (-p.objective(x_new)) - np.log(-fq_new) \
-                    - float(np.log(slack_new).sum())
-                if phi <= phi0 - 0.25 * alpha * decrement:
-                    ok = True
-                    break
-            alpha *= 0.5
-        if not ok or phi >= phi0:
-            # the decrement sits on its rounding floor above the threshold and
-            # the accepted step no longer lowers the barrier: every further
-            # step repeats it
-            break
-        x, fq, slack = x_new, fq_new, slack_new
-    return x, used, centered
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pull = float(np.abs(p.a_ineq.T @ y).max(initial=0.0)) \
+            / float(y @ np.abs(p.a_ineq).max(axis=1, initial=0.0))
+        gap = float(p.b_ineq @ y) / float(y @ np.abs(p.b_ineq))
+    if not (pull <= FEAS_TOL and gap <= -FEAS_TOL):
+        return None
+    return SolveCertificate(status="infeasible", objective=gap, kkt_residual=pull,
+                            iterations=1, path="least-distance")
 
 
-def _max_step(fq, gq, q_sym, slack, a, step, consume: float = 0.99):
-    """Largest alpha consuming at most ``consume`` of each constraint slack."""
-    d = a @ step
-    pos = d > 0.0
-    alpha = consume * float((slack[pos] / d[pos]).min()) if pos.any() else np.inf
-    qd = float(step @ q_sym @ step)
-    gd = float(gq @ step)
-    fq_room = consume * fq          # fq < 0: leave (1-consume) of the slack
-    if qd > 1e-300:
-        alpha_q = (-gd + np.sqrt(max(gd * gd - 4.0 * qd * fq_room, 0.0))) / (2.0 * qd)
-        if alpha_q > 0.0:
-            alpha = min(alpha, alpha_q)
-    elif gd > 0.0:
-        alpha = min(alpha, -fq_room / gd)
-    return alpha
+def solve_qcqp(p: QcqpProblem) -> tuple[QcqpSolution | None, SolveCertificate]:
+    """Solve the maximization QCQP exactly.
 
+    With t = 1/mu for the quadratic's multiplier mu > 0, the optimum minimizes
+    x'Qx + (l - t c)'x over the rows, at the t where f_q reaches 0. The path
+    of these minimisers starts at the :func:`least_distance` point (t = 0)
+    and is affine in t on each active set (:func:`_piece`), so f_q
+    along it is a scalar quadratic: the parametric active-set method of
+    Ferreau, Bock & Diehl (qpOASES, 2008) over the single parameter t.
 
-def _strictly_feasible(p: QcqpProblem, x: np.ndarray, margin: float = 0.0) -> bool:
-    return p.f_quad(x) < -margin and bool(np.all(p.b_ineq - p.a_ineq @ x > margin))
-
-
-def _phase1(p: QcqpProblem, iterations: list[int]) -> np.ndarray | None:
-    """Find a strictly feasible point by minimizing the max violation s,
-    exiting as soon as some iterate has s < 0."""
-    n = p.c.size
-    x = np.zeros(n)
-    s0 = max(p.f_quad(x), float(np.max(p.a_ineq @ x - p.b_ineq, initial=-1.0))) + 1.0
-    # augmented problem over z = (x, s): constraints f_i(x) - s < 0
-    z = np.concatenate([x, [s0]])
-    m = p.b_ineq.size + 1
-    a_aug = np.hstack([p.a_ineq, -np.ones((p.b_ineq.size, 1))])
-    q_aug = np.zeros((n + 1, n + 1))
-    q_aug[:n, :n] = 2.0 * p.q_sym
-    e_s = np.zeros(n + 1)
-    e_s[n] = 1.0
-    t = 1.0
-    scale = 1.0 + abs(s0)
-    for _ in range(40):
-        for _ in range(QCQP_ITERATION_CAP):
-            xx, s = z[:n], z[n]
-            fq = p.f_quad(xx) - s
-            slack = p.b_ineq - p.a_ineq @ xx + s
-            if fq >= 0 or np.any(slack <= 0):
-                return None
-            gq = np.concatenate([2.0 * p.q_sym @ xx + p.l, [-1.0]])
-            inv_f = 1.0 / (-fq)
-            inv_s = 1.0 / slack
-            grad = t * e_s + gq * inv_f + a_aug.T @ inv_s
-            hess = q_aug * inv_f + np.outer(gq, gq) * inv_f**2 \
-                + (a_aug * inv_s[:, None]**2).T @ a_aug
-            try:
-                step = -np.linalg.solve(hess, grad)
-            except np.linalg.LinAlgError:
-                hess = hess + 1e-10 * np.eye(n + 1) * max(1.0, np.abs(hess).max())
-                step = -np.linalg.solve(hess, grad)
-            iterations[0] += 1
-            decrement = float(-grad @ step)
-            if decrement <= 2e-9:
-                break
-            lam = np.sqrt(decrement)
-            alpha = 1.0 if lam < 0.25 else 1.0 / (1.0 + lam)
-            for _ in range(60):
-                z_new = z + alpha * step
-                xn, sn = z_new[:n], z_new[n]
-                if (p.f_quad(xn) - sn < 0) and np.all(p.b_ineq - p.a_ineq @ xn + sn > 0):
-                    break
-                alpha *= 0.5
-            else:
-                break
-            z = z_new
-            if z[n] < -1e-6 * scale:
-                return z[:n]
-        if z[n] < -1e-9 * scale:
-            return z[:n]
-        if m / t < 1e-12 * scale:
-            break
-        t *= 30.0
-    return z[:n] if z[n] < 0.0 else None
-
-
-def solve_qcqp(p: QcqpProblem,
-               x0: np.ndarray | None = None) -> tuple[QcqpSolution | None, SolveCertificate]:
-    """Solve the maximization QCQP: closed form first, log-barrier as fallback.
-
-    For a linear objective and a positive definite quadratic,
-    :func:`_closed_form` gives the optimum with the quadratic row alone active.
-    It is returned (``path="closed-form"``, no iterations) only if every linear
-    row holds and its :func:`qcqp_kkt_residual` passes the 1e-6 gate; it is then
-    the optimum of the full problem. Every other problem, including one whose
-    candidate breaks a linear row or misses the gate, goes to :func:`_barrier`
-    (``path="barrier"``), or is proved infeasible by :func:`least_distance`
-    before the barrier starts (``path="least-distance"``).
-
-    ``x0`` optionally supplies a strictly feasible starting point for the
-    barrier; the optimum does not depend on it (convexity), only the path
-    taken. The solution names the constraints found active (``quad_active``,
+    The path with no row active is the closed form (:func:`_closed_form`,
+    ``path="closed-form"``, no iterations), returned when every row holds and
+    it passes the KKT gate. Otherwise :func:`_parametric` walks the path
+    (``path="parametric"``). A least-distance minimum of f_q above
+    FEAS_TOL (1 + |r|), or rows that admit no point at all, prove the problem
+    infeasible (``path="least-distance"``). ``iterations`` counts NNLS solves.
+    The solution names the constraints found active (``quad_active``,
     ``active``).
     """
     t_start = time.perf_counter()
@@ -555,11 +439,13 @@ def solve_qcqp(p: QcqpProblem,
     if sol is not None and np.all(p.b_ineq - p.a_ineq @ sol.x >= 0.0):
         residual = qcqp_kkt_residual(p, sol)
         if residual <= KKT_GATE:
-            return sol, SolveCertificate(status="optimal", objective=p.objective(sol.x),
+            return sol, SolveCertificate(status="optimal", objective=float(p.c @ sol.x),
                                          kkt_residual=residual,
                                          wall_time=time.perf_counter() - t_start,
                                          path="closed-form")
-    sol, cert = _barrier(p, x0)
+    # the closed form's t = 1/mu sizes the first steps of the walk
+    t_scale = 1.0 / sol.dual_quad if sol is not None else 1.0
+    sol, cert = _parametric(p, t_scale)
     cert.wall_time = time.perf_counter() - t_start
     return sol, cert
 
@@ -570,11 +456,9 @@ def _closed_form(p: QcqpProblem) -> QcqpSolution | None:
     Stationarity c = (2Qx + l) / mu and f_q(x) = 0 give x = (mu y - z) / 2 with
     y = Q^-1 c, z = Q^-1 l and mu = sqrt((4r + l'z) / (c'y)); the quadratic's
     multiplier is 1/mu (Boyd & Vandenberghe, Convex Optimization, 5.5). None
-    unless the objective is linear and nonzero, Q is positive definite and the
-    quadratic's feasible set has an interior (4r + l'z > 0).
+    unless c is nonzero and the quadratic's feasible set has an interior
+    (4r + l'z > 0).
     """
-    if p.q_obj is not None or p.q_chol is None:
-        return None
     y, z = cho_solve((p.q_chol, True), np.column_stack([p.c, p.l]), check_finite=False).T
     cy = float(p.c @ y)
     disc = 4.0 * p.r + float(p.l @ z)
@@ -586,204 +470,145 @@ def _closed_form(p: QcqpProblem) -> QcqpSolution | None:
                         active=np.zeros(p.b_ineq.size, dtype=bool))
 
 
-def _barrier(p: QcqpProblem,
-             x0: np.ndarray | None = None) -> tuple[QcqpSolution | None, SolveCertificate]:
-    """Barrier interior-point solve of the maximization QCQP.
+def _parametric(p: QcqpProblem, t_scale: float) -> tuple[QcqpSolution | None, SolveCertificate]:
+    """Walk the path x(t) of :func:`solve_qcqp` to its root of f_q.
 
-    Without a strictly feasible start (``x0`` or zero), a certified
-    :func:`least_distance` minimum of f_q above FEAS_TOL (1 + |r|) returns
-    "infeasible" at once; phase 1 runs on every other problem.
+    Each NNLS at some t gives the active set there, and on it the root of the
+    scalar quadratic f_q(x(t)) gives a candidate (x, mu = 1/t, lambda = nu/t);
+    a piece on which x stands still with f_q <= 0 gives mu = 0 and
+    lambda = d nu/dt instead. A candidate is returned once every row holds to
+    FEAS_TOL (1 + |b_i|), its multipliers are nonnegative (to rounding: each
+    lambda_i |a_i| below zero by at most 1e-12 |c|, then set to zero) and it
+    passes the KKT gate.
 
-    A barrier point that fails the 1e-6 KKT gate gets one primal polish
-    (:func:`_polish_primal`); points that pass it are returned as the barrier
-    left them. The active constraints are the polish's final set, or else the
-    barrier's slack/multiplier ratio rule (:func:`_ratio_active`).
+    Otherwise the next NNLS runs at the candidate's t. A piece where x stands
+    still has no root: the next NNLS runs just past its end toward the root
+    (but at least at ``t_scale``, the closed form's t, going up). Either t must
+    lie inside the bracket of t with f_q <= 0 and f_q > 0 seen so far, or a
+    geometric bisection of the bracket replaces it.
     """
-    n = p.c.size
-    m = p.b_ineq.size + 1
-    iterations = [0]
-
-    # objective scaling for conditioning and scale-invariance of the path
-    c_norm = float(np.max(np.abs(p.c), initial=0.0))
-    if p.q_obj is not None:
-        c_norm = max(c_norm, float(np.abs(p.q_obj).max(initial=0.0)))
-    c_scaled = p.c / c_norm if c_norm > 0 else p.c
-
-    x = None
-    if x0 is not None and _strictly_feasible(p, np.asarray(x0, dtype=float)):
-        x = np.asarray(x0, dtype=float).copy()
-    elif _strictly_feasible(p, np.zeros(n)):
-        x = np.zeros(n)
-    else:
-        _, ld = least_distance(p)
-        if ld.status == "optimal" and ld.objective > FEAS_TOL * (1.0 + abs(p.r)):
-            # the certified minimum of f_q over the rows is positive
-            return None, SolveCertificate(status="infeasible", objective=ld.objective,
-                                          kkt_residual=ld.kkt_residual,
-                                          path="least-distance")
-        x = _phase1(p, iterations)
-        if x is None:
-            return None, SolveCertificate(status="infeasible", iterations=iterations[0],
-                                          path="barrier")
-
-    p_scaled = object.__new__(QcqpProblem)
-    p_scaled.__dict__.update(p.__dict__)
-    p_scaled.c = c_scaled
-    if p.q_obj is not None and c_norm > 0:
-        p_scaled.q_obj = p.q_obj / c_norm
-
-    t = 100.0
-    mu = 100.0
-    stalled = 0
-    # beyond this the active slacks drop under float resolution of b - a x
-    t_cap = 1e13 / max(1.0, float(np.abs(p.b_ineq).max(initial=0.0)))
-    for _ in range(60):
-        x, used, centered = _newton_center(p_scaled, x, t, QCQP_ITERATION_CAP)
-        iterations[0] += used
-        if not centered:
-            # stuck against a boundary; the iterate may already certify, so
-            # stop and let the KKT evaluation decide
-            stalled += 1
-            if stalled > 1:
-                break
-            continue
-        stalled = 0
-        tol_abs = GAP_TOL * (1.0 + abs(p_scaled.objective(x)))
-        if m / t <= tol_abs or t >= t_cap:
-            break
-        t = min(min(mu * t, max(2.0 * t, 1.01 * m / tol_abs)), t_cap)
-
-    fq = p.f_quad(x)
-    slack = p.b_ineq - p.a_ineq @ x
-    scale_back = c_norm if c_norm > 0 else 1.0
-    dual_quad = scale_back / (t * (-fq))
-    dual_ineq = scale_back / (t * slack)
-    quad_act, act = _ratio_active(p, x, dual_quad, dual_ineq)
-    sol = QcqpSolution(x=x, dual_quad=dual_quad, dual_ineq=dual_ineq)
-    refined = _refine_duals(p, x, fq, slack)
-    if refined is not None and qcqp_kkt_residual(p, refined) < qcqp_kkt_residual(p, sol):
-        sol = refined
-    sol.quad_active, sol.active = quad_act, act
-    residual = qcqp_kkt_residual(p, sol)
-    if residual > KKT_GATE:
-        polished = _polish_primal(p, x, dual_quad, dual_ineq, quad_act, act)
-        if polished is not None:
-            polished_residual = qcqp_kkt_residual(p, polished)
-            if polished_residual < residual:
-                sol, residual = polished, polished_residual
-    status = "optimal" if residual <= KKT_GATE else "failure"
-    cert = SolveCertificate(status=status, objective=p.objective(sol.x),
-                            kkt_residual=residual, iterations=iterations[0],
-                            path="barrier")
-    return (sol, cert) if status == "optimal" else (None, cert)
-
-
-def _refine_duals(p: QcqpProblem, x: np.ndarray, fq: float,
-                  slack: np.ndarray) -> QcqpSolution | None:
-    """Least-squares multipliers restricted to the near-active constraints; the
-    barrier duals are only as exact as the last centering step, while the
-    active set at the optimum determines the multipliers to machine precision."""
-    b_scale = 1.0 + np.abs(p.b_ineq)
-    act = slack <= 1e-6 * b_scale
-    quad_act = abs(fq) <= 1e-6 * (1.0 + abs(p.r))
-    cols = []
-    if quad_act:
-        cols.append(2.0 * p.q_sym @ x + p.l)
-    if np.any(act):
-        cols.extend(p.a_ineq[act])
-    if not cols:
-        return QcqpSolution(x=x, dual_quad=0.0, dual_ineq=np.zeros(p.b_ineq.size))
-    g = np.column_stack(cols)
-    try:
-        lam, _ = nnls(g, p.objective_gradient(x))
-    except Exception:
-        return None
-    dual_quad = 0.0
-    k = 0
-    if quad_act:
-        dual_quad = float(lam[0])
-        k = 1
-    dual_ineq = np.zeros(p.b_ineq.size)
-    dual_ineq[np.nonzero(act)[0]] = lam[k:]
-    return QcqpSolution(x=x, dual_quad=dual_quad, dual_ineq=dual_ineq)
-
-
-def _ratio_active(p: QcqpProblem, x: np.ndarray, dual_quad: float,
-                  dual_ineq: np.ndarray) -> tuple[bool, np.ndarray]:
-    """Active set the barrier identified: (quadratic active, row mask).
-
-    The barrier pairs each slack with a multiplier whose product is the same
-    small number for every row, so the row-scale-free ratio
-    slack / (multiplier |a_i|^2) is tiny on active rows and huge on inactive
-    ones, whatever the size of the multiplier.
-    """
-    fq = p.f_quad(x)
-    slack = p.b_ineq - p.a_ineq @ x
-    gq = 2.0 * p.q_sym @ x + p.l
-    with np.errstate(divide="ignore", invalid="ignore"):
-        quad_act = bool(-fq <= ACTIVE_RATIO * dual_quad * float(gq @ gq))
-        act = slack <= ACTIVE_RATIO * dual_ineq * np.sum(p.a_ineq**2, axis=1)
-    return quad_act, act
-
-
-def _polish_primal(p: QcqpProblem, x: np.ndarray, dual_quad: float,
-                   dual_ineq: np.ndarray, quad_act: bool,
-                   act: np.ndarray) -> QcqpSolution | None:
-    """Re-solve the KKT equalities on the active set the barrier identified
-    (:func:`_ratio_active`).
-
-    On that set the optimum solves stationarity, f_q(x) = 0 and A_act x = b_act,
-    which Newton's method reaches to machine precision from the barrier point;
-    this certifies weakly active rows whose slack is still far above any
-    absolute threshold. Rows the solve violates join the set and rows with a
-    negative multiplier leave it (primal-dual active-set rounds). Returns None
-    unless the result is primal feasible with nonnegative multipliers; the
-    solution carries the final set.
-    """
-    quad_tol = FEAS_TOL * (1.0 + abs(p.r))
+    ld_sol, ld = least_distance(p)
+    if ld.status != "optimal":
+        # a copy: the cached certificate keeps its own wall time
+        return None, replace(ld)
+    if ld.objective > FEAS_TOL * (1.0 + abs(p.r)):
+        # the certified minimum of f_q over the rows is positive
+        return None, SolveCertificate(status="infeasible", objective=ld.objective,
+                                      kkt_residual=ld.kkt_residual, iterations=1,
+                                      path="least-distance")
+    wh = _whitened(p)
+    act, solves = ld_sol.active, 1
     row_tol = FEAS_TOL * (1.0 + np.abs(p.b_ineq))
-    for _ in range(ACTIVE_SET_ROUNDS):
-        try:
-            x_new, mu, lam = _kkt_newton(p, x, dual_quad if quad_act else 0.0,
-                                         dual_ineq, quad_act, act)
-        except np.linalg.LinAlgError:
-            return None
-        if not (np.all(np.isfinite(x_new)) and np.isfinite(mu) and np.all(np.isfinite(lam))):
-            return None
-        quad_viol = p.f_quad(x_new) > quad_tol
-        viol = p.b_ineq - p.a_ineq @ x_new < -row_tol
-        if not (quad_viol or np.any(viol) or mu < 0.0 or np.any(lam < 0.0)):
-            return QcqpSolution(x=x_new, dual_quad=mu, dual_ineq=lam,
-                                quad_active=bool(quad_act), active=act)
-        quad_act = (quad_act and mu >= 0.0) or quad_viol
-        act = (act & (lam >= 0.0)) | viol
-    return None
+    row_norms = np.sqrt(np.sum(p.a_ineq**2, axis=1))
+    lam_tol = 1e-12 * float(np.abs(p.c).max())
+    t, t_lo, t_hi = 0.0, 0.0, math.inf
+    residual = np.nan
+    while True:
+        x, dx, nu, dnu, flat = _piece(p, act, t)
+        fq = p.f_quad(x)
+        if fq <= 0.0:
+            t_lo = t
+        else:
+            t_hi = t
+        sol, t_next = None, math.nan
+        if flat:
+            if fq <= 0.0:
+                sol = QcqpSolution(x=x, dual_quad=0.0, dual_ineq=dnu, active=act)
+        else:
+            t_next = t + _larger_root(p, x, dx)
+            if t_next > 0.0:
+                sol = QcqpSolution(x=x + (t_next - t) * dx, dual_quad=1.0 / t_next,
+                                   dual_ineq=(nu + (t_next - t) * dnu) / t_next,
+                                   quad_active=True, active=act)
+        # a multiplier that is zero on the piece can come out of rounding a
+        # hair below zero; anything more means the row leaves before t_next
+        if sol is not None and np.all(sol.dual_ineq * row_norms >= -lam_tol) \
+                and np.all(p.b_ineq - p.a_ineq @ sol.x >= -row_tol):
+            sol.dual_ineq = np.maximum(sol.dual_ineq, 0.0)
+            residual = qcqp_kkt_residual(p, sol)
+            if residual <= KKT_GATE:
+                return sol, SolveCertificate(status="optimal", objective=float(p.c @ sol.x),
+                                             kkt_residual=residual, iterations=solves,
+                                             path="parametric")
+        if solves >= QCQP_ITERATION_CAP or not t_lo < t_hi:
+            break
+        if flat and fq <= 0.0:
+            t_next = max((t + _piece_end(p, act, x, dx, nu, dnu)) * (1.0 + 1e-6), t_scale)
+        elif flat:
+            t_next = (t - _piece_end(p, act, x, -dx, nu, -dnu)) * (1.0 - 1e-6)
+        if not t_lo < t_next < t_hi:
+            t_next = _bisect(t_lo, t_hi, t_scale)
+        w, res, _ = wh.nnls(t_next)
+        solves += 1
+        if not -res[-1] > 1e-12:
+            break
+        t, act = t_next, w > 0.0
+    return None, SolveCertificate(status="failure", kkt_residual=residual,
+                                  iterations=solves, path="parametric")
 
 
-def _kkt_newton(p: QcqpProblem, x: np.ndarray, mu: float, dual_ineq: np.ndarray,
-                quad_act: bool, act: np.ndarray):
-    """Five Newton steps on  -grad obj + mu grad f_q + A_act' lam = 0,
-    f_q(x) = 0 (when ``quad_act``),  A_act x = b_act;  inactive multipliers stay
-    zero. The barrier point is close enough for quadratic convergence."""
-    n = x.size
-    rows = np.nonzero(act)[0]
-    a_act, b_act = p.a_ineq[rows], p.b_ineq[rows]
-    lam = dual_ineq[rows].copy()
-    k = int(quad_act) + rows.size
-    for _ in range(5):
-        gq = 2.0 * p.q_sym @ x + p.l
-        hess = 2.0 * mu * p.q_sym
-        if p.q_obj is not None:
-            hess = hess + 2.0 * p.q_obj
-        g = np.hstack([gq[:, None], a_act.T]) if quad_act else a_act.T
-        res = np.concatenate([-p.objective_gradient(x) + mu * gq + a_act.T @ lam,
-                              [p.f_quad(x)] if quad_act else [], a_act @ x - b_act])
-        kkt = np.block([[hess, g], [g.T, np.zeros((k, k))]])
-        step = np.linalg.lstsq(kkt, -res, rcond=None)[0]
-        x = x + step[:n]
-        if quad_act:
-            mu += float(step[n])
-        lam = lam + step[n + int(quad_act):]
-    full = np.zeros(p.b_ineq.size)
-    full[rows] = lam
-    return x, mu, full
+def _piece(p: QcqpProblem, act: np.ndarray, t: float):
+    """The path x(t) on a fixed active set: the minimiser of x'Qx + (l - t c)'x
+    with the rows ``act`` binding, which is affine in t.
+
+    It is x = x_r + N z on the null space N of the active rows (x_r their
+    least-norm solution), with z from the reduced quadratic, so x carries no
+    term of the size of t c however large t grows. Returns x(t), dx/dt, the
+    row multipliers nu(t) and d nu/dt (zero off ``act``, least-norm on
+    dependent rows) and whether x stands still: c lies in the span of the
+    active rows, so c'x is already maximal on their face.
+    """
+    norms = np.sqrt(np.sum(p.a_ineq[act]**2, axis=1))
+    a_n = p.a_ineq[act] / norms[:, None]
+    u, s, vt = np.linalg.svd(a_n)
+    rank = int(np.sum(s > 1e-12 * s[0])) if s.size else 0
+    inv = u[:, :rank] / s[:rank]                       # pinv(a_n) = vt_r' inv'
+    vt_r, null = vt[:rank], vt[rank:].T
+    x_r = vt_r.T @ (inv.T @ (p.b_ineq[act] / norms))
+    reduced = cho_factor(null.T @ p.q_sym @ null, check_finite=False)
+    n_c = null.T @ p.c
+    z = -0.5 * cho_solve(reduced, null.T @ (2.0 * p.q_sym @ x_r + p.l) - t * n_c,
+                         check_finite=False)
+    dz = 0.5 * cho_solve(reduced, n_c, check_finite=False)
+    x, dx = x_r + null @ z, null @ dz
+    # stationarity 2Qx + l - t c + A' nu = 0 on the active rows
+    nu = np.zeros((p.b_ineq.size, 2))
+    nu[act] = (inv @ (vt_r @ np.column_stack([t * p.c - p.l - 2.0 * p.q_sym @ x,
+                                               p.c - 2.0 * p.q_sym @ dx]))) / norms[:, None]
+    flat = float(np.abs(n_c).max(initial=0.0)) <= 1e-9 * float(np.abs(p.c).max())
+    return x, dx, nu[:, 0], nu[:, 1], flat
+
+
+def _larger_root(p: QcqpProblem, x: np.ndarray, dx: np.ndarray) -> float:
+    """Larger root s of f_q(x + s dx) = a s^2 + b s + f_q(x), or nan."""
+    a = float(dx @ p.q_sym @ dx)
+    b = float((2.0 * p.q_sym @ x + p.l) @ dx)
+    c0 = p.f_quad(x)
+    disc = b * b - 4.0 * a * c0
+    if not (a > 0.0 and disc >= 0.0):
+        return math.nan
+    root = math.sqrt(disc)
+    # the cancellation-free form of each sign of b
+    return (-b + root) / (2.0 * a) if b <= 0.0 else -2.0 * c0 / (b + root)
+
+
+def _piece_end(p: QcqpProblem, act: np.ndarray, x: np.ndarray, dx: np.ndarray,
+               nu: np.ndarray, dnu: np.ndarray) -> float:
+    """Largest s >= 0 for which ``act`` stays the active set along x + s dx,
+    nu + s dnu: the first multiplier to reach zero or inactive row to reach
+    its bound."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        leave = np.where(act & (dnu < 0.0), -nu / dnu, np.inf)
+        a_dx = p.a_ineq @ dx
+        enter = np.where(~act & (a_dx > 0.0), (p.b_ineq - p.a_ineq @ x) / a_dx, np.inf)
+    return max(0.0, float(min(leave.min(initial=np.inf), enter.min(initial=np.inf))))
+
+
+def _bisect(t_lo: float, t_hi: float, t_scale: float) -> float:
+    """Next t inside the bracket (t_lo, t_hi): geometric mean when both ends
+    are positive and finite, a factor of 4 beyond an open end otherwise."""
+    if math.isinf(t_hi):
+        return 4.0 * max(t_lo, t_scale)
+    if t_lo <= 0.0:
+        return 0.25 * t_hi
+    return math.sqrt(t_lo * t_hi)

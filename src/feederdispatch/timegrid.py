@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 SLOT_SECONDS = 300.0
 STEP_SECONDS = 10.0
 
@@ -40,37 +38,13 @@ class TimeGrid:
         if self.slot_seconds != self.steps_per_slot * self.step_seconds:
             raise ValueError("slot_seconds must equal steps_per_slot * step_seconds")
 
-    def _check_step(self, k: int) -> None:
-        if not 0 <= k < self.n_steps:
-            raise IndexError(f"step index {k} outside [0, {self.n_steps})")
-
-    def slot_of(self, k: int) -> int:
-        """Slot index of step k (floor division)."""
-        self._check_step(k)
-        return k // self.steps_per_slot
-
     def window_of(self, k: int) -> SlotWindow:
         """First/last step indices of the 5-minute slot containing step k."""
-        self._check_step(k)
+        if not 0 <= k < self.n_steps:
+            raise IndexError(f"step index {k} outside [0, {self.n_steps})")
         slot = k // self.steps_per_slot
         k_lo = slot * self.steps_per_slot
         return SlotWindow(k_lo=k_lo, k_hi=k_lo + self.steps_per_slot - 1, slot=slot)
-
-    def average_gcp_power(self, window: SlotWindow, k: int, samples) -> float:
-        """Average composite (prosumption + battery) power seen so far in the slot.
-
-        ``samples`` holds the composite flow for steps window.k_lo .. k-1. By
-        convention the average is zero at the start of a slot, when no in-slot
-        measurement exists yet.
-        """
-        self._check_step(k)
-        n = k - window.k_lo
-        samples = np.asarray(samples, dtype=float)
-        if samples.size != n:
-            raise ValueError(f"expected {n} samples for step {k}, got {samples.size}")
-        if n == 0:
-            return 0.0
-        return float(samples.mean())
 
 
 DEFAULT_GRID = TimeGrid()

@@ -99,6 +99,25 @@ def textbook_kalman(a, b_i, b_1, c, d_i, d_1, k, sigma_g, x0, p0, currents, volt
     return xs, ps
 
 
+def information_kalman(a, b_i, b_1, c, d_i, d_1, k, sigma_g, x0, p0, currents, voltages):
+    """Kalman recursion whose covariance update is the information form,
+    P+ = (P^-1 + c'c / sigma_g^2)^-1, written independently of the library's
+    Joseph-form update."""
+    x = np.asarray(x0, float).copy()
+    p = np.asarray(p0, float).copy()
+    cv = np.asarray(c, float).ravel()
+    xs, ps = [], []
+    for i_prev, v_meas in zip(currents, voltages):
+        x = a @ x + b_i * i_prev + b_1
+        p = a @ p @ a.T + k @ k.T
+        gain = p @ cv / (float(cv @ p @ cv) + sigma_g ** 2)
+        x = x + gain * (v_meas - float(cv @ x) - d_i * i_prev - d_1)
+        p = np.linalg.inv(np.linalg.inv(p) + np.outer(cv, cv) / sigma_g ** 2)
+        xs.append(x.copy())
+        ps.append(p.copy())
+    return xs, ps
+
+
 def mpc_constraints_satisfied(p, i_traj, tol=1e-6):
     """Re-check every control constraint from problem data only."""
     i_traj = np.asarray(i_traj, float)
@@ -200,3 +219,42 @@ def min_quadratic_over_rows(q_sym, l, a_ineq, b_ineq, x_scale: float = 100.0):
     # 8: the line search stalled on rounding at the optimum
     assert res.status in (0, 8), res.message
     return x_scale * res.x
+
+
+def qcqp_optimum(q_sym, l, r, c, a_ineq, b_ineq, x_scale: float = 100.0):
+    """Maximizer of c'x subject to x'Qx + l'x <= r and a_ineq x <= b_ineq,
+    found without the library's solvers: HiGHS proves the rows infeasible
+    (returns None) or gives a start that holds them, and SLSQP maximizes from
+    it on u = x / x_scale, with each row normalised and the quadratic scaled
+    so that its gradient is of order one. Returns None also when SLSQP does
+    not converge.
+    """
+    from scipy.optimize import linprog, minimize
+
+    n = l.size
+    lp = linprog(np.zeros(n), A_ub=a_ineq, b_ub=b_ineq, bounds=[(None, None)] * n,
+                 method="highs")
+    if lp.status == 2:
+        return None
+    assert lp.status == 0, lp.message
+    norms = np.linalg.norm(a_ineq, axis=1)
+    a_u = a_ineq / norms[:, None]
+    b_u = b_ineq / norms / x_scale
+    q_scale = 1.0 / (x_scale * max(float(np.abs(l).max()), 1e-300))
+    c_scale = 1.0 / float(np.abs(c).max())
+
+    def quad(u):
+        x = x_scale * u
+        return q_scale * (r - float(x @ q_sym @ x + l @ x))
+
+    def quad_grad(u):
+        return -q_scale * x_scale * (2.0 * q_sym @ (x_scale * u) + l)
+
+    res = minimize(lambda u: -c_scale * float(c @ u), lp.x / x_scale,
+                   jac=lambda u: -c_scale * c, method="SLSQP",
+                   constraints=[{"type": "ineq", "fun": lambda u: b_u - a_u @ u,
+                                 "jac": lambda u: -a_u},
+                                {"type": "ineq", "fun": quad, "jac": quad_grad}],
+                   options={"maxiter": 1000, "ftol": 1e-14})
+    # 8: the line search stalled on rounding at the optimum
+    return x_scale * res.x if res.status in (0, 8) else None

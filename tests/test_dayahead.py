@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from feederdispatch.dayahead import (DayAheadConfig, InfeasiblePlanError,
-                                     _ForecastView, _solve_offset_arrays,
                                      assemble_plan, beta_coeffs, load_plan,
                                      plan_day, save_plan, solve_offset,
                                      worst_case_soe)
-from feederdispatch.forecast import N_SLOTS
+from feederdispatch.forecast import N_SLOTS, ProsumptionForecast
 
 from oracles import dayahead_plan_feasible, grid_offset_search
 
@@ -19,8 +18,7 @@ def _cfg(**kw):
 
 
 def _view(l_hat, env_low, env_high):
-    return _ForecastView(np.asarray(l_hat, float), np.asarray(env_low, float),
-                         np.asarray(env_high, float))
+    return ProsumptionForecast(l_hat, env_low, env_high, members=())
 
 
 def test_config_validation():
@@ -30,8 +28,6 @@ def test_config_validation():
         _cfg(b_min=10.0)
     with pytest.raises(ValueError):
         _cfg(eta=1.5)
-    with pytest.raises(ValueError):
-        _cfg(objective="l0")
 
 
 def test_beta_coeffs():
@@ -70,7 +66,7 @@ def test_worst_case_soe_discharge_uses_beta_minus():
 def test_zero_envelopes_zero_offset():
     n = N_SLOTS
     fc = _view(np.full(n, 120.0), np.zeros(n), np.zeros(n))
-    plan = _solve_offset_arrays(fc.point, fc.envelope_low, fc.envelope_high, _cfg())
+    plan = solve_offset(fc, _cfg())
     assert np.abs(plan.f).max() <= 1e-7
     assert plan.objective == pytest.approx(0.0, abs=1e-6)
 
@@ -78,16 +74,14 @@ def test_zero_envelopes_zero_offset():
 def test_low_initial_energy_forces_charging():
     n = 48
     fc = _view(np.full(n, 100.0), np.full(n, -10.0), np.full(n, 10.0))
-    plan = _solve_offset_arrays(fc.point, fc.envelope_low, fc.envelope_high,
-                                _cfg(soe0=50.0, soe_min=45.0, soe_max=455.0))
+    plan = solve_offset(fc, _cfg(soe0=50.0, soe_min=45.0, soe_max=455.0))
     assert plan.f.mean() > 0.1
 
 
 def test_high_initial_energy_forces_discharging():
     n = 48
     fc = _view(np.full(n, 100.0), np.full(n, -10.0), np.full(n, 10.0))
-    plan = _solve_offset_arrays(fc.point, fc.envelope_low, fc.envelope_high,
-                                _cfg(soe0=450.0, soe_min=45.0, soe_max=455.0))
+    plan = solve_offset(fc, _cfg(soe0=450.0, soe_min=45.0, soe_max=455.0))
     assert plan.f.mean() < -0.1
 
 
@@ -110,7 +104,7 @@ def test_three_slot_grid_oracle(rng):
         l_hat, env_low, env_high, cfg = _random_small_instance(rng, tight=trial % 2 == 0)
         grid_obj, grid_f = grid_offset_search(l_hat, env_low, env_high, cfg)
         try:
-            plan = _solve_offset_arrays(l_hat, env_low, env_high, cfg)
+            plan = solve_offset(_view(l_hat, env_low, env_high), cfg)
         except InfeasiblePlanError:
             assert grid_obj is None
             continue
@@ -142,8 +136,7 @@ def test_full_day_plan_feasibility_certificate(day_forecast):
 def test_assemble_plan():
     n = 4
     fc = _view(np.full(n, 100.0), np.zeros(n), np.zeros(n))
-    offset = _solve_offset_arrays(fc.point, fc.envelope_low, fc.envelope_high,
-                                  _cfg())
+    offset = solve_offset(fc, _cfg())
     plan = assemble_plan(fc, offset)
     assert plan.p_hat == pytest.approx(fc.point + offset.f)
     assert plan.forecast is fc
@@ -187,30 +180,6 @@ def test_complementarity_at_optimum(day_forecast):
     assert plan.soe_high[1:] == pytest.approx(cfg.soe0 + np.cumsum(delta_high), abs=1e-6)
 
 
-def test_quadratic_objective_variant():
-    n = 24
-    rng = np.random.default_rng(2)
-    fc = _view(np.full(n, 100.0) + rng.uniform(-5, 5, n),
-               -rng.uniform(2, 8, n), rng.uniform(2, 8, n))
-    cfg = _cfg(soe0=60.0, soe_min=55.0, soe_max=455.0, objective="quadratic")
-    plan = _solve_offset_arrays(fc.point, fc.envelope_low, fc.envelope_high, cfg)
-    # needs to charge, so the offset is nonzero and spread smoothly
-    assert plan.f.mean() > 0.05
-    full = assemble_plan(fc, plan)
-    assert dayahead_plan_feasible(full, cfg)
-    l1 = _solve_offset_arrays(fc.point, fc.envelope_low, fc.envelope_high,
-                              _cfg(soe0=60.0, soe_min=55.0, soe_max=455.0))
-    assert float(plan.f @ plan.f) <= float(l1.f @ l1.f) + 1e-4
-
-
-def test_quadratic_zero_envelope_zero_offset():
-    n = 12
-    fc = _view(np.full(n, 90.0), np.zeros(n), np.zeros(n))
-    plan = _solve_offset_arrays(fc.point, fc.envelope_low, fc.envelope_high,
-                                _cfg(objective="quadratic"))
-    assert np.abs(plan.f).max() <= 1e-4
-
-
 def test_plan_file_roundtrip(tmp_path, day_forecast):
     cfg = _cfg()
     plan = plan_day(day_forecast, cfg)
@@ -224,6 +193,20 @@ def test_plan_file_roundtrip(tmp_path, day_forecast):
     assert np.array_equal(np.asarray(back.forecast.point), day_forecast.point)
     assert np.abs(back.p_hat - np.asarray(back.forecast.point)
                   - back.offset.f).max() <= 1e-9
+
+
+def test_load_plan_rejects_wrong_envelope_sign(tmp_path, day_forecast):
+    # a plan file rebuilds its forecast, which holds env_low <= 0 <= env_high
+    plan = plan_day(day_forecast, _cfg())
+    path = tmp_path / "plan.csv"
+    save_plan(path, plan)
+    lines = path.read_text().splitlines()
+    row = lines[2].split(",")
+    row[4] = "3.0"                       # env_low_kw of slot 0
+    lines[2] = ",".join(row)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="envelope signs"):
+        load_plan(path)
 
 
 def test_backoff_tightens_bounds(day_forecast):

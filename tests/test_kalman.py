@@ -4,7 +4,7 @@ import pytest
 from feederdispatch.battery import (TABLE1, KalmanState, kalman_update,
                                     reduce_and_discretize, voltage_step)
 
-from oracles import textbook_kalman
+from oracles import information_kalman, textbook_kalman
 
 
 def _simulate_measurements(m, rng, steps=50):
@@ -64,21 +64,16 @@ def test_tiny_noise_trusts_measurement():
 
 
 def test_information_and_joseph_agree(rng):
+    # the library's Joseph-form update against the information form
     m = reduce_and_discretize(TABLE1[4], 10.0)
     currents, voltages = _simulate_measurements(m, rng)
-    a = KalmanState.initial()
-    b = KalmanState.initial()
-    for i_prev, v_meas in zip(currents, voltages):
-        a = kalman_update(a, m, i_prev, v_meas, form="information")
-        b = kalman_update(b, m, i_prev, v_meas, form="joseph")
-        assert a.x == pytest.approx(b.x, abs=1e-8)
-        assert a.p == pytest.approx(b.p, abs=1e-8)
-
-
-def test_unknown_form_rejected():
-    m = reduce_and_discretize(TABLE1[0], 10.0)
-    with pytest.raises(ValueError):
-        kalman_update(KalmanState.initial(), m, 0.0, 650.0, form="nope")
+    st = KalmanState.initial()
+    xs_ref, ps_ref = information_kalman(m.a, m.b_i, m.b_1, m.c, m.d_i, m.d_1, m.k,
+                                        m.g, st.x, st.p, currents, voltages)
+    for i_prev, v_meas, x_ref, p_ref in zip(currents, voltages, xs_ref, ps_ref):
+        st = kalman_update(st, m, i_prev, v_meas)
+        assert st.x == pytest.approx(x_ref, abs=1e-8)
+        assert st.p == pytest.approx(p_ref, abs=1e-8)
 
 
 def test_covariance_stays_symmetric_psd(rng):

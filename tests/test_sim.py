@@ -3,9 +3,9 @@ import pytest
 
 from feederdispatch import sim, solver
 from feederdispatch.battery import ModelBank
-from feederdispatch.dayahead import (DayAheadConfig, DispatchPlan, OffsetPlan,
-                                     _ForecastView, plan_day)
-from feederdispatch.forecast import SyntheticShape, point_forecast, synthesize_history
+from feederdispatch.dayahead import DayAheadConfig, DispatchPlan, OffsetPlan, plan_day
+from feederdispatch.forecast import (ProsumptionForecast, SyntheticShape, point_forecast,
+                                     synthesize_history)
 from feederdispatch.mpc import MpcLimits
 from feederdispatch.sim import (BatteryPlant, ErrorStats, InitState, PlantConfig,
                                 PlantStateError, SimulationRun, format_report,
@@ -20,7 +20,7 @@ grid = DEFAULT_GRID
 
 def _flat_plan(level=150.0):
     n = grid.n_slots
-    fc = _ForecastView(np.full(n, level), np.zeros(n), np.zeros(n))
+    fc = ProsumptionForecast(np.full(n, level), np.zeros(n), np.zeros(n), members=())
     offset = OffsetPlan(f=np.zeros(n), soe_low=np.full(n + 1, 250.0),
                         soe_high=np.full(n + 1, 250.0), objective=0.0,
                         certificate=solver.SolveCertificate("optimal"))
@@ -261,8 +261,8 @@ def test_soc_floor_hour_clips_without_failures(day_forecast, bank_module, monkey
     trace = step_trace(day_forecast.point * 1.1, np.random.default_rng(3), 1.0, 0.9)
     fc = plan.forecast
     hour = DispatchPlan(p_hat=plan.p_hat[lo:hi], offset=plan.offset,
-                        forecast=_ForecastView(fc.point[lo:hi], fc.envelope_low[lo:hi],
-                                               fc.envelope_high[lo:hi]))
+                        forecast=ProsumptionForecast(fc.point[lo:hi], fc.envelope_low[lo:hi],
+                                                     fc.envelope_high[lo:hi], members=()))
     hour_grid = TimeGrid(n_slots=hi - lo, n_steps=30 * (hi - lo))
     steps = []
     sim_solve = sim.solve

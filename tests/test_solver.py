@@ -73,26 +73,27 @@ def test_qcqp_infeasible():
 
 
 def test_least_distance_proves_infeasibility():
-    # min x^2 + 1 over |x| <= 10 is 1 > 0: infeasible without phase 1, and the
+    # min x^2 + 1 over |x| <= 10 is 1 > 0: infeasible after one NNLS, and the
     # minimiser is computed once and kept on the problem
     p = QcqpProblem(c=[1.0], q=[[1.0]], l=[0.0], r=-1.0,
                     a_ineq=[[1.0], [-1.0]], b_ineq=[10.0, 10.0])
     sol, cert = solve_qcqp(p)
     assert sol is None and cert.status == "infeasible"
-    assert cert.path == "least-distance" and cert.iterations == 0
+    assert cert.path == "least-distance" and cert.iterations == 1
     assert cert.objective == pytest.approx(1.0)
     ld, ld_cert = solver.least_distance(p)
     assert ld_cert.status == "optimal" and ld_cert.path == "least-distance"
     assert ld.x == pytest.approx([0.0], abs=1e-12)
     assert solver.least_distance(p)[0] is ld
     # rows that exclude each other (x <= -1, x >= 1) have no least-distance
-    # point; phase 1 still decides the solve
+    # point; the NNLS solution is their Farkas vector y: A'y = 0, b'y < 0
     p = QcqpProblem(c=[1.0], q=[[1.0]], l=[0.0], r=-1.0,
                     a_ineq=[[1.0], [-1.0]], b_ineq=[-1.0, -1.0])
     ld, ld_cert = solver.least_distance(p)
     assert ld is None and ld_cert.status == "infeasible"
+    assert ld_cert.kkt_residual <= 1e-15 and ld_cert.objective == pytest.approx(-1.0)
     sol, cert = solve_qcqp(p)
-    assert sol is None and cert.status == "infeasible" and cert.path == "barrier"
+    assert sol is None and cert.status == "infeasible" and cert.path == "least-distance"
 
 
 def test_least_distance_two_binding_rows():
@@ -118,36 +119,31 @@ def test_qcqp_rejects_indefinite():
                     r=1.0, a_ineq=np.eye(2), b_ineq=[1.0, 1.0])
 
 
-def test_qcqp_singular_quadratic_takes_barrier():
-    # a singular PSD q is accepted without a Cholesky factor, so the closed
-    # form (which needs q positive definite) is skipped: the optimum x = (1, 1)
-    # sits on the box with the quadratic x0^2 <= 4 inactive
-    p = QcqpProblem(c=[1.0, 1.0], q=[[1.0, 0.0], [0.0, 0.0]], l=np.zeros(2), r=4.0,
+def test_qcqp_rejects_singular_quadratic():
+    # a singular PSD q has no Cholesky factor, and every solve whitens with
+    # one, so it is rejected when the problem is built
+    with pytest.raises(ValueError):
+        QcqpProblem(c=[1.0, 1.0], q=[[1.0, 0.0], [0.0, 0.0]], l=np.zeros(2), r=4.0,
                     a_ineq=np.vstack([np.eye(2), -np.eye(2)]), b_ineq=np.ones(4))
-    assert p.q_chol is None
     assert QcqpProblem(c=[1.0], q=[[2.0]], l=[0.0], r=1.0, a_ineq=[[1.0]],
                        b_ineq=[1.0]).q_chol[0, 0] == pytest.approx(np.sqrt(2.0))
-    sol, cert = solve_qcqp(p)
-    assert cert.status == "optimal" and cert.path == "barrier"
-    assert sol.x == pytest.approx([1.0, 1.0], abs=1e-6)
-    assert not sol.quad_active
-    assert list(sol.active) == [True, True, False, False]
 
 
 def test_qcqp_psd_tolerance_relative_to_q():
-    # an eigenvalue of -1e-11 against entries of 1e-3 (-1e-8 relative) is
-    # indefinite, however small it is in absolute terms; MPC quadratics have
-    # entries of ~1e-8
-    with pytest.raises(ValueError):
-        QcqpProblem(c=[1.0, 1.0], q=[[1e-3, 0.0], [0.0, -1e-11]], l=np.zeros(2),
+    # definiteness has no absolute tolerance: a positive definite q with
+    # entries of 1e-8 (the size of MPC quadratics, in kWh/A^2) is accepted,
+    # and an eigenvalue of -1e-13 against entries of 1e-3 is rejected
+    p = QcqpProblem(c=[1.0, 1.0], q=[[1e-8, 0.0], [0.0, 1e-9]], l=np.zeros(2),
                     r=1.0, a_ineq=np.eye(2), b_ineq=[1.0, 1.0])
-    p = QcqpProblem(c=[1.0, 1.0], q=[[1e-3, 0.0], [0.0, -1e-13]], l=np.zeros(2),
-                    r=1.0, a_ineq=np.eye(2), b_ineq=[1.0, 1.0])
-    assert p.q_chol is None
+    assert p.q_chol[1, 1] == pytest.approx(np.sqrt(1e-9))
+    for w in (-1e-11, -1e-13):
+        with pytest.raises(ValueError):
+            QcqpProblem(c=[1.0, 1.0], q=[[1e-3, 0.0], [0.0, w]], l=np.zeros(2),
+                        r=1.0, a_ineq=np.eye(2), b_ineq=[1.0, 1.0])
 
 
 # a box this tight cuts off the closed-form optimum of the seeded instances
-# below, so their solves take the barrier path
+# below, so their solves take the parametric path
 BINDING_BOX = 0.5
 
 
@@ -210,7 +206,7 @@ def test_qcqp_certificate_honesty(rng):
 
 
 def test_qcqp_deterministic():
-    for box, path in ((20.0, "closed-form"), (BINDING_BOX, "barrier")):
+    for box, path in ((20.0, "closed-form"), (BINDING_BOX, "parametric")):
         p = _random_instance(np.random.default_rng(5), box=box)
         assert solve_qcqp(p)[1].path == path
         x1 = solve_qcqp(p)[0].x
@@ -219,7 +215,7 @@ def test_qcqp_deterministic():
 
 
 def test_qcqp_objective_scaling_invariance():
-    for box, path in ((20.0, "closed-form"), (BINDING_BOX, "barrier")):
+    for box, path in ((20.0, "closed-form"), (BINDING_BOX, "parametric")):
         p = _random_instance(np.random.default_rng(6), box=box)
         assert solve_qcqp(p)[1].path == path
         x1 = solve_qcqp(p)[0].x
@@ -230,29 +226,25 @@ def test_qcqp_objective_scaling_invariance():
 
 
 def test_qcqp_start_point_independence():
-    # the closed form ignores x0; the barrier path starts from it
-    for box, path in ((20.0, "closed-form"), (BINDING_BOX, "barrier")):
+    # the solve takes no start point: no strictly feasible point drawn at
+    # random beats its optimum, on either path
+    for box, path in ((20.0, "closed-form"), (BINDING_BOX, "parametric")):
         p = _random_instance(np.random.default_rng(8), box=box)
-        objs = []
+        sol, cert = solve_qcqp(p)
+        assert cert.status == "optimal" and cert.path == path
         rng = np.random.default_rng(80)
         found = 0
         while found < 10:
             x0 = rng.uniform(-2, 2, size=2)
             if p.f_quad(x0) < -1e-6 and np.all(p.b_ineq - p.a_ineq @ x0 > 1e-6):
-                sol, cert = solve_qcqp(p, x0=x0)
-                assert cert.status == "optimal"
-                assert cert.path == path
-                objs.append(cert.objective)
+                assert float(p.c @ x0) <= cert.objective
                 found += 1
-        objs = np.array(objs)
-        scale = 1.0 + np.abs(objs).max()
-        assert (objs.max() - objs.min()) / scale <= 1e-6
 
 
 def test_qcqp_weakly_active_rate_rows(bank):
     # MPC throughput problem with current-rate limits of 5 A/step: at the
     # optimum four rate rows bind with multipliers ~3e-4, six orders below the
-    # throughput multiplier, so the barrier's last slacks on them stay ~5e-4
+    # throughput multiplier
     from feederdispatch.mpc import MpcLimits, MpcProblem, _rhs, _throughput_terms
     h = 6
     tv = bank.transitions(bank.voltage_model(0.5), h)
@@ -274,3 +266,4 @@ def test_qcqp_weakly_active_rate_rows(bank):
     assert np.all(lam < 1e-5 * mu)
     assert np.all(p.a_ineq @ x <= p.b_ineq + 1e-9)
     assert sol.x == pytest.approx(x, abs=1e-6)
+    assert list(np.nonzero(sol.active)[0]) == list(act)

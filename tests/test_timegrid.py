@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -14,55 +13,22 @@ def test_grid_consistency():
         TimeGrid(n_slots=288, n_steps=8000, steps_per_slot=30)
 
 
-def test_slot_of():
-    assert grid.slot_of(96) == 3
-    assert grid.slot_of(0) == 0
-    assert grid.slot_of(8639) == 287
-    for bad in (-1, 8640):
-        with pytest.raises(IndexError):
-            grid.slot_of(bad)
-
-
 def test_window_of():
     w = grid.window_of(96)
     assert (w.k_lo, w.k_hi, w.slot) == (90, 119, 3)
     assert grid.window_of(90).k_lo == 90
     assert grid.window_of(29) == grid.window_of(0)
     assert (grid.window_of(29).k_lo, grid.window_of(29).k_hi) == (0, 29)
-    with pytest.raises(IndexError):
-        grid.window_of(8640)
-
-
-def test_average_gcp_power():
-    w = grid.window_of(90)
-    assert grid.average_gcp_power(w, 90, []) == 0.0
-    assert grid.average_gcp_power(w, 92, [100.0, 102.0]) == pytest.approx(101.0)
-    assert grid.average_gcp_power(w, 119, np.full(29, 42.0)) == pytest.approx(42.0)
-    with pytest.raises(ValueError):
-        grid.average_gcp_power(w, 95, [1.0, 2.0])
-
-
-def test_full_slot_constant_average():
-    w = grid.window_of(30)
-    next_w = grid.window_of(60)
-    assert next_w.k_lo == 60
-    assert grid.average_gcp_power(w, 59, np.full(29, 7.5)) == pytest.approx(7.5)
+    assert grid.window_of(59).k_hi + 1 == grid.window_of(60).k_lo == 60
+    for bad in (-1, 8640):
+        with pytest.raises(IndexError):
+            grid.window_of(bad)
 
 
 @given(st.integers(min_value=0, max_value=8639))
 def test_window_contains_step(k):
     w = grid.window_of(k)
     assert w.k_lo <= k <= w.k_hi
-    assert grid.slot_of(w.k_lo) == grid.slot_of(w.k_hi) == grid.slot_of(k) == w.slot
+    assert grid.window_of(w.k_lo) == grid.window_of(w.k_hi) == w
+    assert w.slot == k // grid.steps_per_slot
     assert w.k_hi - w.k_lo == 29
-
-
-@given(st.lists(st.floats(-500, 500), min_size=1, max_size=29),
-       st.integers(min_value=0, max_value=287))
-def test_average_permutation_invariant(samples, slot):
-    k_lo = slot * 30
-    w = grid.window_of(k_lo)
-    k = k_lo + len(samples)
-    a = grid.average_gcp_power(w, k, samples)
-    b = grid.average_gcp_power(w, k, list(reversed(samples)))
-    assert a == pytest.approx(b, abs=1e-9)

@@ -160,7 +160,8 @@ def dayahead_plan_feasible(plan, cfg, tol=1e-6):
 
 def active_set_qcqp(q_sym, l, r, c, a_act, b_act):
     """Optimum of maximize c'x subject to x'Qx + l'x <= r, with the quadratic
-    constraint and the rows a_act x <= b_act all held active.
+    constraint and the rows a_act x <= b_act (there may be none) all held
+    active.
 
     Closed form on the null space of a_act (x = x_p + N z): the reduced problem
     maximize g'z s.t. z'Pz + m'z + k <= 0 has z = (P^-1 g / mu - P^-1 m) / 2
@@ -168,12 +169,15 @@ def active_set_qcqp(q_sym, l, r, c, a_act, b_act):
     c = mu (2Qx + l) + a_act' lam. Returns (x, mu, lam); the point is the
     optimum of the full problem iff it is feasible and mu, lam >= 0.
     """
-    a_act = np.atleast_2d(np.asarray(a_act, float))
+    n = l.size
+    a_act = np.asarray(a_act, float).reshape(-1, n)
     b_act = np.asarray(b_act, float)
     x_p = np.linalg.lstsq(a_act, b_act, rcond=None)[0]
-    _, s, vt = np.linalg.svd(a_act)
-    rank = int(np.sum(s > 1e-12 * s.max()))
-    basis = vt[rank:].T
+    if a_act.shape[0]:
+        _, s, vt = np.linalg.svd(a_act)
+        basis = vt[int(np.sum(s > 1e-12 * s.max())):].T
+    else:
+        basis = np.eye(n)
     p_red = basis.T @ q_sym @ basis
     g = basis.T @ c
     m = basis.T @ (2.0 * q_sym @ x_p + l)
@@ -226,8 +230,10 @@ def qcqp_optimum(q_sym, l, r, c, a_ineq, b_ineq, x_scale: float = 100.0):
     found without the library's solvers: HiGHS proves the rows infeasible
     (returns None) or gives a start that holds them, and SLSQP maximizes from
     it on u = x / x_scale, with each row normalised and the quadratic scaled
-    so that its gradient is of order one. Returns None also when SLSQP does
-    not converge.
+    so that its gradient is of order one. SLSQP may overstep the quadratic by
+    ~1e-9, so its point is then polished to the exact optimum of the rows it
+    holds (active_set_qcqp), kept only if that point holds every row with
+    nonnegative multipliers. Returns None also when SLSQP does not converge.
     """
     from scipy.optimize import linprog, minimize
 
@@ -257,4 +263,10 @@ def qcqp_optimum(q_sym, l, r, c, a_ineq, b_ineq, x_scale: float = 100.0):
                                 {"type": "ineq", "fun": quad, "jac": quad_grad}],
                    options={"maxiter": 1000, "ftol": 1e-14})
     # 8: the line search stalled on rounding at the optimum
-    return x_scale * res.x if res.status in (0, 8) else None
+    if res.status not in (0, 8):
+        return None
+    x = x_scale * res.x
+    held = (b_ineq - a_ineq @ x) / norms <= 1e-6 * (1.0 + np.abs(x).max())
+    x_act, mu, lam = active_set_qcqp(q_sym, l, r, c, a_ineq[held], b_ineq[held])
+    rows_ok = np.all((a_ineq @ x_act - b_ineq) / norms <= 1e-9 * (1.0 + np.abs(x_act).max()))
+    return x_act if mu > 0.0 and np.all(lam >= -1e-9) and rows_ok else x

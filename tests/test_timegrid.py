@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from feederdispatch.mpc import expected_average
 from feederdispatch.timegrid import DEFAULT_GRID, TimeGrid
 
 grid = DEFAULT_GRID
@@ -23,6 +25,14 @@ def test_window_of():
     for bad in (-1, 8640):
         with pytest.raises(IndexError):
             grid.window_of(bad)
+
+
+def test_full_slot_constant_average():
+    w = grid.window_of(30)
+    next_w = grid.window_of(60)
+    assert next_w.k_lo == w.k_hi + 1 == 60
+    # 29 observed steps at 7.5 kW plus one predicted step at 7.5 kW.
+    assert expected_average(w, 59, 7.5, np.full(1, 7.5)) == pytest.approx(7.5)
 
 
 @given(st.integers(min_value=0, max_value=8639))

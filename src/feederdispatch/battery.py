@@ -22,6 +22,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import toeplitz
 
 TS_CONTROL = 10.0        # s, real-time actuation period
 C_NOM_AH = 810.0         # Ah, pack capacity from datasheet
@@ -190,12 +191,14 @@ def soc_step(soc: float, i: float, ts: float = TS_CONTROL, c_nom: float = C_NOM_
 
 @dataclass(frozen=True)
 class TransitionMatrices:
-    """Stacked output prediction y = phi x0 + psi_i * i_seq + psi_1 * ones."""
+    """Stacked output prediction y = phi x0 + psi_i * i_seq + psi_1 * ones;
+    ``derived`` keeps what a consumer computes once from them, by name."""
 
     phi: np.ndarray
     psi_i: np.ndarray
     psi_1: np.ndarray
     horizon: int
+    derived: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 def build_transition(m: DiscreteStateSpace, horizon: int) -> TransitionMatrices:
@@ -221,12 +224,9 @@ def build_transition(m: DiscreteStateSpace, horizon: int) -> TransitionMatrices:
             h_i[j + 1] = float(row @ vi)
             h_1[j + 1] = float(row @ v1)
         row = row @ m.a
-    psi_i = np.zeros((horizon, horizon))
-    psi_1 = np.zeros((horizon, horizon))
-    for j in range(horizon):
-        psi_i[j:, j] = h_i[:horizon - j]
-        psi_1[j:, j] = h_1[:horizon - j]
-    return TransitionMatrices(phi=phi, psi_i=psi_i, psi_1=psi_1, horizon=horizon)
+    zero = np.zeros(horizon)
+    return TransitionMatrices(phi=phi, psi_i=toeplitz(h_i, zero), psi_1=toeplitz(h_1, zero),
+                              horizon=horizon)
 
 
 # ---------------------------------------------------------------------------
@@ -265,12 +265,17 @@ def kalman_update(st: KalmanState, m: DiscreteStateSpace, i_prev: float,
     ikc = np.eye(m.n) - np.outer(gain, cv)
     p_new = ikc @ p_pred @ ikc.T + np.outer(gain, gain) * r
     p_new = 0.5 * (p_new + p_new.T)
-    w, vecs = np.linalg.eigh(p_new)
-    if w.min() < 0.0:
+    if not _is_psd(p_new):
         warnings.warn("Kalman covariance lost positive semidefiniteness; "
                       "clipping negative eigenvalues", RuntimeWarning)
+        w, vecs = np.linalg.eigh(p_new)
         p_new = (vecs * np.maximum(w, 0.0)) @ vecs.T
     return KalmanState(x=x_new, p=p_new)
+
+
+def _is_psd(p: np.ndarray) -> bool:
+    """Whether a symmetric 2x2 matrix is PSD: trace and determinant >= 0."""
+    return p[0, 0] + p[1, 1] >= 0.0 and p[0, 0] * p[1, 1] - p[0, 1] * p[1, 0] >= 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +285,8 @@ def kalman_update(st: KalmanState, m: DiscreteStateSpace, i_prev: float,
 
 class ModelBank:
     """Discretized voltage models for all SOC ranges plus the SOC integrator,
-    with cached prediction matrices per (model, horizon).
+    with cached prediction matrices per (model, horizon), each built on first
+    use and kept with what the controller derives from it (its QCQP structure).
 
     Construction asserts the convexity hypothesis of the real-time problem: the
     symmetric part of every voltage psi_i must have a Cholesky factor, as each

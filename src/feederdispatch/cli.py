@@ -22,9 +22,8 @@ from . import __version__
 from .battery import ModelBank, load_parameter_table
 from .dayahead import (DayAheadConfig, InfeasiblePlanError, load_plan, plan_day,
                        save_plan)
-from .forecast import (SyntheticShape, TargetDayInfo, forecast_day,
-                       is_working_dayofyear, load_history, save_history,
-                       synthesize_history)
+from .forecast import (TargetDayInfo, forecast_day, is_working_dayofyear,
+                       load_history, save_history, synthesize_history)
 from .mpc import MpcLimits
 from .sim import (InitState, PlantConfig, PlantStateError, format_report,
                   peak_shave_check, run_day, run_multi_day, step_trace,

@@ -8,9 +8,9 @@ bounds; it thereby steers the battery back toward a flexible energy level.
 The optimization is solved as a linear program over the positive/negative parts
 of the two worst-case battery powers K = f + envelope_low and
 G = f + envelope_high (charging and discharging are weighted by different
-efficiency coefficients, which the split keeps linear). Plan files rebuild
-the forecast from their columns, without members, so they are held to the same
-envelope signs as a fresh forecast.
+efficiency coefficients, which the split keeps linear), with sparse rows. Plan
+files rebuild the forecast from their columns, without members, so they are
+held to the same envelope signs as a fresh forecast.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import solver
 from .forecast import ProsumptionForecast
@@ -105,29 +106,28 @@ def worst_case_soe(f: np.ndarray, forecast: ProsumptionForecast,
 
 
 def _offset_lp(l_hat, env_low, env_high, cfg: DayAheadConfig) -> solver.LinearProgram:
-    """Assemble the LP over z = [K+, K-, G+, G-] (all >= 0)."""
+    """Assemble the LP over z = [K+, K-, G+, G-] (all >= 0), sparse."""
     n = l_hat.size
     beta_p, beta_m = beta_coeffs(cfg)
-    z = np.zeros((n, n))
-    eye = np.eye(n)
-    tril = np.tril(np.ones((n, n)))
+    eye = sp.eye_array(n, format="csr")
+    tril = sp.csr_array(np.tril(np.ones((n, n))))
     b_lo = cfg.b_min + cfg.power_backoff
     b_hi = cfg.b_max - cfg.power_backoff
 
     # coupling: (K+ - K-) - (G+ - G-) = env_low - env_high
-    a_eq = np.hstack([eye, -eye, -eye, eye])
+    a_eq = sp.hstack([eye, -eye, -eye, eye], format="csr")
     b_eq = env_low - env_high
 
     rows = [
         # SOE low >= soe_min:  -(beta_p K+ - beta_m K-) cumulated <= soe0 - soe_min
-        np.hstack([-beta_p * tril, beta_m * tril, z, z]),
+        [-beta_p * tril, beta_m * tril, None, None],
         # SOE high <= soe_max
-        np.hstack([z, z, beta_p * tril, -beta_m * tril]),
+        [None, None, beta_p * tril, -beta_m * tril],
         # power bounds on K and G
-        np.hstack([eye, -eye, z, z]),
-        np.hstack([-eye, eye, z, z]),
-        np.hstack([z, z, eye, -eye]),
-        np.hstack([z, z, -eye, eye]),
+        [eye, -eye, None, None],
+        [-eye, eye, None, None],
+        [None, None, eye, -eye],
+        [None, None, -eye, eye],
     ]
     rhs = [
         np.full(n, cfg.soe0 - cfg.soe_min - cfg.soe_backoff),
@@ -139,11 +139,11 @@ def _offset_lp(l_hat, env_low, env_high, cfg: DayAheadConfig) -> solver.LinearPr
     ]
     if cfg.p_max is not None:
         # plan cap: f + l_hat <= p_max with f = K+ - K- - env_low
-        rows.append(np.hstack([eye, -eye, z, z]))
+        rows.append([eye, -eye, None, None])
         rhs.append(cfg.p_max - l_hat + env_low)
-    return solver.LinearProgram(c=np.ones(4 * n), a_ineq=np.vstack(rows),
+    return solver.LinearProgram(c=np.ones(4 * n), a_ineq=sp.block_array(rows, format="csr"),
                                 b_ineq=np.concatenate(rhs), a_eq=a_eq, b_eq=b_eq,
-                                lb=np.zeros(4 * n), ub=np.full(4 * n, np.inf))
+                                lb=np.zeros(4 * n))
 
 
 def _diagnose_infeasibility(l_hat, env_low, env_high, cfg: DayAheadConfig) -> InfeasiblePlanError:
@@ -151,13 +151,11 @@ def _diagnose_infeasibility(l_hat, env_low, env_high, cfg: DayAheadConfig) -> In
     n = l_hat.size
     p = _offset_lp(l_hat, env_low, env_high, cfg)
     m = p.a_ineq.shape[0]
-    a_ineq = np.hstack([p.a_ineq, -np.eye(m)])
+    a_ineq = sp.hstack([p.a_ineq, -sp.eye_array(m)], format="csr")
     c = np.concatenate([np.zeros(4 * n), np.ones(m)])
-    a_eq = np.hstack([p.a_eq, np.zeros((n, m))])
-    elastic = solver.LinearProgram(c=c, a_ineq=a_ineq, b_ineq=p.b_ineq,
-                                   a_eq=a_eq, b_eq=p.b_eq,
-                                   lb=np.concatenate([np.zeros(4 * n), np.zeros(m)]),
-                                   ub=np.full(4 * n + m, np.inf))
+    a_eq = sp.hstack([p.a_eq, sp.csr_array((n, m))], format="csr")
+    elastic = solver.LinearProgram(c=c, a_ineq=a_ineq, b_ineq=p.b_ineq, a_eq=a_eq,
+                                   b_eq=p.b_eq, lb=np.zeros(4 * n + m))
     sol, cert = solver.solve_lp(elastic)
     if sol is None:
         return InfeasiblePlanError("day-ahead problem infeasible (diagnosis solve failed)")

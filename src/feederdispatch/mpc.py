@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import solver
-from .battery import DiscreteStateSpace, ModelBank, TransitionMatrices
+from .battery import ModelBank
 from .dayahead import DispatchPlan
 from .timegrid import TimeGrid, DEFAULT_GRID
 from .forecast import short_term_predict
@@ -63,6 +63,9 @@ class StepTelemetry:
 
 @dataclass
 class MpcProblem:
+    """One step's control problem: the QCQP ``_qcqp``, which puts the step's
+    right-hand sides on ``structure`` (:func:`_structure`, built when None)."""
+
     horizon: int
     e_k: float                     # kWh energy target for the rest of the slot
     phi_v: np.ndarray
@@ -75,32 +78,32 @@ class MpcProblem:
     v_k: float                     # measured voltage, used for set-point conversion
     limits: MpcLimits
     alpha: float = ALPHA
-    _a_ineq: np.ndarray = field(init=False, repr=False)
+    structure: solver.QcqpProblem | None = field(default=None, repr=False, compare=False)
     _qcqp: solver.QcqpProblem = field(init=False, repr=False)
 
     def __post_init__(self):
         if not 1 <= self.horizon <= 30:
             raise ValueError("horizon must be in 1..30")
-        self._a_ineq = _stack_constraints(self.psi_v_i, self.psi_soc_i, self.horizon)
-        # QcqpProblem's Cholesky of the throughput quadratic is the PSD guard of
-        # psi_v_i (ValueError when indefinite) and the factor of the closed form
-        q, l = _throughput_terms(self)
-        self._qcqp = solver.QcqpProblem(c=np.ones(self.horizon), q=q, l=l, r=self.e_k,
-                                        a_ineq=self._a_ineq, b_ineq=_rhs(self))
+        if self.structure is None:
+            self.structure = _structure(self.psi_v_i, self.psi_soc_i, self.horizon, self.alpha)
+        v_free = self.phi_v @ self.x_k + self.psi_v_1 @ np.ones(self.horizon)
+        # V*A = W: the 1e-3 brings the throughput to kW before alpha's kWh
+        self._qcqp = self.structure.with_rhs(self.alpha / 1000.0 * v_free, self.e_k,
+                                             _rhs(self, v_free))
 
 
-def _diff_matrix(h: int) -> np.ndarray:
-    """First-difference operator: row j computes i[j+1] - i[j]."""
-    d = np.zeros((max(h - 1, 0), h))
-    for j in range(h - 1):
-        d[j, j] = -1.0
-        d[j, j + 1] = 1.0
-    return d
+def _structure(psi_v_i, psi_soc_i, h: int, alpha: float) -> solver.QcqpProblem:
+    """The QCQP at one (model, horizon) with zero right-hand sides: c = 1, the
+    throughput quadratic in kWh and the rows; ValueError unless it is convex."""
+    a_ineq = _stack_constraints(psi_v_i, psi_soc_i, h)
+    return solver.QcqpProblem(c=np.ones(h), q=alpha / 1000.0 * 0.5 * (psi_v_i + psi_v_i.T),
+                              l=np.zeros(h), r=0.0, a_ineq=a_ineq,
+                              b_ineq=np.zeros(a_ineq.shape[0]))
 
 
 def _stack_constraints(psi_v, psi_soc, h: int) -> np.ndarray:
     eye = np.eye(h)
-    d = _diff_matrix(h)
+    d = np.diff(eye, axis=0)        # row j computes i[j+1] - i[j]
     return np.vstack([eye, -eye, d, -d, psi_v, -psi_v, psi_soc, -psi_soc])
 
 
@@ -133,11 +136,14 @@ def build_problem(k: int, plan: DispatchPlan, telemetry: StepTelemetry,
     vm = bank.voltage_model(telemetry.soc)
     tv = bank.transitions(vm, horizon)
     ts = bank.transitions(bank.soc_model, horizon)
+    structure = tv.derived.get("mpc")
+    if structure is None:
+        structure = tv.derived["mpc"] = _structure(tv.psi_i, ts.psi_i, horizon, ALPHA)
     return MpcProblem(horizon=horizon, e_k=e_k,
                       phi_v=tv.phi, psi_v_i=tv.psi_i, psi_v_1=tv.psi_1,
                       phi_soc=ts.phi, psi_soc_i=ts.psi_i,
                       x_k=np.asarray(telemetry.x, dtype=float), soc_k=telemetry.soc,
-                      v_k=telemetry.v, limits=limits)
+                      v_k=telemetry.v, limits=limits, structure=structure)
 
 
 @dataclass(frozen=True)
@@ -162,12 +168,12 @@ def to_power_setpoint(i_first: float, v_k: float) -> float:
     return v_k * i_first / 1000.0
 
 
-def _rhs(p: MpcProblem) -> np.ndarray:
+def _rhs(p: MpcProblem, v_free: np.ndarray) -> np.ndarray:
+    """Right-hand sides of the rows, given the zero-current voltages."""
     h = p.horizon
     lim = p.limits
-    v_free = p.phi_v @ p.x_k + p.psi_v_1 @ np.ones(h)
     soc_free = (p.phi_soc * p.soc_k).ravel()
-    ones_r = np.ones(max(h - 1, 0))
+    ones_r = np.ones(h - 1)
     return np.concatenate([
         np.full(h, lim.i_max), np.full(h, -lim.i_min),
         lim.di_max * ones_r, -lim.di_min * ones_r,
@@ -176,29 +182,16 @@ def _rhs(p: MpcProblem) -> np.ndarray:
     ])
 
 
-def _throughput_terms(p: MpcProblem) -> tuple[np.ndarray, np.ndarray]:
-    """Quadratic-constraint (q, l) of the AC energy throughput in kWh.
-
-    Voltage-current products are V*A = W; the 1e-3 factor brings them to kW
-    before the per-step kWh conversion in alpha.
-    """
-    scale = p.alpha / 1000.0
-    q = scale * 0.5 * (p.psi_v_i + p.psi_v_i.T)
-    l = scale * (p.phi_v @ p.x_k + p.psi_v_1 @ np.ones(p.horizon))
-    return q, l
-
-
-_GROUPS = ("box", "box", "rate", "rate", "v", "v", "soc", "soc")
+_GROUPS = np.array(["box", "rate", "v", "soc"])
+_GROUP_STARTS = [np.array([0, 2 * h, 4 * h - 2, 6 * h - 2]) for h in range(31)]
 
 
 def _active_groups(h: int, sol: solver.QcqpSolution) -> str:
     """Names of the constraint groups holding a constraint the solver found
     active, in the row order of :func:`_stack_constraints`."""
-    ends = np.cumsum((h, h, h - 1, h - 1, h, h, h, h))
-    active = ["throughput"] if sol.quad_active else []
-    for name, lo, hi in zip(_GROUPS, np.concatenate([[0], ends[:-1]]), ends):
-        if name not in active and np.any(sol.active[lo:hi]):
-            active.append(name)
+    hit = np.logical_or.reduceat(sol.active, _GROUP_STARTS[h])
+    hit[1] &= h > 1                 # no rate rows at horizon 1
+    active = (["throughput"] if sol.quad_active else []) + _GROUPS[hit].tolist()
     return ",".join(active) if active else "-"
 
 

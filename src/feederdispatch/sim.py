@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import battery, mpc
+from . import battery
 from .battery import (ModelBank, KalmanState, TtcParameters, TABLE1,
                       kalman_update, soc_step)
 from .dayahead import (DayAheadConfig, DispatchPlan, plan_day, save_plan)

@@ -1,18 +1,20 @@
-"""Convex optimization kernels: a dense LP solver and a small QCQP solver.
+"""Convex optimization kernels: a sparse LP solver and a small QCQP solver.
 
 The LP side (day-ahead problem, ~1000 variables, solved once per day) wraps the
-HiGHS backend of :func:`scipy.optimize.linprog`. The QCQP side (real-time MPC,
-<= 30 variables, solved every 10 seconds) handles the class "linear objective,
-one positive definite quadratic inequality, linear inequalities" with one
-exact method. Most control steps bind the quadratic row alone and take its
-closed form. Every other step walks the path of least-distance programs
-minimize x'Qx + (l - t c)'x over the rows, parametric in t = 1/mu: one NNLS
-gives the active set at a t, on which the path is affine and the root of the
-quadratic row is a scalar equation. The t = 0 end of that path is the
-minimum of the quadratic over the rows; a positive minimum proves the problem
-infeasible and its minimiser is the controller's closest achievable point.
-Every solve returns a certificate whose KKT residual is computed by the same
-public evaluators used in the test suite.
+HiGHS backend of :func:`scipy.optimize.linprog`; its constraint matrices may be
+dense arrays or ``scipy.sparse`` matrices. The QCQP side (real-time MPC, <= 30
+variables, solved every 10 seconds) handles the class "linear objective, one
+positive definite quadratic inequality, linear inequalities" with one exact
+method; problems differing only in their right-hand sides share the factor and
+rows (:meth:`QcqpProblem.with_rhs`). Most control steps bind the quadratic row
+alone and take its closed form. Every other step walks the path of
+least-distance programs minimize x'Qx + (l - t c)'x over the rows, parametric
+in t = 1/mu: one NNLS gives the active set at a t, on which the path is affine
+and the root of the quadratic row is a scalar equation. The t = 0 end of that
+path is the minimum of the quadratic over the rows; a positive minimum proves
+the problem infeasible and its minimiser is the controller's closest achievable
+point. Every solve returns a certificate whose KKT residual is computed by the
+same public evaluators used in the test suite.
 
 Conventions: LPs minimize, QCQPs maximize. All solves are deterministic for
 identical inputs (fixed iteration schedules, no randomized pivoting).
@@ -22,9 +24,11 @@ from __future__ import annotations
 
 import math
 import time
+import copy
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
 from scipy.optimize import linprog, nnls
 
@@ -59,7 +63,8 @@ class SolveCertificate:
 
 @dataclass
 class LinearProgram:
-    """min c'x  s.t.  a_ineq x <= b_ineq,  a_eq x = b_eq,  lb <= x <= ub."""
+    """min c'x  s.t.  a_ineq x <= b_ineq,  a_eq x = b_eq,  lb <= x <= ub, with
+    a_ineq and a_eq dense arrays or ``scipy.sparse`` matrices."""
 
     c: np.ndarray
     a_ineq: np.ndarray | None = None
@@ -72,25 +77,21 @@ class LinearProgram:
     def __post_init__(self):
         self.c = np.asarray(self.c, dtype=float)
         n = self.c.size
-        for name in ("a_ineq", "a_eq"):
-            a = getattr(self, name)
-            if a is not None:
-                a = np.atleast_2d(np.asarray(a, dtype=float))
-                setattr(self, name, a)
-                if a.shape[1] != n:
-                    raise ValueError(f"{name} has {a.shape[1]} columns, expected {n}")
-        if (self.a_ineq is None) != (self.b_ineq is None):
-            raise ValueError("a_ineq and b_ineq must be given together")
-        if (self.a_eq is None) != (self.b_eq is None):
-            raise ValueError("a_eq and b_eq must be given together")
-        if self.b_ineq is not None:
-            self.b_ineq = np.asarray(self.b_ineq, dtype=float).ravel()
-            if self.b_ineq.size != self.a_ineq.shape[0]:
-                raise ValueError("b_ineq length mismatch")
-        if self.b_eq is not None:
-            self.b_eq = np.asarray(self.b_eq, dtype=float).ravel()
-            if self.b_eq.size != self.a_eq.shape[0]:
-                raise ValueError("b_eq length mismatch")
+        for a_name, b_name in (("a_ineq", "b_ineq"), ("a_eq", "b_eq")):
+            a, b = getattr(self, a_name), getattr(self, b_name)
+            if (a is None) != (b is None):
+                raise ValueError(f"{a_name} and {b_name} must be given together")
+            if a is None:
+                continue
+            a = sp.csr_array(a, dtype=float) if sp.issparse(a) \
+                else np.atleast_2d(np.asarray(a, dtype=float))
+            b = np.asarray(b, dtype=float).ravel()
+            if a.shape[1] != n:
+                raise ValueError(f"{a_name} has {a.shape[1]} columns, expected {n}")
+            if b.size != a.shape[0]:
+                raise ValueError(f"{b_name} length mismatch")
+            setattr(self, a_name, a)
+            setattr(self, b_name, b)
         self.lb = np.full(n, -np.inf) if self.lb is None else np.asarray(self.lb, dtype=float)
         self.ub = np.full(n, np.inf) if self.ub is None else np.asarray(self.ub, dtype=float)
         if self.lb.size != n or self.ub.size != n:
@@ -183,20 +184,17 @@ def _phase1_violation(p: LinearProgram) -> float:
     if n_s == 0:
         return 0.0
     c = np.concatenate([np.zeros(n), np.ones(n_s)])
-    rows = []
-    rhs = []
+    rows, rhs = [], []
     if m_in:
-        a = np.hstack([p.a_ineq, -np.eye(m_in, n_s)])
-        rows.append(a)
+        rows.append(sp.hstack([p.a_ineq, -sp.eye_array(m_in, n_s)]))
         rhs.append(p.b_ineq)
     if m_eq:
-        s_eq = np.zeros((m_eq, n_s))
-        s_eq[:, m_in:] = np.eye(m_eq)
-        rows.append(np.hstack([p.a_eq, -s_eq]))
+        s_eq = sp.eye_array(m_eq, n_s, k=m_in)
+        rows.append(sp.hstack([p.a_eq, -s_eq]))
         rhs.append(p.b_eq)
-        rows.append(np.hstack([-p.a_eq, -s_eq]))
+        rows.append(sp.hstack([-p.a_eq, -s_eq]))
         rhs.append(-p.b_eq)
-    a_ub = np.vstack(rows)
+    a_ub = sp.vstack(rows, format="csr")
     b_ub = np.concatenate(rhs)
     lb = np.concatenate([p.lb, np.zeros(n_s)])
     ub = np.concatenate([p.ub, np.full(n_s, np.inf)])
@@ -217,6 +215,8 @@ class QcqpProblem:
 
     The symmetric part of q must be positive definite: its Cholesky factor is
     both the check (ValueError without one) and the whitening every solve uses.
+    It, y = Q^-1 c, c'y and the whitened rows of :func:`_whitened` depend on c,
+    q and the rows alone; the problems :meth:`with_rhs` derives share them.
     """
 
     c: np.ndarray
@@ -227,7 +227,9 @@ class QcqpProblem:
     b_ineq: np.ndarray
     q_sym: np.ndarray = field(init=False, repr=False)
     q_chol: np.ndarray = field(init=False, repr=False)     # lower factor of q_sym
-    _whitened: "_Whitened | None" = field(init=False, repr=False, compare=False, default=None)
+    y: np.ndarray = field(init=False, repr=False)          # Q^-1 c
+    cy: float = field(init=False, repr=False)
+    _shared: dict = field(init=False, repr=False, compare=False, default_factory=dict)
     _least_distance: tuple | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
@@ -246,6 +248,14 @@ class QcqpProblem:
             self.q_chol = np.linalg.cholesky(self.q_sym)
         except np.linalg.LinAlgError:
             raise ValueError("quadratic constraint not positive definite") from None
+        self.y = cho_solve((self.q_chol, True), self.c, check_finite=False)
+        self.cy = float(self.c @ self.y)
+
+    def with_rhs(self, l: np.ndarray, r: float, b_ineq: np.ndarray) -> "QcqpProblem":
+        """This problem with new l, r, b_ineq (float arrays, used as given)."""
+        p = copy.copy(self)
+        p.l, p.r, p.b_ineq, p._least_distance = l, r, b_ineq, None
+        return p
 
     def f_quad(self, x: np.ndarray) -> float:
         return float(x @ self.q_sym @ x + self.l @ x - self.r)
@@ -267,7 +277,10 @@ def qcqp_kkt_residual(p: QcqpProblem, sol: QcqpSolution) -> float:
     x = sol.x
     fq = p.f_quad(x)
     slack = p.b_ineq - p.a_ineq @ x
-    stat = -p.c + sol.dual_quad * (2.0 * p.q_sym @ x + p.l) + p.a_ineq.T @ sol.dual_ineq
+    stat = -p.c + sol.dual_quad * (2.0 * p.q_sym @ x + p.l)
+    if sol.dual_ineq.any():
+        # a closed-form point has no row multipliers: the product is exactly 0
+        stat += p.a_ineq.T @ sol.dual_ineq
     obj_scale = 1.0 + abs(float(p.c @ x))
     c_scale = 1.0 + float(np.max(np.abs(p.c), initial=0.0))
     primal = max(fq, float(np.max(-slack, initial=0.0)), 0.0)
@@ -302,50 +315,48 @@ def qp_kkt_residual(p: QcqpProblem, sol: QcqpSolution) -> float:
     return max(float(np.abs(stat).max(initial=0.0)) / g_scale, primal, dual, comp)
 
 
-class _Whitened:
-    """The rows of a QCQP seen from the whitened variable of
-    minimize x'Qx + (l - t c)'x.
+def _nnls(p: QcqpProblem, t: float) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
+    """Least-distance point of the rows in the whitened variable of
+    minimize x'Qx + (l - t c)'x, by one NNLS (Lawson & Hanson, Solving Least
+    Squares Problems, 1974, ch. 23).
 
     With Q = L L', w0 = L^-1 l / 2 and wc = L^-1 c / 2, u = L'x + w0 - t wc
     turns that objective into |u|^2 less a constant, and the rows into
     G u <= h0 - t h1 with G = A L^-T, h0 = b + G w0 and h1 = G wc: only the
-    right-hand side moves with t.
-    """
+    right-hand side moves with t. The NNLS works on rows of unit norm, so its
+    target and infeasibility test are free of units, with the right-hand side
+    scaled to unit size. Returns the NNLS solution w, its residual r, that
+    scale and w0: the point is u = -scale r[:n] / r[n], and r[n] ~ 0 means
+    the rows are infeasible."""
+    g, h1, norms = _whitened(p)
+    n = p.c.size
+    w0 = 0.5 * solve_triangular(p.q_chol, p.l, lower=True, check_finite=False)
+    h = p.b_ineq + g @ w0 - t * h1
+    h_scale = float(np.abs(h / norms).max(initial=0.0)) or 1.0
+    e = np.vstack([-g.T / norms, -h / (norms * h_scale)])
+    f = np.zeros(n + 1)
+    f[n] = 1.0
+    w, _ = nnls(e, f)
+    return w, e @ w - f, h_scale, w0
 
-    def __init__(self, p: QcqpProblem):
-        self.n = p.c.size
-        self.chol = p.q_chol
-        self.w0 = 0.5 * solve_triangular(self.chol, p.l, lower=True, check_finite=False)
-        self.wc = 0.5 * solve_triangular(self.chol, p.c, lower=True, check_finite=False)
-        self.g = solve_triangular(self.chol, p.a_ineq.T, lower=True, check_finite=False).T
-        self.h0 = p.b_ineq + self.g @ self.w0
-        self.h1 = self.g @ self.wc
-        # rows of unit norm, so the NNLS target and its infeasibility test are
-        # free of units
-        self.norms = np.sqrt(np.sum(self.g**2, axis=1))
-        self.norms[self.norms == 0.0] = 1.0
-        self.e_rows = -self.g.T / self.norms
 
-    def nnls(self, t: float) -> tuple[np.ndarray, np.ndarray, float]:
-        """Least-distance point of G u <= h0 - t h1 by one NNLS (Lawson &
-        Hanson, Solving Least Squares Problems, 1974, ch. 23) on the
-        row-normalised system, with the right-hand side scaled to unit size.
-        Returns the NNLS solution w, its residual and that scale: the point is
-        u = -scale r[:n] / r[n], and r[n] ~ 0 means the rows are infeasible."""
-        h = self.h0 - t * self.h1
-        h_scale = float(np.abs(h / self.norms).max(initial=0.0)) or 1.0
-        e = np.vstack([self.e_rows, -h / (self.norms * h_scale)])
-        f = np.zeros(self.n + 1)
-        f[self.n] = 1.0
-        w, _ = nnls(e, f)
-        return w, e @ w - f, h_scale
+def _whitened(p: QcqpProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """G, h1 and the row norms of G (zero read as 1) of :func:`_nnls`, built
+    the first time a solve on p's rows needs them."""
+    if "whitened" not in p._shared:
+        g = solve_triangular(p.q_chol, p.a_ineq.T, lower=True, check_finite=False).T
+        wc = 0.5 * solve_triangular(p.q_chol, p.c, lower=True, check_finite=False)
+        norms = np.sqrt(np.sum(g**2, axis=1))
+        norms[norms == 0.0] = 1.0
+        p._shared["whitened"] = (g, g @ wc, norms)
+    return p._shared["whitened"]
 
 
 def least_distance(p: QcqpProblem) -> tuple[QcqpSolution | None, SolveCertificate]:
     """Minimize f_q(x) = x'Qx + l'x - r subject to a_ineq x <= b_ineq; computed
     once per problem and kept on it.
 
-    This is the t = 0 point of :class:`_Whitened`: a least-distance program in
+    This is the t = 0 point of :func:`_nnls`: a least-distance program in
     u = L'x + L^-1 l / 2, solved exactly by one NNLS, whose row multipliers are
     2 w / (-r_{n+1}) for the NNLS solution w and residual r. The certificate's
     ``objective`` is the minimum of f_q. Status is "optimal" when
@@ -361,22 +372,16 @@ def least_distance(p: QcqpProblem) -> tuple[QcqpSolution | None, SolveCertificat
     return p._least_distance
 
 
-def _whitened(p: QcqpProblem) -> _Whitened:
-    if p._whitened is None:
-        p._whitened = _Whitened(p)
-    return p._whitened
-
-
 def _least_distance(p: QcqpProblem) -> tuple[QcqpSolution | None, SolveCertificate]:
-    wh = _whitened(p)
     n = p.c.size
-    w, res, h_scale = wh.nnls(0.0)
+    norms = _whitened(p)[2]
+    w, res, h_scale, w0 = _nnls(p, 0.0)
     objective = residual = np.nan
     # |u|^2 = -1/r_{n+1} - 1: a vanishing r_{n+1} leaves no bounded point
     if -res[n] > 1e-12:
         u = h_scale * (-res[:n] / res[n])
-        x = solve_triangular(wh.chol, u - wh.w0, lower=True, trans="T", check_finite=False)
-        lam = 2.0 * h_scale * w / (-res[n] * wh.norms)
+        x = solve_triangular(p.q_chol, u - w0, lower=True, trans="T", check_finite=False)
+        lam = 2.0 * h_scale * w / (-res[n] * norms)
         sol = QcqpSolution(x=x, dual_quad=0.0, dual_ineq=lam, active=lam > 0.0)
         residual = qp_kkt_residual(p, sol)
         if residual > KKT_GATE:
@@ -389,7 +394,7 @@ def _least_distance(p: QcqpProblem) -> tuple[QcqpSolution | None, SolveCertifica
             return sol, SolveCertificate(status="optimal", objective=objective,
                                          kkt_residual=residual, iterations=1,
                                          path="least-distance")
-    farkas = _farkas(p, w / wh.norms)
+    farkas = _farkas(p, w / norms)
     if farkas is not None:
         return None, farkas
     return None, SolveCertificate(status="failure", objective=objective, kkt_residual=residual,
@@ -459,8 +464,8 @@ def _closed_form(p: QcqpProblem) -> QcqpSolution | None:
     unless c is nonzero and the quadratic's feasible set has an interior
     (4r + l'z > 0).
     """
-    y, z = cho_solve((p.q_chol, True), np.column_stack([p.c, p.l]), check_finite=False).T
-    cy = float(p.c @ y)
+    y, cy = p.y, p.cy
+    z = cho_solve((p.q_chol, True), p.l, check_finite=False)
     disc = 4.0 * p.r + float(p.l @ z)
     if not (cy > 0.0 and disc > 0.0):
         return None
@@ -496,7 +501,6 @@ def _parametric(p: QcqpProblem, t_scale: float) -> tuple[QcqpSolution | None, So
         return None, SolveCertificate(status="infeasible", objective=ld.objective,
                                       kkt_residual=ld.kkt_residual, iterations=1,
                                       path="least-distance")
-    wh = _whitened(p)
     act, solves = ld_sol.active, 1
     row_tol = FEAS_TOL * (1.0 + np.abs(p.b_ineq))
     row_norms = np.sqrt(np.sum(p.a_ineq**2, axis=1))
@@ -538,7 +542,7 @@ def _parametric(p: QcqpProblem, t_scale: float) -> tuple[QcqpSolution | None, So
             t_next = (t - _piece_end(p, act, x, -dx, nu, -dnu)) * (1.0 - 1e-6)
         if not t_lo < t_next < t_hi:
             t_next = _bisect(t_lo, t_hi, t_scale)
-        w, res, _ = wh.nnls(t_next)
+        w, res, _, _ = _nnls(p, t_next)
         solves += 1
         if not -res[-1] > 1e-12:
             break

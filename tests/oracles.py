@@ -60,6 +60,50 @@ def grid_offset_search(l_hat, env_low, env_high, cfg: DayAheadConfig,
     return float(obj[j]), f[:, j].copy()
 
 
+def dense_offset_optimum(l_hat, env_low, env_high, cfg: DayAheadConfig):
+    """The day-ahead offset LP assembled dense, as numpy blocks over
+    z = [K+, K-, G+, G-] >= 0, and solved with SciPy's HiGHS directly.
+    Returns (objective, f) with f = K+ - K- - env_low, or (None, None) when
+    HiGHS reports no optimum."""
+    from scipy.optimize import linprog
+
+    n = l_hat.size
+    beta_p, beta_m = beta_coeffs(cfg)
+    z = np.zeros((n, n))
+    eye = np.eye(n)
+    tril = np.tril(np.ones((n, n)))
+    b_lo = cfg.b_min + cfg.power_backoff
+    b_hi = cfg.b_max - cfg.power_backoff
+    rows = [np.hstack([-beta_p * tril, beta_m * tril, z, z]),
+            np.hstack([z, z, beta_p * tril, -beta_m * tril]),
+            np.hstack([eye, -eye, z, z]), np.hstack([-eye, eye, z, z]),
+            np.hstack([z, z, eye, -eye]), np.hstack([z, z, -eye, eye])]
+    rhs = [np.full(n, cfg.soe0 - cfg.soe_min - cfg.soe_backoff),
+           np.full(n, cfg.soe_max - cfg.soe_backoff - cfg.soe0),
+           np.full(n, b_hi), np.full(n, -b_lo), np.full(n, b_hi), np.full(n, -b_lo)]
+    if cfg.p_max is not None:
+        rows.append(np.hstack([eye, -eye, z, z]))
+        rhs.append(cfg.p_max - l_hat + env_low)
+    res = linprog(np.ones(4 * n), A_ub=np.vstack(rows), b_ub=np.concatenate(rhs),
+                  A_eq=np.hstack([eye, -eye, -eye, eye]), b_eq=env_low - env_high,
+                  bounds=(0, None), method="highs")
+    if res.status != 0:
+        return None, None
+    return float(res.fun), res.x[:n] - res.x[n:2 * n] - env_low
+
+
+def active_groups_loop(h, quad_active, active):
+    """Comma-joined names of the MPC constraint groups with an active row, one
+    row at a time over the row order box, -box, rate, -rate, v, -v, soc,
+    -soc, with "throughput" first when the quadratic row is active."""
+    names = ["box"] * 2 * h + ["rate"] * 2 * (h - 1) + ["v"] * 2 * h + ["soc"] * 2 * h
+    found = ["throughput"] if quad_active else []
+    for name, hit in zip(names, active):
+        if hit and name not in found:
+            found.append(name)
+    return ",".join(found) if found else "-"
+
+
 def grid_current_search(q_sym, l, r, a_ineq, b_ineq, c, lo, hi,
                         resolution: float = 0.05):
     """Exhaustive 2-D grid search of maximize c'x subject to the quadratic

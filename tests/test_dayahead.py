@@ -7,7 +7,7 @@ from feederdispatch.dayahead import (DayAheadConfig, InfeasiblePlanError,
                                      worst_case_soe)
 from feederdispatch.forecast import N_SLOTS, ProsumptionForecast
 
-from oracles import dayahead_plan_feasible, grid_offset_search
+from oracles import dayahead_plan_feasible, dense_offset_optimum, grid_offset_search
 
 
 def _cfg(**kw):
@@ -125,6 +125,27 @@ def test_lp_recursion_consistency(day_forecast):
     assert np.all(plan.soe_low <= plan.soe_high + 1e-9)
     assert np.all(plan.soe_low[1:] >= cfg.soe_min - 1e-6)
     assert np.all(plan.soe_high[1:] <= cfg.soe_max + 1e-6)
+
+
+@pytest.mark.parametrize("kw", [{}, {"p_max": 150.0}, {"soe0": 60.0, "soe_backoff": 10.0,
+                                                      "power_backoff": 5.0}])
+def test_sparse_offset_lp_matches_dense_oracle(day_forecast, kw):
+    cfg = _cfg(**kw)
+    plan = solve_offset(day_forecast, cfg)
+    objective, f = dense_offset_optimum(day_forecast.point, day_forecast.envelope_low,
+                                        day_forecast.envelope_high, cfg)
+    assert plan.objective == pytest.approx(objective, rel=1e-9)
+    assert np.array_equal(plan.f, f)
+
+
+def test_offset_lp_is_sparse(day_forecast):
+    # 4 cumulative SOE blocks of n(n+1)/2 entries and 8 power-bound diagonals
+    from feederdispatch.dayahead import _offset_lp
+    n = N_SLOTS
+    p = _offset_lp(day_forecast.point, day_forecast.envelope_low,
+                   day_forecast.envelope_high, _cfg())
+    assert p.a_ineq.nnz == 4 * n * (n + 1) // 2 + 8 * n == 168768
+    assert p.a_eq.nnz == 4 * n
 
 
 def test_full_day_plan_feasibility_certificate(day_forecast):

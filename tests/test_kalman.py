@@ -97,3 +97,35 @@ def test_state_tracks_true_plant(rng):
         v = float(m.c @ x_true + m.d_i * i + m.d_1)
         st = kalman_update(st, m, i, v)
     assert float(m.c @ st.x) == pytest.approx(float(m.c @ x_true), abs=0.05)
+
+
+def test_psd_guard_agrees_with_eigh(rng):
+    # trace/determinant test against eigenvalues, on random symmetric
+    # matrices and on ones with an eigenvalue of -1e-12 or +1e-12
+    from feederdispatch.battery import _is_psd
+    for _ in range(2000):
+        m = rng.normal(size=(2, 2)) * 10.0 ** rng.uniform(-3, 3)
+        m = 0.5 * (m + m.T)
+        assert _is_psd(m) == (np.linalg.eigvalsh(m).min() >= 0.0)
+    for sign in (-1.0, 1.0):
+        for _ in range(200):
+            c, s = np.cos(rng.uniform(0, np.pi)), np.sin(rng.uniform(0, np.pi))
+            rot = np.array([[c, -s], [s, c]])
+            m = rot @ np.diag([sign * 1e-12, rng.uniform(0.1, 10.0)]) @ rot.T
+            m = 0.5 * (m + m.T)
+            assert _is_psd(m) == (sign > 0.0) == (np.linalg.eigvalsh(m).min() >= 0.0)
+
+
+def test_indefinite_covariance_is_clipped():
+    # a = I, no process noise and a measurement noise so large that the gain
+    # underflows: the update returns the prior covariance, here indefinite,
+    # with its negative eigenvalue clipped to zero
+    m = reduce_and_discretize(TABLE1[2], 10.0)
+    blind = type(m)(a=np.eye(2), b_i=m.b_i, b_1=m.b_1, c=m.c, d_i=m.d_i, d_1=m.d_1,
+                    k=np.zeros((2, 2)), g=1e150, n=m.n, label=m.label)
+    p = np.array([[1.0, 2.0], [2.0, 1.0]])          # eigenvalues 3 and -1
+    w, vecs = np.linalg.eigh(p)
+    with pytest.warns(RuntimeWarning, match="positive semidefiniteness"):
+        st = kalman_update(KalmanState(x=np.zeros(2), p=p), blind, 10.0, 650.0)
+    assert np.array_equal(st.p, (vecs * np.maximum(w, 0.0)) @ vecs.T)
+    assert np.linalg.eigvalsh(st.p).min() >= -1e-12

@@ -11,8 +11,9 @@ from feederdispatch.mpc import (ALPHA, ControlDecision, MpcLimits, MpcProblem,
                                 expected_average, solve, to_power_setpoint)
 from feederdispatch.timegrid import DEFAULT_GRID
 
-from oracles import (active_set_qcqp, grid_current_search, min_quadratic_over_rows,
-                     mpc_constraints_satisfied, mpc_throughput, qcqp_optimum)
+from oracles import (active_groups_loop, active_set_qcqp, grid_current_search,
+                     min_quadratic_over_rows, mpc_constraints_satisfied, mpc_throughput,
+                     qcqp_optimum)
 
 grid = DEFAULT_GRID
 
@@ -71,6 +72,51 @@ def test_build_problem_horizons(bank):
     assert p_start.psi_v_1[0, 0] == pytest.approx(652.9)
 
 
+def test_build_problem_shares_structure(bank):
+    # two steps at the same (model, horizon) reuse one structure; its arrays
+    # equal a problem built from the raw matrices bit for bit
+    plan = _plan_for(bank)
+    tel = StepTelemetry(p_avg=0.0, last_load=90.0, soc=0.55, x=np.array([0.3, -0.2]), v=652.0)
+    other = StepTelemetry(p_avg=110.0, last_load=120.0, soc=0.51, x=np.zeros(2), v=650.0)
+    limits = MpcLimits(di_min=-5.0, di_max=5.0)
+    first = build_problem(95, plan, tel, bank, limits)
+    second = build_problem(125, plan, other, bank, limits)
+    assert first.horizon == second.horizon == 25
+    names = ("c", "q", "q_sym", "q_chol", "y", "a_ineq")
+    for name in names:
+        assert getattr(first._qcqp, name) is getattr(second._qcqp, name)
+    assert first._qcqp.cy == second._qcqp.cy
+    # the whitened rows are built once, by the first solve that needs them
+    assert solver._whitened(first._qcqp)[0] is solver._whitened(second._qcqp)[0]
+    for p, t in ((first, tel), (second, other)):
+        raw = MpcProblem(horizon=p.horizon, e_k=p.e_k, phi_v=p.phi_v, psi_v_i=p.psi_v_i.copy(),
+                         psi_v_1=p.psi_v_1, phi_soc=p.phi_soc, psi_soc_i=p.psi_soc_i.copy(),
+                         x_k=np.asarray(t.x, float), soc_k=t.soc, v_k=t.v, limits=limits)
+        assert raw.structure is not p.structure
+        for name in names + ("l", "b_ineq"):
+            assert np.array_equal(getattr(raw._qcqp, name), getattr(p._qcqp, name)), name
+        assert raw._qcqp.cy == p._qcqp.cy and raw._qcqp.r == p._qcqp.r
+        for a, b in zip(solver._whitened(raw._qcqp), solver._whitened(p._qcqp)):
+            assert np.array_equal(a, b)
+        d_raw, d = solve(raw), solve(p)
+        assert np.array_equal(d_raw.i_traj, d.i_traj)
+        assert (d_raw.status, d_raw.active, d_raw.path) == (d.status, d.active, d.path)
+
+
+def test_active_groups_match_loop_oracle(bank, rng):
+    from feederdispatch.mpc import _active_groups
+    for h in range(1, 31):
+        m = 8 * h - 2
+        for density in (0.0, 0.02, 0.2, 1.0):
+            for _ in range(5):
+                active = rng.random(m) < density
+                quad = bool(rng.random() < 0.5)
+                sol = solver.QcqpSolution(x=np.zeros(h), dual_quad=0.0,
+                                          dual_ineq=np.zeros(m), quad_active=quad,
+                                          active=active)
+                assert _active_groups(h, sol) == active_groups_loop(h, quad, active)
+
+
 def test_build_problem_target_energy(bank):
     plan = _plan_for(bank, level=100.0)
     tel = StepTelemetry(p_avg=0.0, last_load=88.0, soc=0.5, x=np.zeros(2), v=652.0)
@@ -118,17 +164,15 @@ def test_solution_respects_all_constraints(bank, rng):
 
 
 def test_horizon_two_grid_oracle(bank, rng):
-    from feederdispatch import solver as S
-    from feederdispatch.mpc import _throughput_terms, _rhs
     limits = MpcLimits(i_min=-20.0, i_max=20.0, di_min=-30.0, di_max=30.0)
     for _ in range(5):
         p = _problem(bank, h=2, e_k=float(rng.uniform(-0.05, 0.05)),
                      x=rng.uniform(-0.5, 0.5, 2), limits=limits)
         dec = solve(p)
         assert dec.status == "solved"
-        q, l = _throughput_terms(p)
-        best, _ = grid_current_search(0.5 * (q + q.T), l, p.e_k, p._a_ineq,
-                                      _rhs(p), np.ones(2), -20.0, 20.0, 0.05)
+        prob = p._qcqp
+        best, _ = grid_current_search(0.5 * (prob.q + prob.q.T), prob.l, p.e_k, prob.a_ineq,
+                                      prob.b_ineq, np.ones(2), -20.0, 20.0, 0.05)
         assert best is not None
         gap = float(dec.i_traj.sum()) - best
         assert gap >= -1e-6
@@ -333,11 +377,9 @@ def test_convexity_guard_multistart(bank):
     # no strictly feasible trajectory drawn at random beats the certified
     # optimum, wherever it lies
     from feederdispatch import solver as S
-    from feederdispatch.mpc import _throughput_terms, _rhs
     p = _problem(bank, h=8, e_k=0.7, x=np.array([0.2, -0.1]))
-    q, l = _throughput_terms(p)
-    prob = S.QcqpProblem(c=np.ones(8), q=q, l=l, r=p.e_k, a_ineq=p._a_ineq,
-                         b_ineq=_rhs(p))
+    prob = S.QcqpProblem(c=np.ones(8), q=p._qcqp.q, l=p._qcqp.l, r=p.e_k,
+                         a_ineq=p._qcqp.a_ineq, b_ineq=p._qcqp.b_ineq)
     sol, cert = S.solve_qcqp(prob)
     assert cert.status == "optimal"
     rng = np.random.default_rng(4)

@@ -281,3 +281,36 @@ def test_soc_floor_hour_clips_without_failures(day_forecast, bank_module, monkey
     for p, d in clipped:
         assert d.path == "least-distance" and d.kkt_residual <= 1e-6
         assert mpc_constraints_satisfied(p, d.i_traj)
+
+
+def _two_slot_plan(levels, shift):
+    fc = ProsumptionForecast(np.asarray(levels, float), np.zeros(2), np.zeros(2), members=())
+    offset = OffsetPlan(f=np.zeros(2), soe_low=np.zeros(3), soe_high=np.zeros(3),
+                        objective=0.0, certificate=solver.SolveCertificate("optimal"))
+    return DispatchPlan(p_hat=fc.point + np.asarray(shift, float), forecast=fc, offset=offset)
+
+
+def test_warm_bank_reproduces_fresh_bank():
+    # a stretch at the SOC floor with +-5 A/step (closed-form, parametric and
+    # clipped steps) gives the same run with a fresh bank as with one whose
+    # problem structures another stretch on the same models already built
+    grid2 = TimeGrid(n_slots=2, n_steps=60)
+    limits = MpcLimits(di_min=-5.0, di_max=5.0)
+
+    def run(bank, soc, levels, shift):
+        trace = step_trace(np.asarray(levels, float), np.random.default_rng(3), 1.0, 0.9, grid2)
+        return run_day(_two_slot_plan(levels, shift), PlantConfig(), InitState(soc=soc),
+                       trace_kw=trace, seed=0, bank=bank, limits=limits, grid=grid2)
+
+    warm = ModelBank()
+    run(warm, 0.15, [80.0, 120.0], [-60.0, 30.0])
+    run(warm, 0.5, [100.0, 100.0], [0.0, -150.0])
+    kept = [tm.derived["mpc"] for tm in warm._cache.values() if tm.derived]
+    assert sum("whitened" in s._shared for s in kept) >= 20
+    fresh_run = run(ModelBank(), 0.1003, [100.0, 100.0], [0.0, -150.0])
+    warm_run = run(warm, 0.1003, [100.0, 100.0], [0.0, -150.0])
+    assert {"solved", "infeasible-clipped"} <= set(fresh_run.status)
+    assert any("rate" in a for a in fresh_run.active)
+    assert np.array_equal(fresh_run.i_a, warm_run.i_a)
+    assert fresh_run.status == warm_run.status
+    assert fresh_run.active == warm_run.active

@@ -245,7 +245,7 @@ def test_qcqp_weakly_active_rate_rows(bank):
     # MPC throughput problem with current-rate limits of 5 A/step: at the
     # optimum four rate rows bind with multipliers ~3e-4, six orders below the
     # throughput multiplier
-    from feederdispatch.mpc import MpcLimits, MpcProblem, _rhs, _throughput_terms
+    from feederdispatch.mpc import MpcLimits, MpcProblem
     h = 6
     tv = bank.transitions(bank.voltage_model(0.5), h)
     ts = bank.transitions(bank.soc_model, h)
@@ -253,8 +253,8 @@ def test_qcqp_weakly_active_rate_rows(bank):
                     psi_v_1=tv.psi_1, phi_soc=ts.phi, psi_soc_i=ts.psi_i,
                     x_k=np.zeros(2), soc_k=0.5, v_k=652.0,
                     limits=MpcLimits(di_min=-5.0, di_max=5.0))
-    q, l = _throughput_terms(mp)
-    p = QcqpProblem(c=np.ones(h), q=q, l=l, r=mp.e_k, a_ineq=mp._a_ineq, b_ineq=_rhs(mp))
+    m = mp._qcqp
+    p = QcqpProblem(c=np.ones(h), q=m.q, l=m.l, r=mp.e_k, a_ineq=m.a_ineq, b_ineq=m.b_ineq)
     sol, cert = solve_qcqp(p)
     assert cert.status == "optimal"
     assert qcqp_kkt_residual(p, sol) <= 1e-6

@@ -22,7 +22,6 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import toeplitz
 
 TS_CONTROL = 10.0        # s, real-time actuation period
 C_NOM_AH = 810.0         # Ah, pack capacity from datasheet
@@ -224,9 +223,12 @@ def build_transition(m: DiscreteStateSpace, horizon: int) -> TransitionMatrices:
             h_i[j + 1] = float(row @ vi)
             h_1[j + 1] = float(row @ v1)
         row = row @ m.a
-    zero = np.zeros(horizon)
-    return TransitionMatrices(phi=phi, psi_i=toeplitz(h_i, zero), psi_1=toeplitz(h_1, zero),
-                              horizon=horizon)
+    psi_i = np.zeros((horizon, horizon))
+    psi_1 = np.zeros((horizon, horizon))
+    for j in range(horizon):
+        psi_i[j:, j] = h_i[:horizon - j]
+        psi_1[j:, j] = h_1[:horizon - j]
+    return TransitionMatrices(phi=phi, psi_i=psi_i, psi_1=psi_1, horizon=horizon)
 
 
 # ---------------------------------------------------------------------------

@@ -109,7 +109,7 @@ def _offset_lp(l_hat, env_low, env_high, cfg: DayAheadConfig) -> solver.LinearPr
     """Assemble the LP over z = [K+, K-, G+, G-] (all >= 0), sparse."""
     n = l_hat.size
     beta_p, beta_m = beta_coeffs(cfg)
-    eye = sp.eye_array(n, format="csr")
+    eye = sp.eye(n, format="csr")
     tril = sp.csr_array(np.tril(np.ones((n, n))))
     b_lo = cfg.b_min + cfg.power_backoff
     b_hi = cfg.b_max - cfg.power_backoff
@@ -141,17 +141,17 @@ def _offset_lp(l_hat, env_low, env_high, cfg: DayAheadConfig) -> solver.LinearPr
         # plan cap: f + l_hat <= p_max with f = K+ - K- - env_low
         rows.append([eye, -eye, None, None])
         rhs.append(cfg.p_max - l_hat + env_low)
-    return solver.LinearProgram(c=np.ones(4 * n), a_ineq=sp.block_array(rows, format="csr"),
+    return solver.LinearProgram(c=np.ones(4 * n), a_ineq=sp.bmat(rows, format="csr"),
                                 b_ineq=np.concatenate(rhs), a_eq=a_eq, b_eq=b_eq,
                                 lb=np.zeros(4 * n))
 
 
-def _diagnose_infeasibility(l_hat, env_low, env_high, cfg: DayAheadConfig) -> InfeasiblePlanError:
-    """Elastic re-solve to locate the first slot whose constraint cannot hold."""
-    n = l_hat.size
-    p = _offset_lp(l_hat, env_low, env_high, cfg)
+def _diagnose_infeasibility(p: solver.LinearProgram, cfg: DayAheadConfig) -> InfeasiblePlanError:
+    """Elastic re-solve of the offset LP ``p`` to locate the first slot whose
+    constraint cannot hold."""
+    n = p.c.size // 4
     m = p.a_ineq.shape[0]
-    a_ineq = sp.hstack([p.a_ineq, -sp.eye_array(m)], format="csr")
+    a_ineq = sp.hstack([p.a_ineq, -sp.eye(m)], format="csr")
     c = np.concatenate([np.zeros(4 * n), np.ones(m)])
     a_eq = sp.hstack([p.a_eq, sp.csr_array((n, m))], format="csr")
     elastic = solver.LinearProgram(c=c, a_ineq=a_ineq, b_ineq=p.b_ineq, a_eq=a_eq,
@@ -181,7 +181,7 @@ def solve_offset(forecast: ProsumptionForecast, cfg: DayAheadConfig) -> OffsetPl
     p = _offset_lp(l_hat, env_low, env_high, cfg)
     sol, cert = solver.solve_lp(p)
     if cert.status == "infeasible":
-        raise _diagnose_infeasibility(l_hat, env_low, env_high, cfg)
+        raise _diagnose_infeasibility(p, cfg)
     if cert.status != "optimal":
         raise solver.SolverError("day-ahead LP solve failed")
     kp, km = sol.x[:n], sol.x[n:2 * n]

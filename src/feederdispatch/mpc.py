@@ -63,8 +63,9 @@ class StepTelemetry:
 
 @dataclass
 class MpcProblem:
-    """One step's control problem: the QCQP ``_qcqp``, which puts the step's
-    right-hand sides on ``structure`` (:func:`_structure`, built when None)."""
+    """One step's control problem: ``_qcqp`` puts the step's right-hand sides on
+    ``_structure`` (:func:`_qcqp_structure`). Only :func:`build_problem` passes
+    it, kept by its bank for the same psi_v_i, psi_soc_i and horizon."""
 
     horizon: int
     e_k: float                     # kWh energy target for the rest of the slot
@@ -78,21 +79,22 @@ class MpcProblem:
     v_k: float                     # measured voltage, used for set-point conversion
     limits: MpcLimits
     alpha: float = ALPHA
-    structure: solver.QcqpProblem | None = field(default=None, repr=False, compare=False)
+    _structure: solver.QcqpProblem | None = field(default=None, repr=False, compare=False)
     _qcqp: solver.QcqpProblem = field(init=False, repr=False)
 
     def __post_init__(self):
         if not 1 <= self.horizon <= 30:
             raise ValueError("horizon must be in 1..30")
-        if self.structure is None:
-            self.structure = _structure(self.psi_v_i, self.psi_soc_i, self.horizon, self.alpha)
+        if self._structure is None:
+            self._structure = _qcqp_structure(self.psi_v_i, self.psi_soc_i, self.horizon,
+                                              self.alpha)
         v_free = self.phi_v @ self.x_k + self.psi_v_1 @ np.ones(self.horizon)
         # V*A = W: the 1e-3 brings the throughput to kW before alpha's kWh
-        self._qcqp = self.structure.with_rhs(self.alpha / 1000.0 * v_free, self.e_k,
-                                             _rhs(self, v_free))
+        self._qcqp = self._structure.with_rhs(self.alpha / 1000.0 * v_free, self.e_k,
+                                              _rhs(self, v_free))
 
 
-def _structure(psi_v_i, psi_soc_i, h: int, alpha: float) -> solver.QcqpProblem:
+def _qcqp_structure(psi_v_i, psi_soc_i, h: int, alpha: float) -> solver.QcqpProblem:
     """The QCQP at one (model, horizon) with zero right-hand sides: c = 1, the
     throughput quadratic in kWh and the rows; ValueError unless it is convex."""
     a_ineq = _stack_constraints(psi_v_i, psi_soc_i, h)
@@ -101,9 +103,18 @@ def _structure(psi_v_i, psi_soc_i, h: int, alpha: float) -> solver.QcqpProblem:
                               b_ineq=np.zeros(a_ineq.shape[0]))
 
 
+def _diff_matrix(h: int) -> np.ndarray:
+    """First-difference operator: row j computes i[j+1] - i[j]."""
+    d = np.zeros((max(h - 1, 0), h))
+    for j in range(h - 1):
+        d[j, j] = -1.0
+        d[j, j + 1] = 1.0
+    return d
+
+
 def _stack_constraints(psi_v, psi_soc, h: int) -> np.ndarray:
     eye = np.eye(h)
-    d = np.diff(eye, axis=0)        # row j computes i[j+1] - i[j]
+    d = _diff_matrix(h)
     return np.vstack([eye, -eye, d, -d, psi_v, -psi_v, psi_soc, -psi_soc])
 
 
@@ -138,12 +149,12 @@ def build_problem(k: int, plan: DispatchPlan, telemetry: StepTelemetry,
     ts = bank.transitions(bank.soc_model, horizon)
     structure = tv.derived.get("mpc")
     if structure is None:
-        structure = tv.derived["mpc"] = _structure(tv.psi_i, ts.psi_i, horizon, ALPHA)
+        structure = tv.derived["mpc"] = _qcqp_structure(tv.psi_i, ts.psi_i, horizon, ALPHA)
     return MpcProblem(horizon=horizon, e_k=e_k,
                       phi_v=tv.phi, psi_v_i=tv.psi_i, psi_v_1=tv.psi_1,
                       phi_soc=ts.phi, psi_soc_i=ts.psi_i,
                       x_k=np.asarray(telemetry.x, dtype=float), soc_k=telemetry.soc,
-                      v_k=telemetry.v, limits=limits, structure=structure)
+                      v_k=telemetry.v, limits=limits, _structure=structure)
 
 
 @dataclass(frozen=True)

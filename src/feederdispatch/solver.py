@@ -1,20 +1,20 @@
 """Convex optimization kernels: a sparse LP solver and a small QCQP solver.
 
 The LP side (day-ahead problem, ~1000 variables, solved once per day) wraps the
-HiGHS backend of :func:`scipy.optimize.linprog`; its constraint matrices may be
-dense arrays or ``scipy.sparse`` matrices. The QCQP side (real-time MPC, <= 30
-variables, solved every 10 seconds) handles the class "linear objective, one
-positive definite quadratic inequality, linear inequalities" with one exact
-method; problems differing only in their right-hand sides share the factor and
-rows (:meth:`QcqpProblem.with_rhs`). Most control steps bind the quadratic row
-alone and take its closed form. Every other step walks the path of
-least-distance programs minimize x'Qx + (l - t c)'x over the rows, parametric
-in t = 1/mu: one NNLS gives the active set at a t, on which the path is affine
-and the root of the quadratic row is a scalar equation. The t = 0 end of that
-path is the minimum of the quadratic over the rows; a positive minimum proves
-the problem infeasible and its minimiser is the controller's closest achievable
-point. Every solve returns a certificate whose KKT residual is computed by the
-same public evaluators used in the test suite.
+HiGHS backend of :func:`scipy.optimize.linprog` on CSR sparse constraint
+matrices. The QCQP side (real-time MPC, <= 30 variables, solved every 10
+seconds) handles the class "linear objective, one positive definite quadratic
+inequality, linear inequalities" with one exact method; problems differing only
+in their right-hand sides share the factor and rows
+(:meth:`QcqpProblem.with_rhs`). Most control steps bind the quadratic row alone
+and take its closed form. Every other step walks the path of least-distance
+programs minimize x'Qx + (l - t c)'x over the rows, parametric in t = 1/mu: one
+NNLS gives the active set at a t, on which the path is affine and the root of
+the quadratic row is a scalar equation. The t = 0 end of that path is the
+minimum of the quadratic over the rows; a positive minimum proves the problem
+infeasible and its minimiser is the controller's closest achievable point.
+Every solve returns a certificate whose KKT residual is computed by the same
+public evaluators used in the test suite.
 
 Conventions: LPs minimize, QCQPs maximize. All solves are deterministic for
 identical inputs (fixed iteration schedules, no randomized pivoting).
@@ -64,12 +64,12 @@ class SolveCertificate:
 @dataclass
 class LinearProgram:
     """min c'x  s.t.  a_ineq x <= b_ineq,  a_eq x = b_eq,  lb <= x <= ub, with
-    a_ineq and a_eq dense arrays or ``scipy.sparse`` matrices."""
+    a_ineq and a_eq kept as CSR sparse arrays (dense input is converted)."""
 
     c: np.ndarray
-    a_ineq: np.ndarray | None = None
+    a_ineq: sp.csr_array | None = None
     b_ineq: np.ndarray | None = None
-    a_eq: np.ndarray | None = None
+    a_eq: sp.csr_array | None = None
     b_eq: np.ndarray | None = None
     lb: np.ndarray | None = None
     ub: np.ndarray | None = None
@@ -77,21 +77,25 @@ class LinearProgram:
     def __post_init__(self):
         self.c = np.asarray(self.c, dtype=float)
         n = self.c.size
-        for a_name, b_name in (("a_ineq", "b_ineq"), ("a_eq", "b_eq")):
-            a, b = getattr(self, a_name), getattr(self, b_name)
-            if (a is None) != (b is None):
-                raise ValueError(f"{a_name} and {b_name} must be given together")
-            if a is None:
-                continue
-            a = sp.csr_array(a, dtype=float) if sp.issparse(a) \
-                else np.atleast_2d(np.asarray(a, dtype=float))
-            b = np.asarray(b, dtype=float).ravel()
-            if a.shape[1] != n:
-                raise ValueError(f"{a_name} has {a.shape[1]} columns, expected {n}")
-            if b.size != a.shape[0]:
-                raise ValueError(f"{b_name} length mismatch")
-            setattr(self, a_name, a)
-            setattr(self, b_name, b)
+        for name in ("a_ineq", "a_eq"):
+            a = getattr(self, name)
+            if a is not None:
+                a = sp.csr_array(a if sp.issparse(a) else np.atleast_2d(a), dtype=float)
+                setattr(self, name, a)
+                if a.shape[1] != n:
+                    raise ValueError(f"{name} has {a.shape[1]} columns, expected {n}")
+        if (self.a_ineq is None) != (self.b_ineq is None):
+            raise ValueError("a_ineq and b_ineq must be given together")
+        if (self.a_eq is None) != (self.b_eq is None):
+            raise ValueError("a_eq and b_eq must be given together")
+        if self.b_ineq is not None:
+            self.b_ineq = np.asarray(self.b_ineq, dtype=float).ravel()
+            if self.b_ineq.size != self.a_ineq.shape[0]:
+                raise ValueError("b_ineq length mismatch")
+        if self.b_eq is not None:
+            self.b_eq = np.asarray(self.b_eq, dtype=float).ravel()
+            if self.b_eq.size != self.a_eq.shape[0]:
+                raise ValueError("b_eq length mismatch")
         self.lb = np.full(n, -np.inf) if self.lb is None else np.asarray(self.lb, dtype=float)
         self.ub = np.full(n, np.inf) if self.ub is None else np.asarray(self.ub, dtype=float)
         if self.lb.size != n or self.ub.size != n:
@@ -186,10 +190,10 @@ def _phase1_violation(p: LinearProgram) -> float:
     c = np.concatenate([np.zeros(n), np.ones(n_s)])
     rows, rhs = [], []
     if m_in:
-        rows.append(sp.hstack([p.a_ineq, -sp.eye_array(m_in, n_s)]))
+        rows.append(sp.hstack([p.a_ineq, -sp.eye(m_in, n_s)]))
         rhs.append(p.b_ineq)
     if m_eq:
-        s_eq = sp.eye_array(m_eq, n_s, k=m_in)
+        s_eq = sp.eye(m_eq, n_s, k=m_in)
         rows.append(sp.hstack([p.a_eq, -s_eq]))
         rhs.append(p.b_eq)
         rows.append(sp.hstack([-p.a_eq, -s_eq]))
@@ -252,7 +256,10 @@ class QcqpProblem:
         self.cy = float(self.c @ self.y)
 
     def with_rhs(self, l: np.ndarray, r: float, b_ineq: np.ndarray) -> "QcqpProblem":
-        """This problem with new l, r, b_ineq (float arrays, used as given)."""
+        """This problem with new l, r and b_ineq, float arrays of the shapes of
+        its own; ValueError for other shapes."""
+        if l.shape != self.l.shape or b_ineq.shape != self.b_ineq.shape:
+            raise ValueError("right-hand side dimension mismatch")
         p = copy.copy(self)
         p.l, p.r, p.b_ineq, p._least_distance = l, r, b_ineq, None
         return p

@@ -92,7 +92,7 @@ def test_build_problem_shares_structure(bank):
         raw = MpcProblem(horizon=p.horizon, e_k=p.e_k, phi_v=p.phi_v, psi_v_i=p.psi_v_i.copy(),
                          psi_v_1=p.psi_v_1, phi_soc=p.phi_soc, psi_soc_i=p.psi_soc_i.copy(),
                          x_k=np.asarray(t.x, float), soc_k=t.soc, v_k=t.v, limits=limits)
-        assert raw.structure is not p.structure
+        assert raw._structure is not p._structure
         for name in names + ("l", "b_ineq"):
             assert np.array_equal(getattr(raw._qcqp, name), getattr(p._qcqp, name)), name
         assert raw._qcqp.cy == p._qcqp.cy and raw._qcqp.r == p._qcqp.r
@@ -101,6 +101,22 @@ def test_build_problem_shares_structure(bank):
         d_raw, d = solve(raw), solve(p)
         assert np.array_equal(d_raw.i_traj, d.i_traj)
         assert (d_raw.status, d_raw.active, d_raw.path) == (d.status, d.active, d.path)
+
+
+def test_structure_of_another_horizon_is_rejected(bank):
+    # a kept structure belongs to one horizon: right-hand sides of another
+    # size raise instead of silently disagreeing with the problem's fields
+    from dataclasses import replace
+    plan = _plan_for(bank)
+    tel = StepTelemetry(p_avg=0.0, last_load=90.0, soc=0.55, x=np.zeros(2), v=652.0)
+    limits = MpcLimits()
+    p25 = build_problem(95, plan, tel, bank, limits)
+    p24 = build_problem(96, plan, tel, bank, limits)
+    assert (p25.horizon, p24.horizon) == (25, 24)
+    with pytest.raises(ValueError):
+        replace(p24, _structure=p25._structure)
+    with pytest.raises(ValueError):
+        p25._qcqp.with_rhs(p25._qcqp.l, 0.0, p25._qcqp.b_ineq[:-1])
 
 
 def test_active_groups_match_loop_oracle(bank, rng):

@@ -15,6 +15,21 @@ def test_lp_one_dimensional():
     assert cert.kkt_residual <= 1e-6
 
 
+def test_lp_keeps_csr_constraints():
+    # dense and sparse input give one representation, with the same values
+    import scipy.sparse as sp
+    dense = LinearProgram(c=[1.0, 0.0], a_ineq=[[1.0, 2.0]], b_ineq=[1.0],
+                          a_eq=np.eye(2), b_eq=[0.0, 0.0])
+    sparse = LinearProgram(c=[1.0, 0.0], a_ineq=sp.csr_matrix([[1.0, 2.0]]), b_ineq=[1.0],
+                           a_eq=sp.eye(2), b_eq=[0.0, 0.0])
+    for p in (dense, sparse):
+        assert isinstance(p.a_ineq, sp.csr_array) and isinstance(p.a_eq, sp.csr_array)
+        assert np.array_equal(p.a_ineq.toarray(), [[1.0, 2.0]])
+        assert np.array_equal(p.a_eq.toarray(), np.eye(2))
+    with pytest.raises(ValueError):
+        LinearProgram(c=[1.0, 0.0], a_ineq=sp.eye(3), b_ineq=np.zeros(3))
+
+
 def test_lp_infeasible_certified():
     sol, cert = solve_lp(LinearProgram(c=[1.0], a_ineq=[[1.0], [-1.0]],
                                        b_ineq=[0.0, -1.0]))

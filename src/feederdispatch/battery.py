@@ -242,37 +242,53 @@ class KalmanState:
     p: np.ndarray
 
     @staticmethod
-    def initial(n: int = 2, prior_std: float = 10.0) -> "KalmanState":
+    def initial(prior_std: float = 10.0) -> "KalmanState":
         # large prior variance: the first measurements dominate
-        return KalmanState(x=np.zeros(n), p=np.eye(n) * prior_std**2)
+        return KalmanState(x=np.zeros(2), p=np.eye(2) * prior_std**2)
 
 
 def kalman_update(st: KalmanState, m: DiscreteStateSpace, i_prev: float,
                   v_meas: float) -> KalmanState:
-    """One predict + measurement-update cycle.
+    """One predict + measurement-update cycle of the 2-state voltage model.
 
     The innovation subtracts the full output prediction including the
     feedthrough d_i*i_prev + d_1 (the EMF channel), since the measured terminal
     voltage contains both. The covariance update is the Joseph form, which
-    needs no inverse and keeps the covariance symmetric.
+    needs no inverse and keeps the covariance symmetric. The 2x2 matrix
+    products are written out on Python floats, in their summation order, as
+    numpy's per-call cost would dominate arrays this small.
     """
-    x_pred = m.a @ st.x + m.b_i * i_prev + m.b_1
-    p_pred = m.a @ st.p @ m.a.T + m.k @ m.k.T
-    cv = m.c.ravel()
+    (a00, a01), (a10, a11) = m.a.tolist()
+    (k00, k01), (k10, k11) = m.k.tolist()
+    (p00, p01), (p10, p11) = st.p.tolist()
+    (x0, x1), (c0, c1) = st.x.tolist(), m.c.tolist()
+    (bi0, bi1), (b10, b11) = m.b_i.tolist(), m.b_1.tolist()
     r = m.g**2
-    s = float(cv @ p_pred @ cv) + r
-    gain = p_pred @ cv / s
-    innov = v_meas - float(cv @ x_pred) - m.d_i * i_prev - m.d_1
-    x_new = x_pred + gain * innov
-    ikc = np.eye(m.n) - np.outer(gain, cv)
-    p_new = ikc @ p_pred @ ikc.T + np.outer(gain, gain) * r
-    p_new = 0.5 * (p_new + p_new.T)
+    y0 = a00 * x0 + a01 * x1 + bi0 * i_prev + b10
+    y1 = a10 * x0 + a11 * x1 + bi1 * i_prev + b11
+    # predicted covariance a p a' + k k'
+    t00, t01 = a00 * p00 + a01 * p10, a00 * p01 + a01 * p11
+    t10, t11 = a10 * p00 + a11 * p10, a10 * p01 + a11 * p11
+    q00 = t00 * a00 + t01 * a01 + (k00 * k00 + k01 * k01)
+    q01 = t00 * a10 + t01 * a11 + (k00 * k10 + k01 * k11)
+    q10 = t10 * a00 + t11 * a01 + (k10 * k00 + k11 * k01)
+    q11 = t10 * a10 + t11 * a11 + (k10 * k10 + k11 * k11)
+    s = (c0 * q00 + c1 * q10) * c0 + (c0 * q01 + c1 * q11) * c1 + r
+    g0, g1 = (q00 * c0 + q01 * c1) / s, (q10 * c0 + q11 * c1) / s
+    innov = v_meas - (c0 * y0 + c1 * y1) - m.d_i * i_prev - m.d_1
+    # Joseph form (I - g c') q (I - g c')' + g g' r
+    j00, j01, j10, j11 = 1.0 - g0 * c0, -(g0 * c1), -(g1 * c0), 1.0 - g1 * c1
+    t00, t01 = j00 * q00 + j01 * q10, j00 * q01 + j01 * q11
+    t10, t11 = j10 * q00 + j11 * q10, j10 * q01 + j11 * q11
+    off = 0.5 * ((t00 * j10 + t01 * j11 + g0 * g1 * r) + (t10 * j00 + t11 * j01 + g1 * g0 * r))
+    p_new = np.array([[t00 * j00 + t01 * j01 + g0 * g0 * r, off],
+                      [off, t10 * j10 + t11 * j11 + g1 * g1 * r]])
     if not _is_psd(p_new):
         warnings.warn("Kalman covariance lost positive semidefiniteness; "
                       "clipping negative eigenvalues", RuntimeWarning)
         w, vecs = np.linalg.eigh(p_new)
         p_new = (vecs * np.maximum(w, 0.0)) @ vecs.T
-    return KalmanState(x=x_new, p=p_new)
+    return KalmanState(x=np.array([y0 + g0 * innov, y1 + g1 * innov]), p=p_new)
 
 
 def _is_psd(p: np.ndarray) -> bool:

@@ -165,7 +165,6 @@ def cmd_synth(args) -> int:
 
 def cmd_plan(args) -> int:
     doc = load_config(args.config)
-    seed = args.seed if args.seed is not None else doc.get("seed", 0)
     history = load_history(args.history or doc.get("paths", {}).get("history"))
     if args.target_day is not None:
         doy = args.target_day
@@ -268,7 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None)
     p.add_argument("--history", default=None)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--target-day", type=int, default=None)
     p.add_argument("--target-year", type=int, default=2016)
     p.add_argument("--radiation", type=float, default=None)

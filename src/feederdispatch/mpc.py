@@ -62,10 +62,20 @@ class StepTelemetry:
 
 
 @dataclass
+class _Structure:
+    """What every step at one (model, horizon) shares (:func:`_mpc_structure`),
+    and, per MpcLimits, the constant entries of b_ineq (:func:`_rhs`)."""
+
+    qcqp: solver.QcqpProblem
+    v_one: np.ndarray
+    b_const: dict = field(default_factory=dict)
+
+
+@dataclass
 class MpcProblem:
     """One step's control problem: ``_qcqp`` puts the step's right-hand sides on
-    ``_structure`` (:func:`_qcqp_structure`). Only :func:`build_problem` passes
-    it, kept by its bank for the same psi_v_i, psi_soc_i and horizon."""
+    ``_structure``. Only :func:`build_problem` passes it, kept by its bank for
+    the same psi_v_i, psi_v_1, psi_soc_i and horizon."""
 
     horizon: int
     e_k: float                     # kWh energy target for the rest of the slot
@@ -79,28 +89,30 @@ class MpcProblem:
     v_k: float                     # measured voltage, used for set-point conversion
     limits: MpcLimits
     alpha: float = ALPHA
-    _structure: solver.QcqpProblem | None = field(default=None, repr=False, compare=False)
+    _structure: _Structure | None = field(default=None, repr=False, compare=False)
     _qcqp: solver.QcqpProblem = field(init=False, repr=False)
 
     def __post_init__(self):
         if not 1 <= self.horizon <= 30:
             raise ValueError("horizon must be in 1..30")
         if self._structure is None:
-            self._structure = _qcqp_structure(self.psi_v_i, self.psi_soc_i, self.horizon,
-                                              self.alpha)
-        v_free = self.phi_v @ self.x_k + self.psi_v_1 @ np.ones(self.horizon)
+            self._structure = _mpc_structure(self.psi_v_i, self.psi_v_1, self.psi_soc_i,
+                                             self.horizon, self.alpha)
+        v_free = self.phi_v @ self.x_k + self._structure.v_one
         # V*A = W: the 1e-3 brings the throughput to kW before alpha's kWh
-        self._qcqp = self._structure.with_rhs(self.alpha / 1000.0 * v_free, self.e_k,
-                                              _rhs(self, v_free))
+        self._qcqp = self._structure.qcqp.with_rhs(self.alpha / 1000.0 * v_free, self.e_k,
+                                                   _rhs(self, v_free))
 
 
-def _qcqp_structure(psi_v_i, psi_soc_i, h: int, alpha: float) -> solver.QcqpProblem:
+def _mpc_structure(psi_v_i, psi_v_1, psi_soc_i, h: int, alpha: float) -> _Structure:
     """The QCQP at one (model, horizon) with zero right-hand sides: c = 1, the
-    throughput quadratic in kWh and the rows; ValueError unless it is convex."""
+    throughput quadratic in kWh and the rows; ValueError unless it is convex.
+    With it, psi_v_1 @ 1, the EMF part of the zero-current voltages."""
     a_ineq = _stack_constraints(psi_v_i, psi_soc_i, h)
-    return solver.QcqpProblem(c=np.ones(h), q=alpha / 1000.0 * 0.5 * (psi_v_i + psi_v_i.T),
+    qcqp = solver.QcqpProblem(c=np.ones(h), q=alpha / 1000.0 * 0.5 * (psi_v_i + psi_v_i.T),
                               l=np.zeros(h), r=0.0, a_ineq=a_ineq,
                               b_ineq=np.zeros(a_ineq.shape[0]))
+    return _Structure(qcqp, psi_v_1 @ np.ones(h))
 
 
 def _diff_matrix(h: int) -> np.ndarray:
@@ -149,7 +161,8 @@ def build_problem(k: int, plan: DispatchPlan, telemetry: StepTelemetry,
     ts = bank.transitions(bank.soc_model, horizon)
     structure = tv.derived.get("mpc")
     if structure is None:
-        structure = tv.derived["mpc"] = _qcqp_structure(tv.psi_i, ts.psi_i, horizon, ALPHA)
+        structure = tv.derived["mpc"] = _mpc_structure(tv.psi_i, tv.psi_1, ts.psi_i,
+                                                       horizon, ALPHA)
     return MpcProblem(horizon=horizon, e_k=e_k,
                       phi_v=tv.phi, psi_v_i=tv.psi_i, psi_v_1=tv.psi_1,
                       phi_soc=ts.phi, psi_soc_i=ts.psi_i,
@@ -180,17 +193,25 @@ def to_power_setpoint(i_first: float, v_k: float) -> float:
 
 
 def _rhs(p: MpcProblem, v_free: np.ndarray) -> np.ndarray:
-    """Right-hand sides of the rows, given the zero-current voltages."""
-    h = p.horizon
-    lim = p.limits
+    """Right-hand sides of the rows, given the zero-current voltages: the
+    structure's constant entries for p.limits, with the free voltage and SOC
+    added to the four state blocks (-v_min + v_free is v_free - v_min exactly)."""
+    h, lim = p.horizon, p.limits
+    b = p._structure.b_const.get(lim)
+    if b is None:
+        b = p._structure.b_const[lim] = np.concatenate([
+            np.full(h, lim.i_max), np.full(h, -lim.i_min),
+            np.full(h - 1, lim.di_max), np.full(h - 1, -lim.di_min),
+            np.full(h, lim.v_max), np.full(h, -lim.v_min),
+            np.full(h, lim.soc_max), np.full(h, -lim.soc_min)])
+    b = b.copy()
     soc_free = (p.phi_soc * p.soc_k).ravel()
-    ones_r = np.ones(h - 1)
-    return np.concatenate([
-        np.full(h, lim.i_max), np.full(h, -lim.i_min),
-        lim.di_max * ones_r, -lim.di_min * ones_r,
-        np.full(h, lim.v_max) - v_free, v_free - np.full(h, lim.v_min),
-        np.full(h, lim.soc_max) - soc_free, soc_free - np.full(h, lim.soc_min),
-    ])
+    v, s = 4 * h - 2, 6 * h - 2
+    b[v:v + h] -= v_free
+    b[v + h:s] += v_free
+    b[s:s + h] -= soc_free
+    b[s + h:] += soc_free
+    return b
 
 
 _GROUPS = np.array(["box", "rate", "v", "soc"])

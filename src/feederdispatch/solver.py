@@ -14,7 +14,10 @@ the quadratic row is a scalar equation. The t = 0 end of that path is the
 minimum of the quadratic over the rows; a positive minimum proves the problem
 infeasible and its minimiser is the controller's closest achievable point.
 Every solve returns a certificate whose KKT residual is computed by the same
-public evaluators used in the test suite.
+public evaluators used in the test suite. At this size a step's cost is mostly
+fixed per-call overhead, so the closed form calls LAPACK's dpotrs on the kept
+factor and the residual reduces with ndarray methods, which give the results of
+scipy's cho_solve and np.max bit for bit.
 
 Conventions: LPs minimize, QCQPs maximize. All solves are deterministic for
 identical inputs (fixed iteration schedules, no randomized pivoting).
@@ -30,6 +33,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg.lapack import dpotrs
 from scipy.optimize import linprog, nnls
 
 LP_ITERATION_CAP = 200
@@ -289,12 +293,11 @@ def qcqp_kkt_residual(p: QcqpProblem, sol: QcqpSolution) -> float:
         # a closed-form point has no row multipliers: the product is exactly 0
         stat += p.a_ineq.T @ sol.dual_ineq
     obj_scale = 1.0 + abs(float(p.c @ x))
-    c_scale = 1.0 + float(np.max(np.abs(p.c), initial=0.0))
-    primal = max(fq, float(np.max(-slack, initial=0.0)), 0.0)
-    dual = max(0.0, -sol.dual_quad, float(np.max(-sol.dual_ineq, initial=0.0)))
-    comp = max(abs(sol.dual_quad * fq),
-               float(np.max(np.abs(sol.dual_ineq * slack), initial=0.0)))
-    return max(float(np.max(np.abs(stat), initial=0.0)) / c_scale,
+    c_scale = 1.0 + float(np.abs(p.c).max(initial=0.0))
+    primal = max(fq, float((-slack).max(initial=0.0)), 0.0)
+    dual = max(0.0, -sol.dual_quad, float((-sol.dual_ineq).max(initial=0.0)))
+    comp = max(abs(sol.dual_quad * fq), float(np.abs(sol.dual_ineq * slack).max(initial=0.0)))
+    return max(float(np.abs(stat).max(initial=0.0)) / c_scale,
                primal / obj_scale, dual / c_scale, comp / obj_scale)
 
 
@@ -448,7 +451,7 @@ def solve_qcqp(p: QcqpProblem) -> tuple[QcqpSolution | None, SolveCertificate]:
     """
     t_start = time.perf_counter()
     sol = _closed_form(p)
-    if sol is not None and np.all(p.b_ineq - p.a_ineq @ sol.x >= 0.0):
+    if sol is not None and (p.b_ineq - p.a_ineq @ sol.x >= 0.0).all():
         residual = qcqp_kkt_residual(p, sol)
         if residual <= KKT_GATE:
             return sol, SolveCertificate(status="optimal", objective=float(p.c @ sol.x),
@@ -472,7 +475,7 @@ def _closed_form(p: QcqpProblem) -> QcqpSolution | None:
     (4r + l'z > 0).
     """
     y, cy = p.y, p.cy
-    z = cho_solve((p.q_chol, True), p.l, check_finite=False)
+    z = dpotrs(p.q_chol, p.l, lower=1)[0]       # cho_solve's LAPACK call, without its checks
     disc = 4.0 * p.r + float(p.l @ z)
     if not (cy > 0.0 and disc > 0.0):
         return None

@@ -104,6 +104,54 @@ def active_groups_loop(h, quad_active, active):
     return ",".join(found) if found else "-"
 
 
+def matrix_kalman(x, p, m, i_prev, v_meas):
+    """One predict + Joseph-form update written with numpy matrix products,
+    for any state size. Returns (x, p) before the PSD clip."""
+    x_pred = m.a @ x + m.b_i * i_prev + m.b_1
+    p_pred = m.a @ p @ m.a.T + m.k @ m.k.T
+    cv = m.c.ravel()
+    r = m.g**2
+    s = float(cv @ p_pred @ cv) + r
+    gain = p_pred @ cv / s
+    innov = v_meas - float(cv @ x_pred) - m.d_i * i_prev - m.d_1
+    ikc = np.eye(x.size) - np.outer(gain, cv)
+    p_new = ikc @ p_pred @ ikc.T + np.outer(gain, gain) * r
+    return x_pred + gain * innov, 0.5 * (p_new + p_new.T)
+
+
+def concatenated_rhs(p, v_free):
+    """b_ineq of an MPC problem assembled block by block in the row order of
+    its constraint stack, given the zero-current voltages v_free."""
+    h, lim = p.horizon, p.limits
+    soc_free = (p.phi_soc * p.soc_k).ravel()
+    ones_r = np.ones(h - 1)
+    return np.concatenate([
+        np.full(h, lim.i_max), np.full(h, -lim.i_min),
+        lim.di_max * ones_r, -lim.di_min * ones_r,
+        np.full(h, lim.v_max) - v_free, v_free - np.full(h, lim.v_min),
+        np.full(h, lim.soc_max) - soc_free, soc_free - np.full(h, lim.soc_min),
+    ])
+
+
+def qcqp_kkt_residual_np(p, sol):
+    """Relative KKT residual of the maximization QCQP, with every reduction
+    through the numpy functions (np.max with initial=0 for empty row sets)."""
+    x = sol.x
+    fq = p.f_quad(x)
+    slack = p.b_ineq - p.a_ineq @ x
+    stat = -p.c + sol.dual_quad * (2.0 * p.q_sym @ x + p.l)
+    if sol.dual_ineq.any():
+        stat += p.a_ineq.T @ sol.dual_ineq
+    obj_scale = 1.0 + abs(float(p.c @ x))
+    c_scale = 1.0 + float(np.max(np.abs(p.c), initial=0.0))
+    primal = max(fq, float(np.max(-slack, initial=0.0)), 0.0)
+    dual = max(0.0, -sol.dual_quad, float(np.max(-sol.dual_ineq, initial=0.0)))
+    comp = max(abs(sol.dual_quad * fq),
+               float(np.max(np.abs(sol.dual_ineq * slack), initial=0.0)))
+    return max(float(np.max(np.abs(stat), initial=0.0)) / c_scale,
+               primal / obj_scale, dual / c_scale, comp / obj_scale)
+
+
 def grid_current_search(q_sym, l, r, a_ineq, b_ineq, c, lo, hi,
                         resolution: float = 0.05):
     """Exhaustive 2-D grid search of maximize c'x subject to the quadratic

@@ -1,10 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from feederdispatch.battery import (TABLE1, KalmanState, kalman_update,
                                     reduce_and_discretize, voltage_step)
 
-from oracles import information_kalman, textbook_kalman
+from oracles import information_kalman, matrix_kalman, textbook_kalman
 
 
 def _simulate_measurements(m, rng, steps=50):
@@ -30,6 +32,31 @@ def test_matches_textbook_recursion(rng):
         st = kalman_update(st, m, i_prev, v_meas)
         assert st.x == pytest.approx(x_ref, abs=1e-10)
         assert st.p == pytest.approx(p_ref, abs=1e-10)
+
+
+@pytest.mark.parametrize("params", TABLE1, ids=lambda p: p.soc_range)
+def test_scalar_update_matches_matrix_oracle(params, rng):
+    # the update on Python floats against the numpy matrix form, on random
+    # states, covariances (spanning twelve decades), currents and voltages;
+    # every other draw replaces the models' diagonal a and k and their c of
+    # ones by full random ones
+    model = reduce_and_discretize(params, 10.0)
+    for j in range(500):
+        m = model if j % 2 else replace(model, a=rng.normal(size=(2, 2)) * 0.6,
+                                        k=rng.normal(size=(2, 2)), c=rng.normal(size=2))
+        x = rng.normal(size=2) * 10.0 ** rng.uniform(-3, 2)
+        f = rng.normal(size=(2, 2))
+        p = f @ f.T * 10.0 ** rng.uniform(-6, 6)
+        i_prev, v_meas = float(rng.uniform(-810, 810)), float(rng.uniform(530, 750))
+        x_ref, p_ref = matrix_kalman(x, p, m, i_prev, v_meas)
+        st = kalman_update(KalmanState(x=x.copy(), p=p.copy()), m, i_prev, v_meas)
+        # relative to the predicted covariance too: the update cancels it
+        # down to the posterior, and the rounding of its terms with it
+        p_pred = m.a @ p @ m.a.T + m.k @ m.k.T
+        assert np.abs(st.x - x_ref).max() <= 1e-12 * np.abs(x_ref).max()
+        assert np.abs(st.p - p_ref).max() <= 1e-12 * max(np.abs(p_ref).max(),
+                                                         np.abs(p_pred).max())
+        assert st.p[0, 1] == st.p[1, 0]
 
 
 def test_covariance_trace_non_increasing(rng):

@@ -11,9 +11,9 @@ from feederdispatch.mpc import (ALPHA, ControlDecision, MpcLimits, MpcProblem,
                                 expected_average, solve, to_power_setpoint)
 from feederdispatch.timegrid import DEFAULT_GRID
 
-from oracles import (active_groups_loop, active_set_qcqp, grid_current_search,
-                     min_quadratic_over_rows, mpc_constraints_satisfied, mpc_throughput,
-                     qcqp_optimum)
+from oracles import (active_groups_loop, active_set_qcqp, concatenated_rhs,
+                     grid_current_search, min_quadratic_over_rows, mpc_constraints_satisfied,
+                     mpc_throughput, qcqp_optimum)
 
 grid = DEFAULT_GRID
 
@@ -117,6 +117,30 @@ def test_structure_of_another_horizon_is_rejected(bank):
         replace(p24, _structure=p25._structure)
     with pytest.raises(ValueError):
         p25._qcqp.with_rhs(p25._qcqp.l, 0.0, p25._qcqp.b_ineq[:-1])
+
+
+def test_rhs_matches_concatenation_oracle(rng):
+    # b_ineq from each kept structure's per-limits template equals the
+    # block-by-block assembly bit for bit, at every horizon, with two limits
+    # alternating on one bank in either order
+    from feederdispatch.mpc import _rhs
+    a = MpcLimits()
+    b = MpcLimits(i_min=-500.0, i_max=700.0, di_min=-5.0, di_max=7.5, v_min=0.0,
+                  v_max=700.0, soc_min=0.0, soc_max=0.8)
+    for order in ((a, b), (b, a)):
+        fresh = ModelBank()
+        plan = _plan_for(fresh)
+        for h in range(1, 31):
+            soc = float(rng.uniform(0.05, 0.95))
+            for limits in order + order:
+                tel = StepTelemetry(p_avg=100.0, last_load=100.0, soc=soc,
+                                    x=rng.normal(size=2) * 30.0, v=652.0)
+                p = build_problem(120 - h, plan, tel, fresh, limits)
+                assert p.horizon == h
+                v_free = p.phi_v @ p.x_k + p.psi_v_1 @ np.ones(h)
+                expected = concatenated_rhs(p, v_free).tobytes()
+                assert p._qcqp.b_ineq.tobytes() == expected
+                assert _rhs(p, v_free).tobytes() == expected
 
 
 def test_active_groups_match_loop_oracle(bank, rng):

@@ -297,7 +297,7 @@ def test_warm_bank_reproduces_fresh_bank():
     grid2 = TimeGrid(n_slots=2, n_steps=60)
     limits = MpcLimits(di_min=-5.0, di_max=5.0)
 
-    def run(bank, soc, levels, shift):
+    def run(bank, soc, levels, shift, limits=limits):
         trace = step_trace(np.asarray(levels, float), np.random.default_rng(3), 1.0, 0.9, grid2)
         return run_day(_two_slot_plan(levels, shift), PlantConfig(), InitState(soc=soc),
                        trace_kw=trace, seed=0, bank=bank, limits=limits, grid=grid2)
@@ -305,8 +305,12 @@ def test_warm_bank_reproduces_fresh_bank():
     warm = ModelBank()
     run(warm, 0.15, [80.0, 120.0], [-60.0, 30.0])
     run(warm, 0.5, [100.0, 100.0], [0.0, -150.0])
+    # the checked stretch once with the default limits: its structures then
+    # hold the right-hand-side template of those limits beside the +-5 A one
+    run(warm, 0.1003, [100.0, 100.0], [0.0, -150.0], MpcLimits())
     kept = [tm.derived["mpc"] for tm in warm._cache.values() if tm.derived]
-    assert sum("whitened" in s._shared for s in kept) >= 20
+    assert sum("whitened" in s.qcqp._shared for s in kept) >= 20
+    assert sum(len(s.b_const) == 2 for s in kept) >= 20
     fresh_run = run(ModelBank(), 0.1003, [100.0, 100.0], [0.0, -150.0])
     warm_run = run(warm, 0.1003, [100.0, 100.0], [0.0, -150.0])
     assert {"solved", "infeasible-clipped"} <= set(fresh_run.status)

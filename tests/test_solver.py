@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from feederdispatch import solver
-from feederdispatch.solver import (LinearProgram, QcqpProblem, lp_kkt_residual,
+from feederdispatch.solver import (LinearProgram, QcqpProblem, QcqpSolution, lp_kkt_residual,
                                    qcqp_kkt_residual, solve_lp, solve_qcqp)
 
-from oracles import active_set_qcqp, grid_current_search
+from oracles import active_set_qcqp, grid_current_search, qcqp_kkt_residual_np
 
 
 def test_lp_one_dimensional():
@@ -282,3 +282,36 @@ def test_qcqp_weakly_active_rate_rows(bank):
     assert np.all(p.a_ineq @ x <= p.b_ineq + 1e-9)
     assert sol.x == pytest.approx(x, abs=1e-6)
     assert list(np.nonzero(sol.active)[0]) == list(act)
+
+
+def _random_qcqp(rng, n, m):
+    f = rng.normal(size=(n, n))
+    return QcqpProblem(c=rng.normal(size=n), q=f @ f.T + 10.0 ** rng.uniform(-3, 1) * np.eye(n),
+                       l=rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3), r=float(rng.normal()),
+                       a_ineq=rng.normal(size=(m, n)), b_ineq=rng.normal(size=m))
+
+
+def test_closed_form_matches_cho_solve(rng):
+    # z = Q^-1 l through LAPACK's dpotrs equals scipy's cho_solve bit for bit
+    from scipy.linalg import cho_solve
+    for _ in range(500):
+        p = _random_qcqp(rng, int(rng.integers(1, 31)), 0)
+        z = cho_solve((p.q_chol, True), p.l, check_finite=False)
+        p = p.with_rhs(p.l, abs(float(p.l @ z)) + 1.0, p.b_ineq)
+        mu = np.sqrt((4.0 * p.r + float(p.l @ z)) / p.cy)
+        sol = solver._closed_form(p)
+        assert sol.x.tobytes() == (0.5 * (mu * p.y - z)).tobytes()
+        assert sol.dual_quad == 1.0 / mu
+
+
+def test_kkt_residual_matches_numpy_reductions(rng):
+    # ndarray-method reductions give the np.max(..., initial=0) residual bit
+    # for bit: negative multipliers, multipliers all zero, and no rows at all
+    for j in range(400):
+        n = int(rng.integers(1, 31))
+        m = 0 if j % 4 == 0 else int(rng.integers(1, 2 * n + 1))
+        p = _random_qcqp(rng, n, m)
+        lam = rng.normal(size=m) * (rng.random(m) < 0.5) * (j % 3 != 0)
+        sol = QcqpSolution(x=rng.normal(size=n) * 10.0, dual_quad=float(rng.normal()),
+                           dual_ineq=lam)
+        assert qcqp_kkt_residual(p, sol) == qcqp_kkt_residual_np(p, sol)

@@ -4,9 +4,10 @@ Draws random control problems (horizon 2-30, SOC 0.12-0.88, energy target
 within +-2 kWh * h/30, voltage-model state within +-1, rate limit +-2..40
 A/step), solves each with ``mpc.solve`` and prints the decision-status counts,
 the solve-path counts (closed form, parametric, least distance), the NNLS
-solves per draw, the draws that did not return ``solved`` and, last, one
-SHA-256 digest of every actuated trajectory in draw order, so that two
-versions of the solver can be compared for identical output by one line.
+solves per draw, the draws that did not return ``solved`` and, last, two
+SHA-256 digests in draw order: one of every actuated trajectory and one of the
+bits of every certificate's KKT residual, so that two versions of the solver
+can be compared for identical decisions and certificates by two lines.
 
 ``--low-soc`` draws the SOC at or just below ``soc_min`` instead (a third of
 the draws exactly at it, the rest up to 0.002 below, which one step of
@@ -63,6 +64,7 @@ def main() -> None:
     iterations = []
     residuals = []
     digest = hashlib.sha256()
+    residual_digest = hashlib.sha256()
     for j in range(args.count):
         p = draw(bank, rng, args.low_soc)
         dec = solve(p)
@@ -71,6 +73,7 @@ def main() -> None:
         iterations.append(dec.iterations)
         residuals.append(dec.kkt_residual)
         digest.update(dec.i_traj.tobytes())
+        residual_digest.update(np.float64(dec.kkt_residual).tobytes())
         if dec.status != ("infeasible-clipped" if args.low_soc else "solved"):
             print(f"draw {j}: h={p.horizon} soc={p.soc_k:.5f} e_k={p.e_k:.4f} "
                   f"di={p.limits.di_max:.2f} -> {dec.status} ({dec.iterations} NNLS solves)")
@@ -80,6 +83,7 @@ def main() -> None:
           "/".join(f"{v:.0f}" for v in np.percentile(iterations, [50, 99, 100])))
     print(f"largest KKT residual: {np.nanmax(residuals):.2e}")
     print("trajectory digest:", digest.hexdigest())
+    print("residual digest:", residual_digest.hexdigest())
 
 
 if __name__ == "__main__":

@@ -11,9 +11,9 @@ from .forecast import (HistoricalDay, TargetDayInfo, ProsumptionForecast,
 from .dayahead import (DayAheadConfig, OffsetPlan, DispatchPlan,
                        InfeasiblePlanError, beta_coeffs, solve_offset,
                        assemble_plan, plan_day, worst_case_soe)
-from .battery import (TtcParameters, TABLE1, table1_parameters, schedule_model,
-                      reduce_and_discretize, voltage_step, build_transition,
-                      soc_step, KalmanState, kalman_update, ModelBank)
+from .battery import (TtcParameters, TABLE1, reduce_and_discretize, voltage_step,
+                      build_transition, soc_step, KalmanState, kalman_update,
+                      ModelBank)
 from .mpc import (MpcLimits, MpcProblem, ControlDecision, dispatch_error,
                   expected_average, build_problem, solve, to_power_setpoint)
 from .solver import (LinearProgram, QcqpProblem, SolveCertificate, solve_lp,

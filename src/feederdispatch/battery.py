@@ -80,18 +80,9 @@ TABLE1: tuple[TtcParameters, ...] = (
 _RANGE_EDGES = (0.2, 0.4, 0.6, 0.8)
 
 
-def table1_parameters() -> tuple[TtcParameters, ...]:
-    """The five per-SOC-range parameter sets."""
-    return TABLE1
-
-
-def schedule_model(soc: float, table: tuple[TtcParameters, ...] = TABLE1) -> TtcParameters:
-    """Parameter set whose SOC range contains ``soc``; boundaries belong to the
-    upper range (soc = 0.20 selects 20-40%)."""
-    return table[schedule_index(soc)]
-
-
 def schedule_index(soc: float) -> int:
+    """Index of the parameter set whose SOC range contains ``soc``; boundaries
+    belong to the upper range (soc = 0.20 selects 20-40%)."""
     if not 0.0 <= soc <= 1.0:
         raise ValueError(f"soc {soc} outside [0, 1]")
     return min(bisect_right(_RANGE_EDGES, soc), 4)
@@ -167,11 +158,16 @@ def reduce_and_discretize(p: TtcParameters, ts: float = TS_CONTROL) -> DiscreteS
 
 
 def voltage_step(m: DiscreteStateSpace, x: np.ndarray, i: float) -> tuple[np.ndarray, float]:
-    """Noise-free propagation: next state and terminal voltage under current i."""
-    x = np.asarray(x, dtype=float)
-    x_next = m.a @ x + m.b_i * i + m.b_1
-    v = float(m.c @ x + m.d_i * i + m.d_1)
-    return x_next, v
+    """Noise-free propagation of the 2-state voltage model: next state and
+    terminal voltage under current i, from the state array x. Written out on
+    Python floats in the summation order of the matrix form, as
+    :func:`kalman_update` is."""
+    (a00, a01), (a10, a11) = m.a.tolist()
+    (x0, x1), (c0, c1) = x.tolist(), m.c.tolist()
+    (bi0, bi1), (b10, b11) = m.b_i.tolist(), m.b_1.tolist()
+    x_next = np.array([a00 * x0 + a01 * x1 + bi0 * i + b10,
+                       a10 * x0 + a11 * x1 + bi1 * i + b11])
+    return x_next, c0 * x0 + c1 * x1 + m.d_i * i + m.d_1
 
 
 def soc_statespace(ts: float = TS_CONTROL, c_nom: float = C_NOM_AH) -> DiscreteStateSpace:

@@ -195,7 +195,8 @@ def to_power_setpoint(i_first: float, v_k: float) -> float:
 def _rhs(p: MpcProblem, v_free: np.ndarray) -> np.ndarray:
     """Right-hand sides of the rows, given the zero-current voltages: the
     structure's constant entries for p.limits, with the free voltage and SOC
-    added to the four state blocks (-v_min + v_free is v_free - v_min exactly)."""
+    added to the four state blocks, negated for the upper limits (v_max + -v_free
+    is v_max - v_free, and -v_min + v_free is v_free - v_min, exactly)."""
     h, lim = p.horizon, p.limits
     b = p._structure.b_const.get(lim)
     if b is None:
@@ -204,13 +205,9 @@ def _rhs(p: MpcProblem, v_free: np.ndarray) -> np.ndarray:
             np.full(h - 1, lim.di_max), np.full(h - 1, -lim.di_min),
             np.full(h, lim.v_max), np.full(h, -lim.v_min),
             np.full(h, lim.soc_max), np.full(h, -lim.soc_min)])
-    b = b.copy()
     soc_free = (p.phi_soc * p.soc_k).ravel()
-    v, s = 4 * h - 2, 6 * h - 2
-    b[v:v + h] -= v_free
-    b[v + h:s] += v_free
-    b[s:s + h] -= soc_free
-    b[s + h:] += soc_free
+    b = b.copy()
+    b[4 * h - 2:] += np.concatenate((-v_free, v_free, -soc_free, soc_free))
     return b
 
 
@@ -221,6 +218,8 @@ _GROUP_STARTS = [np.array([0, 2 * h, 4 * h - 2, 6 * h - 2]) for h in range(31)]
 def _active_groups(h: int, sol: solver.QcqpSolution) -> str:
     """Names of the constraint groups holding a constraint the solver found
     active, in the row order of :func:`_stack_constraints`."""
+    if not sol.active.any():
+        return "throughput" if sol.quad_active else "-"
     hit = np.logical_or.reduceat(sol.active, _GROUP_STARTS[h])
     hit[1] &= h > 1                 # no rate rows at horizon 1
     active = (["throughput"] if sol.quad_active else []) + _GROUPS[hit].tolist()

@@ -11,6 +11,7 @@ affects what the controller sees.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, replace, asdict
 from pathlib import Path
@@ -81,7 +82,10 @@ def perturbed_table(base: tuple[TtcParameters, ...], fraction: float,
 
 class BatteryPlant:
     """Battery physics seen by the simulator: SOC-scheduled circuit plus a
-    converter that realizes an AC power command as a DC current."""
+    converter that realizes an AC power command as a DC current. ``model`` is
+    the discretized circuit scheduled at ``soc``; each step schedules it anew.
+    The voltages are written out on Python floats, as in
+    :func:`battery.voltage_step`."""
 
     def __init__(self, cfg: PlantConfig, seed: int, initial_soc: float,
                  ts: float = battery.TS_CONTROL, c_nom: float = battery.C_NOM_AH):
@@ -92,20 +96,19 @@ class BatteryPlant:
         self.ts = ts
         self.c_nom = c_nom
         self.soc = float(initial_soc)
+        self.model = self.models[battery.schedule_index(self.soc)]
         self.x = np.zeros(2)
         self.last_i = 0.0
-
-    def _model(self):
-        return self.models[battery.schedule_index(self.soc)]
 
     def current_for_power(self, b_ac_kw: float) -> float:
         """DC current whose converter-side power equals the AC command:
         eff * v(i) * i / 1000 = b_ac_kw with v(i) = (C x + E) + Rs' i."""
-        m = self._model()
-        v0 = float(m.c @ self.x + m.d_1)
+        m = self.model
+        (x0, x1), (c0, c1) = self.x.tolist(), m.c.tolist()
+        v0 = c0 * x0 + c1 * x1 + m.d_1
         rs = m.d_i
         disc = v0 * v0 + 4.0 * rs * 1000.0 * b_ac_kw / CONVERTER_EFF
-        return (-v0 + np.sqrt(max(disc, 0.0))) / (2.0 * rs)
+        return (-v0 + math.sqrt(max(disc, 0.0))) / (2.0 * rs)
 
     def apply_power(self, b_cmd_kw: float, rng: np.random.Generator,
                     cfg: PlantConfig, step: int) -> tuple[float, float, float]:
@@ -120,20 +123,22 @@ class BatteryPlant:
         return self._advance(i, step)
 
     def _advance(self, i: float, step: int) -> tuple[float, float, float]:
-        self.x, v = battery.voltage_step(self._model(), self.x, i)
+        self.x, v = battery.voltage_step(self.model, self.x, i)
         b_real = CONVERTER_EFF * v * i / 1000.0
         self.soc = battery.soc_step(self.soc, i, self.ts, self.c_nom)
         self.last_i = i
         if not 0.0 <= self.soc <= 1.0:
             raise PlantStateError(f"plant SOC {self.soc:.4f} left [0, 1] at step {step}",
                                   step=step)
+        self.model = self.models[battery.schedule_index(self.soc)]
         return i, v, b_real
 
     def measure_voltage(self, rng: np.random.Generator, cfg: PlantConfig) -> float:
         """Terminal voltage reading at the start of a step, previous current
         still flowing."""
-        m = self._model()
-        v = float(m.c @ self.x + m.d_i * self.last_i + m.d_1)
+        m = self.model
+        (x0, x1), (c0, c1) = self.x.tolist(), m.c.tolist()
+        v = c0 * x0 + c1 * x1 + m.d_i * self.last_i + m.d_1
         if cfg.voltage_noise_v > 0.0:
             v += cfg.voltage_noise_v * rng.standard_normal()
         return v
@@ -164,7 +169,8 @@ class InitState:
 
 @dataclass
 class SimulationRun:
-    """Full closed-loop trace of one day."""
+    """Full closed-loop trace of one day. ``l_kw`` is the replayed trace, not a
+    copy; ``k`` and ``horizon`` (at most 30 steps) are kept in int32 and int8."""
 
     k: np.ndarray
     l_kw: np.ndarray
@@ -219,10 +225,8 @@ def run_day(plan: DispatchPlan, plant_cfg: PlantConfig, init: InitState, *,
     initial_soc = plant.soc
 
     n = grid.n_steps
-    rec = {name: np.zeros(n) for name in
-           ("l_kw", "b_kw", "p_kw", "soc", "soc_ctrl", "v", "i_a", "e_kwh",
-            "b_setpoint_kw", "solve_seconds")}
-    horizon = np.zeros(n, dtype=int)
+    rows: list[tuple] = []       # per step, the nine float series of SimulationRun
+    horizon: list[int] = []
     status: list[str] = []
     active: list[str] = []
 
@@ -230,12 +234,11 @@ def run_day(plan: DispatchPlan, plant_cfg: PlantConfig, init: InitState, *,
     slot_count = 0
     prev_sample = 0.0        # measured composite of the previous step
 
-    for k in range(n):
-        window = grid.window_of(k)
-        if k == window.k_lo:
+    for k, l_k in enumerate(trace_kw.tolist()):
+        if k % grid.steps_per_slot == 0:      # the first step of a slot
             slot_sum = 0.0
             slot_count = 0
-        elif k > 0:
+        else:
             slot_sum += prev_sample
             slot_count += 1
         p_avg = slot_sum / slot_count if slot_count else 0.0
@@ -255,22 +258,12 @@ def run_day(plan: DispatchPlan, plant_cfg: PlantConfig, init: InitState, *,
         else:
             i_k, v_k, b_k = plant.apply_current(0.0, k)
             st, act, b_sp = "disabled", "-", 0.0
-        rec["solve_seconds"][k] = time.perf_counter() - t0
+        solve_s = time.perf_counter() - t0
 
-        l_k = trace_kw[k]
         p_k = l_k + b_k
         soc_ctrl = soc_step(soc_ctrl, i_k, ts=grid.step_seconds)
-
-        rec["l_kw"][k] = l_k
-        rec["b_kw"][k] = b_k
-        rec["p_kw"][k] = p_k
-        rec["soc"][k] = plant.soc
-        rec["soc_ctrl"][k] = soc_ctrl
-        rec["v"][k] = v_k
-        rec["i_a"][k] = i_k
-        rec["e_kwh"][k] = problem.e_k
-        rec["b_setpoint_kw"][k] = b_sp
-        horizon[k] = problem.horizon
+        rows.append((b_k, p_k, plant.soc, soc_ctrl, v_k, i_k, problem.e_k, b_sp, solve_s))
+        horizon.append(problem.horizon)
         status.append(st)
         active.append(act)
 
@@ -279,13 +272,13 @@ def run_day(plan: DispatchPlan, plant_cfg: PlantConfig, init: InitState, *,
         prev_sample = p_meas
         last_load = p_meas - b_k
 
-    return SimulationRun(k=np.arange(n), l_kw=rec["l_kw"], b_kw=rec["b_kw"],
-                         p_kw=rec["p_kw"], soc=rec["soc"], soc_ctrl=rec["soc_ctrl"],
-                         v=rec["v"], i_a=rec["i_a"], e_kwh=rec["e_kwh"],
-                         b_setpoint_kw=rec["b_setpoint_kw"], horizon=horizon,
-                         status=status, active=active,
-                         solve_seconds=rec["solve_seconds"], seed=seed,
-                         config=asdict(plant_cfg), initial_soc=initial_soc,
+    b_kw, p_kw, soc, soc_c, v, i_a, e_kwh, b_setpoint, solve_seconds = \
+        np.array(rows).reshape(n, 9).T.copy()
+    return SimulationRun(k=np.arange(n, dtype=np.int32), l_kw=trace_kw, b_kw=b_kw, p_kw=p_kw,
+                         soc=soc, soc_ctrl=soc_c, v=v, i_a=i_a, e_kwh=e_kwh,
+                         b_setpoint_kw=b_setpoint, horizon=np.array(horizon, dtype=np.int8),
+                         status=status, active=active, solve_seconds=solve_seconds,
+                         seed=seed, config=asdict(plant_cfg), initial_soc=initial_soc,
                          final_soc=plant.soc, final_kalman=kalman,
                          final_last_load=last_load)
 

@@ -17,7 +17,9 @@ Every solve returns a certificate whose KKT residual is computed by the same
 public evaluators used in the test suite. At this size a step's cost is mostly
 fixed per-call overhead, so the closed form calls LAPACK's dpotrs on the kept
 factor and the residual reduces with ndarray methods, which give the results of
-scipy's cho_solve and np.max bit for bit.
+scipy's cho_solve and np.max bit for bit. A closed-form step makes one row
+product: its slacks b - A x serve both the row check and the residual, which
+forms no term of the row multipliers, all exactly zero there.
 
 Conventions: LPs minimize, QCQPs maximize. All solves are deterministic for
 identical inputs (fixed iteration schedules, no randomized pivoting).
@@ -27,7 +29,6 @@ from __future__ import annotations
 
 import math
 import time
-import copy
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -264,7 +265,8 @@ class QcqpProblem:
         its own; ValueError for other shapes."""
         if l.shape != self.l.shape or b_ineq.shape != self.b_ineq.shape:
             raise ValueError("right-hand side dimension mismatch")
-        p = copy.copy(self)
+        p = object.__new__(QcqpProblem)     # a shallow copy, without copy.copy's protocol
+        p.__dict__.update(self.__dict__)
         p.l, p.r, p.b_ineq, p._least_distance = l, r, b_ineq, None
         return p
 
@@ -285,18 +287,25 @@ class QcqpSolution:
 
 def qcqp_kkt_residual(p: QcqpProblem, sol: QcqpSolution) -> float:
     """Relative KKT residual for the maximization QCQP, recomputed from scratch."""
-    x = sol.x
+    return _qcqp_residual(p, sol, p.b_ineq - p.a_ineq @ sol.x)
+
+
+def _qcqp_residual(p: QcqpProblem, sol: QcqpSolution, slack: np.ndarray) -> float:
+    """:func:`qcqp_kkt_residual` given the row slacks b - A x of ``sol.x``. With
+    every row multiplier zero, their terms of stationarity, dual feasibility
+    and complementarity are exactly 0 and are not formed."""
+    x, lam = sol.x, sol.dual_ineq
     fq = p.f_quad(x)
-    slack = p.b_ineq - p.a_ineq @ x
-    stat = -p.c + sol.dual_quad * (2.0 * p.q_sym @ x + p.l)
-    if sol.dual_ineq.any():
-        # a closed-form point has no row multipliers: the product is exactly 0
-        stat += p.a_ineq.T @ sol.dual_ineq
+    stat = sol.dual_quad * (2.0 * (p.q_sym @ x) + p.l) - p.c
+    dual = max(0.0, -sol.dual_quad)
+    comp = abs(sol.dual_quad * fq)
+    if lam.any():
+        stat += p.a_ineq.T @ lam
+        dual = max(dual, float((-lam).max(initial=0.0)))
+        comp = max(comp, float(np.abs(lam * slack).max(initial=0.0)))
     obj_scale = 1.0 + abs(float(p.c @ x))
     c_scale = 1.0 + float(np.abs(p.c).max(initial=0.0))
     primal = max(fq, float((-slack).max(initial=0.0)), 0.0)
-    dual = max(0.0, -sol.dual_quad, float((-sol.dual_ineq).max(initial=0.0)))
-    comp = max(abs(sol.dual_quad * fq), float(np.abs(sol.dual_ineq * slack).max(initial=0.0)))
     return max(float(np.abs(stat).max(initial=0.0)) / c_scale,
                primal / obj_scale, dual / c_scale, comp / obj_scale)
 
@@ -313,7 +322,7 @@ def qp_kkt_residual(p: QcqpProblem, sol: QcqpSolution) -> float:
     x, lam = sol.x, sol.dual_ineq
     fq = p.f_quad(x)
     slack = p.b_ineq - p.a_ineq @ x
-    qx = 2.0 * p.q_sym @ x
+    qx = 2.0 * (p.q_sym @ x)
     row_pull = p.a_ineq.T @ lam
     stat = qx + p.l + row_pull
     g_scale = max(float(np.abs(qx).max(initial=0.0)), float(np.abs(p.l).max(initial=0.0)),
@@ -451,13 +460,16 @@ def solve_qcqp(p: QcqpProblem) -> tuple[QcqpSolution | None, SolveCertificate]:
     """
     t_start = time.perf_counter()
     sol = _closed_form(p)
-    if sol is not None and (p.b_ineq - p.a_ineq @ sol.x >= 0.0).all():
-        residual = qcqp_kkt_residual(p, sol)
-        if residual <= KKT_GATE:
-            return sol, SolveCertificate(status="optimal", objective=float(p.c @ sol.x),
-                                         kkt_residual=residual,
-                                         wall_time=time.perf_counter() - t_start,
-                                         path="closed-form")
+    if sol is not None:
+        # one row product serves both the row check and the residual
+        slack = p.b_ineq - p.a_ineq @ sol.x
+        if (slack >= 0.0).all():
+            residual = _qcqp_residual(p, sol, slack)
+            if residual <= KKT_GATE:
+                return sol, SolveCertificate(status="optimal", objective=float(p.c @ sol.x),
+                                             kkt_residual=residual,
+                                             wall_time=time.perf_counter() - t_start,
+                                             path="closed-form")
     # the closed form's t = 1/mu sizes the first steps of the walk
     t_scale = 1.0 / sol.dual_quad if sol is not None else 1.0
     sol, cert = _parametric(p, t_scale)
@@ -479,7 +491,7 @@ def _closed_form(p: QcqpProblem) -> QcqpSolution | None:
     disc = 4.0 * p.r + float(p.l @ z)
     if not (cy > 0.0 and disc > 0.0):
         return None
-    mu = np.sqrt(disc / cy)
+    mu = math.sqrt(disc / cy)
     return QcqpSolution(x=0.5 * (mu * y - z), dual_quad=1.0 / mu,
                         dual_ineq=np.zeros(p.b_ineq.size), quad_active=True,
                         active=np.zeros(p.b_ineq.size, dtype=bool))
@@ -581,14 +593,14 @@ def _piece(p: QcqpProblem, act: np.ndarray, t: float):
     x_r = vt_r.T @ (inv.T @ (p.b_ineq[act] / norms))
     reduced = cho_factor(null.T @ p.q_sym @ null, check_finite=False)
     n_c = null.T @ p.c
-    z = -0.5 * cho_solve(reduced, null.T @ (2.0 * p.q_sym @ x_r + p.l) - t * n_c,
+    z = -0.5 * cho_solve(reduced, null.T @ (2.0 * (p.q_sym @ x_r) + p.l) - t * n_c,
                          check_finite=False)
     dz = 0.5 * cho_solve(reduced, n_c, check_finite=False)
     x, dx = x_r + null @ z, null @ dz
     # stationarity 2Qx + l - t c + A' nu = 0 on the active rows
     nu = np.zeros((p.b_ineq.size, 2))
-    nu[act] = (inv @ (vt_r @ np.column_stack([t * p.c - p.l - 2.0 * p.q_sym @ x,
-                                               p.c - 2.0 * p.q_sym @ dx]))) / norms[:, None]
+    nu[act] = (inv @ (vt_r @ np.column_stack([t * p.c - p.l - 2.0 * (p.q_sym @ x),
+                                               p.c - 2.0 * (p.q_sym @ dx)]))) / norms[:, None]
     flat = float(np.abs(n_c).max(initial=0.0)) <= 1e-9 * float(np.abs(p.c).max())
     return x, dx, nu[:, 0], nu[:, 1], flat
 
@@ -596,7 +608,7 @@ def _piece(p: QcqpProblem, act: np.ndarray, t: float):
 def _larger_root(p: QcqpProblem, x: np.ndarray, dx: np.ndarray) -> float:
     """Larger root s of f_q(x + s dx) = a s^2 + b s + f_q(x), or nan."""
     a = float(dx @ p.q_sym @ dx)
-    b = float((2.0 * p.q_sym @ x + p.l) @ dx)
+    b = float((2.0 * (p.q_sym @ x) + p.l) @ dx)
     c0 = p.f_quad(x)
     disc = b * b - 4.0 * a * c0
     if not (a > 0.0 and disc >= 0.0):

@@ -119,6 +119,12 @@ def matrix_kalman(x, p, m, i_prev, v_meas):
     return x_pred + gain * innov, 0.5 * (p_new + p_new.T)
 
 
+def matrix_voltage_step(m, x, i):
+    """One noise-free step of the voltage model written with numpy matrix
+    products: (next state, terminal voltage) under current i."""
+    return m.a @ x + m.b_i * i + m.b_1, float(m.c @ x + m.d_i * i + m.d_1)
+
+
 def concatenated_rhs(p, v_free):
     """b_ineq of an MPC problem assembled block by block in the row order of
     its constraint stack, given the zero-current voltages v_free."""

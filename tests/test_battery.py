@@ -6,13 +6,12 @@ from feederdispatch.battery import (C_NOM_AH, TABLE1, ContinuousStateSpace,
                                     ModelBank, TtcParameters, build_transition,
                                     load_parameter_table, reduce_and_discretize,
                                     save_parameter_table, schedule_index,
-                                    schedule_model, soc_statespace, soc_step,
-                                    table1_parameters, voltage_step)
+                                    soc_statespace, soc_step, voltage_step)
 from feederdispatch.mpc import ALPHA
 
 
 def test_table_values():
-    table = table1_parameters()
+    table = TABLE1
     assert len(table) == 5
     p = table[2]
     assert p.soc_range == "40-60%"
@@ -29,14 +28,15 @@ def test_parameter_validation():
 
 
 def test_schedule_boundaries():
-    assert schedule_model(0.50).soc_range == "40-60%"
-    assert schedule_model(0.20).soc_range == "20-40%"
-    assert schedule_model(1.00).soc_range == "80-100%"
-    assert schedule_model(0.00).soc_range == "0-20%"
-    assert schedule_model(0.80).soc_range == "80-100%"
-    assert schedule_model(0.1999).soc_range == "0-20%"
-    with pytest.raises(ValueError):
-        schedule_model(1.2)
+    assert TABLE1[schedule_index(0.50)].soc_range == "40-60%"
+    assert TABLE1[schedule_index(0.20)].soc_range == "20-40%"
+    assert TABLE1[schedule_index(1.00)].soc_range == "80-100%"
+    assert TABLE1[schedule_index(0.00)].soc_range == "0-20%"
+    assert TABLE1[schedule_index(0.80)].soc_range == "80-100%"
+    assert TABLE1[schedule_index(0.1999)].soc_range == "0-20%"
+    for bad in (1.2, -0.01):
+        with pytest.raises(ValueError):
+            schedule_index(bad)
 
 
 def test_continuous_matrices():
@@ -225,5 +225,9 @@ def test_parameter_file_rejects_garbage(tmp_path):
 
 
 def test_schedule_index_matches_model():
+    # the index names the set whose printed range "lo-hi%" holds the SOC, the
+    # lower bound included and the upper excluded except at 100 %
+    ranges = [[int(v) / 100.0 for v in p.soc_range.rstrip("%").split("-")] for p in TABLE1]
     for soc in (0.0, 0.05, 0.2, 0.35, 0.6, 0.79, 0.8, 1.0):
-        assert TABLE1[schedule_index(soc)] is schedule_model(soc)
+        held = [j for j, (lo, hi) in enumerate(ranges) if lo <= soc < hi or soc == hi == 1.0]
+        assert held == [schedule_index(soc)]

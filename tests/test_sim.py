@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from feederdispatch import sim, solver
-from feederdispatch.battery import ModelBank
+from feederdispatch.battery import TABLE1, ModelBank, reduce_and_discretize, voltage_step
 from feederdispatch.dayahead import DayAheadConfig, DispatchPlan, OffsetPlan, plan_day
 from feederdispatch.forecast import (ProsumptionForecast, SyntheticShape, point_forecast,
                                      synthesize_history)
@@ -13,7 +15,7 @@ from feederdispatch.sim import (BatteryPlant, ErrorStats, InitState, PlantConfig
                                 step_trace, tracking_report, write_run_artifacts)
 from feederdispatch.timegrid import DEFAULT_GRID, TimeGrid
 
-from oracles import mpc_constraints_satisfied
+from oracles import matrix_voltage_step, mpc_constraints_satisfied
 
 grid = DEFAULT_GRID
 
@@ -157,9 +159,46 @@ def test_plant_converter_inversion():
     plant = BatteryPlant(PlantConfig.noiseless(), seed=0, initial_soc=0.5)
     for cmd in (-150.0, -20.0, 0.0, 35.0, 180.0):
         i = plant.current_for_power(cmd)
-        m = plant._model()
+        m = plant.model
         v = float(m.c @ plant.x + m.d_i * i + m.d_1)
         assert 0.98 * v * i / 1000.0 == pytest.approx(cmd, abs=1e-9)
+
+
+@pytest.mark.parametrize("params", TABLE1, ids=lambda p: p.soc_range)
+def test_float_plant_matches_matrix_oracle(params, rng):
+    # voltage_step, measure_voltage and current_for_power on Python floats
+    # against the numpy matrix form, on random states, currents and commands;
+    # every other draw replaces the circuit's diagonal a and c of ones by full
+    # random ones. With the circuit's own a and c every product of the matrix
+    # form is exact or a single rounding in the same order, so the results are
+    # equal bit for bit. With full ones, BLAS may fuse a multiply-add or reorder
+    # a sum, so they agree to 1e-12 of the size of their terms.
+    model = reduce_and_discretize(params, 10.0)
+    plant = BatteryPlant(PlantConfig.noiseless(), seed=0, initial_soc=0.5)
+    for j in range(500):
+        full = j % 2 == 1
+        m = replace(model, a=rng.normal(size=(2, 2)) * 0.6, c=rng.normal(size=2)) \
+            if full else model
+        x = rng.normal(size=2) * 10.0 ** rng.uniform(-3, 2)
+        i, cmd = float(rng.uniform(-810, 810)), float(rng.uniform(-400, 400))
+        x_ref, v_ref = matrix_voltage_step(m, x, i)
+        v0 = matrix_voltage_step(m, x, 0.0)[1]
+        root = np.sqrt(max(v0 * v0 + 4.0 * m.d_i * 1000.0 * cmd / sim.CONVERTER_EFF, 0.0))
+        i_ref = (-v0 + root) / (2.0 * m.d_i)
+        x_new, v = voltage_step(m, x, i)
+        plant.model, plant.x, plant.last_i = m, x, i
+        got = (v, plant.measure_voltage(None, PlantConfig.noiseless()),
+               plant.current_for_power(cmd))
+        if not full:
+            assert x_new.tobytes() == x_ref.tobytes()
+            assert got == (v_ref, v_ref, i_ref)
+            continue
+        x_size = np.abs(m.a) @ np.abs(x) + np.abs(m.b_i * i) + np.abs(m.b_1)
+        v_size = float(np.abs(m.c) @ np.abs(x)) + abs(m.d_i * i) + abs(m.d_1)
+        assert np.all(np.abs(x_new - x_ref) <= 1e-12 * x_size)
+        assert abs(got[0] - v_ref) <= 1e-12 * v_size
+        assert abs(got[1] - v_ref) <= 1e-12 * v_size
+        assert abs(got[2] - i_ref) <= 1e-12 * (abs(v0) + root) / (2.0 * m.d_i)
 
 
 def test_plant_perturbation_bounds():

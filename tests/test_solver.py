@@ -315,3 +315,24 @@ def test_kkt_residual_matches_numpy_reductions(rng):
         sol = QcqpSolution(x=rng.normal(size=n) * 10.0, dual_quad=float(rng.normal()),
                            dual_ineq=lam)
         assert qcqp_kkt_residual(p, sol) == qcqp_kkt_residual_np(p, sol)
+
+
+def test_closed_form_certificate_matches_numpy_reductions(rng):
+    # a closed form that holds every row (half of them at zero slack) is
+    # certified with the residual of the numpy formula, bit for bit; the same
+    # draw with one row broken by one ulp leaves the closed form
+    for j in range(200):
+        n = int(rng.integers(1, 31))
+        m = 0 if j % 5 == 0 else int(rng.integers(1, 2 * n + 1))
+        p = _random_qcqp(rng, n, m)
+        z = np.linalg.solve(p.q_sym, p.l)
+        p = p.with_rhs(p.l, abs(float(p.l @ z)) + 1.0, p.b_ineq)
+        ax = p.a_ineq @ solver._closed_form(p).x
+        b = ax + rng.uniform(0.0, 1.0, m) * (rng.random(m) < 0.5)
+        sol, cert = solve_qcqp(p.with_rhs(p.l, p.r, b))
+        assert cert.path == "closed-form"
+        assert cert.kkt_residual == qcqp_kkt_residual_np(p.with_rhs(p.l, p.r, b), sol)
+        if m:
+            row = int(rng.integers(m))
+            b[row] = np.nextafter(ax[row], -np.inf)
+            assert solve_qcqp(p.with_rhs(p.l, p.r, b))[1].path != "closed-form"

@@ -4,10 +4,12 @@ Draws random control problems (horizon 2-30, SOC 0.12-0.88, energy target
 within +-2 kWh * h/30, voltage-model state within +-1, rate limit +-2..40
 A/step), solves each with ``mpc.solve`` and prints the decision-status counts,
 the solve-path counts (closed form, parametric, least distance), the NNLS
-solves per draw, the draws that did not return ``solved`` and, last, two
-SHA-256 digests in draw order: one of every actuated trajectory and one of the
-bits of every certificate's KKT residual, so that two versions of the solver
-can be compared for identical decisions and certificates by two lines.
+solves per draw, how many least-distance points came from the certified guess
+of the rows the closed form breaks and how many from NNLS, the draws that did
+not return ``solved`` and, last, two SHA-256 digests in draw order: one of
+every actuated trajectory and one of the bits of every certificate's KKT
+residual, so that two versions of the solver can be compared for identical
+decisions and certificates by two lines.
 
 ``--low-soc`` draws the SOC at or just below ``soc_min`` instead (a third of
 the draws exactly at it, the rest up to 0.002 below, which one step of
@@ -61,6 +63,7 @@ def main() -> None:
     rng = np.random.default_rng(args.seed)
     statuses = Counter()
     paths = Counter()
+    least_distance = Counter()
     iterations = []
     residuals = []
     digest = hashlib.sha256()
@@ -70,6 +73,9 @@ def main() -> None:
         dec = solve(p)
         statuses[dec.status] += 1
         paths[dec.path] += 1
+        ld = p._qcqp._least_distance            # computed by this solve, if it needed one
+        if ld is not None:
+            least_distance["guess" if ld[1].iterations == 0 else "NNLS"] += 1
         iterations.append(dec.iterations)
         residuals.append(dec.kkt_residual)
         digest.update(dec.i_traj.tobytes())
@@ -81,6 +87,7 @@ def main() -> None:
     print("path counts:", dict(paths))
     print("NNLS solves p50/p99/max:",
           "/".join(f"{v:.0f}" for v in np.percentile(iterations, [50, 99, 100])))
+    print("least-distance points:", dict(least_distance))
     print(f"largest KKT residual: {np.nanmax(residuals):.2e}")
     print("trajectory digest:", digest.hexdigest())
     print("residual digest:", residual_digest.hexdigest())

@@ -11,15 +11,16 @@ and take its closed form. Every other step walks the path of least-distance
 programs minimize x'Qx + (l - t c)'x over the rows, parametric in t = 1/mu: one
 NNLS gives the active set at a t, on which the path is affine and the root of
 the quadratic row is a scalar equation. The t = 0 end of that path is the
-minimum of the quadratic over the rows; a positive minimum proves the problem
-infeasible and its minimiser is the controller's closest achievable point.
-Every solve returns a certificate whose KKT residual is computed by the same
-public evaluators used in the test suite. At this size a step's cost is mostly
-fixed per-call overhead, so the closed form calls LAPACK's dpotrs on the kept
-factor and the residual reduces with ndarray methods, which give the results of
-scipy's cho_solve and np.max bit for bit. A closed-form step makes one row
-product: its slacks b - A x serve both the row check and the residual, which
-forms no term of the row multipliers, all exactly zero there.
+minimum of the quadratic over the rows (its active set guessed first as the
+rows the closed form breaks); a positive minimum proves the problem infeasible
+and its minimiser is the controller's closest achievable point. Every solve
+returns a certificate whose KKT residual is computed by the same public
+evaluators used in the test suite. At this size a step's cost is mostly fixed
+per-call overhead, so the solves call LAPACK's dpotrf, dpotrs and dtrtrs and
+the residuals reduce with ndarray methods, the results of scipy's cho_factor,
+cho_solve, solve_triangular (on Q's C-ordered factor) and np.max bit for bit.
+A closed-form step makes one row product: its slacks b - A x serve both the
+row check and the residual, which forms no term of the zero row multipliers.
 
 Conventions: LPs minimize, QCQPs maximize. All solves are deterministic for
 identical inputs (fixed iteration schedules, no randomized pivoting).
@@ -33,8 +34,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
-from scipy.linalg.lapack import dpotrs
+from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 from scipy.optimize import linprog, nnls
 
 LP_ITERATION_CAP = 200
@@ -327,10 +328,10 @@ def qp_kkt_residual(p: QcqpProblem, sol: QcqpSolution) -> float:
     stat = qx + p.l + row_pull
     g_scale = max(float(np.abs(qx).max(initial=0.0)), float(np.abs(p.l).max(initial=0.0)),
                   float(np.abs(row_pull).max(initial=0.0))) or 1.0
-    row_norm = np.sqrt(np.sum(p.a_ineq**2, axis=1))
-    primal = float(np.max(-slack / (1.0 + np.abs(p.b_ineq)), initial=0.0))
-    dual = float(np.max(-lam * row_norm, initial=0.0)) / g_scale
-    comp = float(np.max(np.abs(lam * slack), initial=0.0)) / (1.0 + abs(fq))
+    row_norm = _whitened(p)[4]
+    primal = float((-slack / (1.0 + np.abs(p.b_ineq))).max(initial=0.0))
+    dual = float((-lam * row_norm).max(initial=0.0)) / g_scale
+    comp = float(np.abs(lam * slack).max(initial=0.0)) / (1.0 + abs(fq))
     return max(float(np.abs(stat).max(initial=0.0)) / g_scale, primal, dual, comp)
 
 
@@ -347,27 +348,28 @@ def _nnls(p: QcqpProblem, t: float) -> tuple[np.ndarray, np.ndarray, float, np.n
     scaled to unit size. Returns the NNLS solution w, its residual r, that
     scale and w0: the point is u = -scale r[:n] / r[n], and r[n] ~ 0 means
     the rows are infeasible."""
-    g, h1, norms = _whitened(p)
+    g, h1, norms, e_g, _ = _whitened(p)
     n = p.c.size
-    w0 = 0.5 * solve_triangular(p.q_chol, p.l, lower=True, check_finite=False)
+    w0 = 0.5 * dtrtrs(p.q_chol.T, p.l, lower=0, trans=1)[0]     # L^-1 l / 2
     h = p.b_ineq + g @ w0 - t * h1
     h_scale = float(np.abs(h / norms).max(initial=0.0)) or 1.0
-    e = np.vstack([-g.T / norms, -h / (norms * h_scale)])
+    e = np.vstack([e_g, -h / (norms * h_scale)])
     f = np.zeros(n + 1)
     f[n] = 1.0
     w, _ = nnls(e, f)
     return w, e @ w - f, h_scale, w0
 
 
-def _whitened(p: QcqpProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """G, h1 and the row norms of G (zero read as 1) of :func:`_nnls`, built
-    the first time a solve on p's rows needs them."""
+def _whitened(p: QcqpProblem) -> tuple[np.ndarray, ...]:
+    """G, h1, the row norms of G (zero read as 1), -G'/norms of :func:`_nnls`
+    and the row norms of a_ineq, built when a solve on p's rows needs them."""
     if "whitened" not in p._shared:
         g = solve_triangular(p.q_chol, p.a_ineq.T, lower=True, check_finite=False).T
         wc = 0.5 * solve_triangular(p.q_chol, p.c, lower=True, check_finite=False)
         norms = np.sqrt(np.sum(g**2, axis=1))
         norms[norms == 0.0] = 1.0
-        p._shared["whitened"] = (g, g @ wc, norms)
+        p._shared["whitened"] = (g, g @ wc, norms, -g.T / norms,
+                                 np.sqrt(np.sum(p.a_ineq**2, axis=1)))
     return p._shared["whitened"]
 
 
@@ -379,9 +381,9 @@ def least_distance(p: QcqpProblem) -> tuple[QcqpSolution | None, SolveCertificat
     u = L'x + L^-1 l / 2, solved exactly by one NNLS, whose row multipliers are
     2 w / (-r_{n+1}) for the NNLS solution w and residual r. The certificate's
     ``objective`` is the minimum of f_q. Status is "optimal" when
-    :func:`qp_kkt_residual` passes the gate, "infeasible" when the NNLS
-    solution is instead a checked Farkas vector of the rows (:func:`_farkas`),
-    and "failure" otherwise.
+    :func:`qp_kkt_residual` passes the gate, "infeasible" when the NNLS solution
+    is a checked Farkas vector of the rows (:func:`_farkas`), and "failure"
+    otherwise. ``iterations`` counts NNLS solves: 0 for a certified guess.
     """
     if p._least_distance is None:
         t0 = time.perf_counter()
@@ -399,7 +401,7 @@ def _least_distance(p: QcqpProblem) -> tuple[QcqpSolution | None, SolveCertifica
     # |u|^2 = -1/r_{n+1} - 1: a vanishing r_{n+1} leaves no bounded point
     if -res[n] > 1e-12:
         u = h_scale * (-res[:n] / res[n])
-        x = solve_triangular(p.q_chol, u - w0, lower=True, trans="T", check_finite=False)
+        x = dtrtrs(p.q_chol.T, u - w0, lower=0, trans=0)[0]         # L^-T (u - w0)
         lam = 2.0 * h_scale * w / (-res[n] * norms)
         sol = QcqpSolution(x=x, dual_quad=0.0, dual_ineq=lam, active=lam > 0.0)
         residual = qp_kkt_residual(p, sol)
@@ -418,6 +420,29 @@ def _least_distance(p: QcqpProblem) -> tuple[QcqpSolution | None, SolveCertifica
         return None, farkas
     return None, SolveCertificate(status="failure", objective=objective, kkt_residual=residual,
                                   iterations=1, path="least-distance")
+
+
+def _guessed_least_distance(p: QcqpProblem, act: np.ndarray):
+    """The :func:`least_distance` result if the rows ``act`` are its active set,
+    in the whitened variable of :func:`_nnls`: u = G_act' y, (G_act G_act') y =
+    h_act and multipliers -2y (Lawson & Hanson 1974, ch. 23). None unless that
+    matrix has a Cholesky factor, no multiplier is negative, every row holds to
+    FEAS_TOL (1 + |b_i|) and :func:`qp_kkt_residual` passes the gate."""
+    g = _whitened(p)[0][act]
+    w0 = 0.5 * dtrtrs(p.q_chol.T, p.l, lower=0, trans=1)[0]
+    f, info = dpotrf(g @ g.T, lower=1, clean=0)
+    if info != 0 or not act.any():
+        return None                                 # dependent rows, or no guess
+    y = dpotrs(f, p.b_ineq[act] + g @ w0, lower=1)[0]
+    lam = np.zeros(p.b_ineq.size)
+    lam[act] = -2.0 * y
+    x = dtrtrs(p.q_chol.T, g.T @ y - w0, lower=0, trans=0)[0]
+    sol = QcqpSolution(x=x, dual_quad=0.0, dual_ineq=lam, active=lam > 0.0)
+    if (lam >= 0.0).all() \
+            and (p.b_ineq - p.a_ineq @ x >= -FEAS_TOL * (1.0 + np.abs(p.b_ineq))).all() \
+            and (residual := qp_kkt_residual(p, sol)) <= KKT_GATE:
+        return sol, SolveCertificate(status="optimal", objective=p.f_quad(x),
+                                     kkt_residual=residual, path="least-distance")
 
 
 def _farkas(p: QcqpProblem, y: np.ndarray) -> SolveCertificate | None:
@@ -445,18 +470,18 @@ def solve_qcqp(p: QcqpProblem) -> tuple[QcqpSolution | None, SolveCertificate]:
     With t = 1/mu for the quadratic's multiplier mu > 0, the optimum minimizes
     x'Qx + (l - t c)'x over the rows, at the t where f_q reaches 0. The path
     of these minimisers starts at the :func:`least_distance` point (t = 0)
-    and is affine in t on each active set (:func:`_piece`), so f_q
-    along it is a scalar quadratic: the parametric active-set method of
-    Ferreau, Bock & Diehl (qpOASES, 2008) over the single parameter t.
+    and is affine in t on each active set (:func:`_piece`), so f_q along it is
+    a scalar quadratic: the parametric active-set method of Ferreau, Bock &
+    Diehl (qpOASES, 2008) over the single parameter t.
 
     The path with no row active is the closed form (:func:`_closed_form`,
     ``path="closed-form"``, no iterations), returned when every row holds and
     it passes the KKT gate. Otherwise :func:`_parametric` walks the path
-    (``path="parametric"``). A least-distance minimum of f_q above
-    FEAS_TOL (1 + |r|), or rows that admit no point at all, prove the problem
-    infeasible (``path="least-distance"``). ``iterations`` counts NNLS solves.
-    The solution names the constraints found active (``quad_active``,
-    ``active``).
+    (``path="parametric"``). A least-distance minimum of f_q above FEAS_TOL
+    (1 + |r|), or rows that admit no point at all, prove the problem infeasible
+    (``path="least-distance"``); the rows the closed form breaks are tried
+    first as that point's active set. ``iterations`` counts NNLS solves. The
+    solution names the constraints found active (``quad_active``, ``active``).
     """
     t_start = time.perf_counter()
     sol = _closed_form(p)
@@ -470,6 +495,8 @@ def solve_qcqp(p: QcqpProblem) -> tuple[QcqpSolution | None, SolveCertificate]:
                                              kkt_residual=residual,
                                              wall_time=time.perf_counter() - t_start,
                                              path="closed-form")
+        elif p._least_distance is None:
+            p._least_distance = _guessed_least_distance(p, slack < 0.0)
     # the closed form's t = 1/mu sizes the first steps of the walk
     t_scale = 1.0 / sol.dual_quad if sol is not None else 1.0
     sol, cert = _parametric(p, t_scale)
@@ -521,11 +548,11 @@ def _parametric(p: QcqpProblem, t_scale: float) -> tuple[QcqpSolution | None, So
     if ld.objective > FEAS_TOL * (1.0 + abs(p.r)):
         # the certified minimum of f_q over the rows is positive
         return None, SolveCertificate(status="infeasible", objective=ld.objective,
-                                      kkt_residual=ld.kkt_residual, iterations=1,
+                                      kkt_residual=ld.kkt_residual, iterations=ld.iterations,
                                       path="least-distance")
-    act, solves = ld_sol.active, 1
+    act, solves = ld_sol.active, ld.iterations
     row_tol = FEAS_TOL * (1.0 + np.abs(p.b_ineq))
-    row_norms = np.sqrt(np.sum(p.a_ineq**2, axis=1))
+    row_norms = _whitened(p)[4]
     lam_tol = 1e-12 * float(np.abs(p.c).max())
     t, t_lo, t_hi = 0.0, 0.0, math.inf
     residual = np.nan
@@ -549,9 +576,9 @@ def _parametric(p: QcqpProblem, t_scale: float) -> tuple[QcqpSolution | None, So
         # a multiplier that is zero on the piece can come out of rounding a
         # hair below zero; anything more means the row leaves before t_next
         if sol is not None and np.all(sol.dual_ineq * row_norms >= -lam_tol) \
-                and np.all(p.b_ineq - p.a_ineq @ sol.x >= -row_tol):
+                and np.all((slack := p.b_ineq - p.a_ineq @ sol.x) >= -row_tol):
             sol.dual_ineq = np.maximum(sol.dual_ineq, 0.0)
-            residual = qcqp_kkt_residual(p, sol)
+            residual = _qcqp_residual(p, sol, slack)
             if residual <= KKT_GATE:
                 return sol, SolveCertificate(status="optimal", objective=float(p.c @ sol.x),
                                              kkt_residual=residual, iterations=solves,
@@ -584,18 +611,20 @@ def _piece(p: QcqpProblem, act: np.ndarray, t: float):
     dependent rows) and whether x stands still: c lies in the span of the
     active rows, so c'x is already maximal on their face.
     """
-    norms = np.sqrt(np.sum(p.a_ineq[act]**2, axis=1))
+    norms = _whitened(p)[4][act]
     a_n = p.a_ineq[act] / norms[:, None]
     u, s, vt = np.linalg.svd(a_n)
     rank = int(np.sum(s > 1e-12 * s[0])) if s.size else 0
     inv = u[:, :rank] / s[:rank]                       # pinv(a_n) = vt_r' inv'
     vt_r, null = vt[:rank], vt[rank:].T
     x_r = vt_r.T @ (inv.T @ (p.b_ineq[act] / norms))
-    reduced = cho_factor(null.T @ p.q_sym @ null, check_finite=False)
+    reduced, info = dpotrf(null.T @ p.q_sym @ null, lower=0, clean=0)    # as cho_factor
+    if info > 0:
+        raise np.linalg.LinAlgError("reduced quadratic not positive definite")
     n_c = null.T @ p.c
-    z = -0.5 * cho_solve(reduced, null.T @ (2.0 * (p.q_sym @ x_r) + p.l) - t * n_c,
-                         check_finite=False)
-    dz = 0.5 * cho_solve(reduced, n_c, check_finite=False)
+    z = -0.5 * dpotrs(reduced, null.T @ (2.0 * (p.q_sym @ x_r) + p.l) - t * n_c,
+                      lower=0)[0] if n_c.size else n_c
+    dz = 0.5 * dpotrs(reduced, n_c, lower=0)[0] if n_c.size else n_c
     x, dx = x_r + null @ z, null @ dz
     # stationarity 2Qx + l - t c + A' nu = 0 on the active rows
     nu = np.zeros((p.b_ineq.size, 2))

@@ -368,3 +368,29 @@ def qcqp_optimum(q_sym, l, r, c, a_ineq, b_ineq, x_scale: float = 100.0):
     x_act, mu, lam = active_set_qcqp(q_sym, l, r, c, a_ineq[held], b_ineq[held])
     rows_ok = np.all((a_ineq @ x_act - b_ineq) / norms <= 1e-9 * (1.0 + np.abs(x_act).max()))
     return x_act if mu > 0.0 and np.all(lam >= -1e-9) and rows_ok else x
+
+
+def piece_cho_solve(p, act, t):
+    """The library's x(t) on the active set ``act`` (solver._piece), with the
+    reduced quadratic factored and solved through scipy's cho_factor and
+    cho_solve: (x, dx, nu, dnu, flat)."""
+    from scipy.linalg import cho_factor, cho_solve
+
+    norms = np.sqrt(np.sum(p.a_ineq[act]**2, axis=1))
+    a_n = p.a_ineq[act] / norms[:, None]
+    u, s, vt = np.linalg.svd(a_n)
+    rank = int(np.sum(s > 1e-12 * s[0])) if s.size else 0
+    inv = u[:, :rank] / s[:rank]
+    vt_r, null = vt[:rank], vt[rank:].T
+    x_r = vt_r.T @ (inv.T @ (p.b_ineq[act] / norms))
+    reduced = cho_factor(null.T @ p.q_sym @ null, check_finite=False)
+    n_c = null.T @ p.c
+    z = -0.5 * cho_solve(reduced, null.T @ (2.0 * (p.q_sym @ x_r) + p.l) - t * n_c,
+                         check_finite=False)
+    dz = 0.5 * cho_solve(reduced, n_c, check_finite=False)
+    x, dx = x_r + null @ z, null @ dz
+    nu = np.zeros((p.b_ineq.size, 2))
+    nu[act] = (inv @ (vt_r @ np.column_stack([t * p.c - p.l - 2.0 * (p.q_sym @ x),
+                                               p.c - 2.0 * (p.q_sym @ dx)]))) / norms[:, None]
+    flat = float(np.abs(n_c).max(initial=0.0)) <= 1e-9 * float(np.abs(p.c).max())
+    return x, dx, nu[:, 0], nu[:, 1], flat

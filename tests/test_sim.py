@@ -290,11 +290,9 @@ def test_three_day_perfect_forecast_soc_band(bank_module):
         assert np.abs(res.run.soc - 0.5).max() <= 0.2
 
 
-def test_soc_floor_hour_clips_without_failures(day_forecast, bank_module, monkeypatch):
-    # 08:00-09:00 from SOC 0.12 with prosumption 10 % above the forecast: the
-    # battery reaches soc_min and the discharge targets go out of reach. Every
-    # such step must actuate its certified least-throughput trajectory, never
-    # fall back to zero current
+def _soc_floor_hour(day_forecast, bank, monkeypatch):
+    """08:00-09:00 from SOC 0.12 with prosumption 10 % above the forecast, run
+    in closed loop: (run, [(problem, decision)] of every step)."""
     lo, hi = 96, 108
     plan = plan_day(day_forecast, DayAheadConfig(soe0=60.0))
     trace = step_trace(day_forecast.point * 1.1, np.random.default_rng(3), 1.0, 0.9)
@@ -311,15 +309,38 @@ def test_soc_floor_hour_clips_without_failures(day_forecast, bank_module, monkey
         steps.append((problem, decision))
         return decision
 
-    monkeypatch.setattr(sim, "solve", recording_solve)
-    run = run_day(hour, PlantConfig(), InitState(soc=0.12), trace_kw=trace[30 * lo:30 * hi],
-                  seed=0, bank=bank_module, grid=hour_grid)
+    with monkeypatch.context() as m:
+        m.setattr(sim, "solve", recording_solve)
+        run = run_day(hour, PlantConfig(), InitState(soc=0.12),
+                      trace_kw=trace[30 * lo:30 * hi], seed=0, bank=bank, grid=hour_grid)
+    return run, steps
+
+
+def test_soc_floor_hour_clips_without_failures(day_forecast, bank_module, monkeypatch):
+    # the battery reaches soc_min and the discharge targets go out of reach.
+    # Every such step must actuate its certified least-throughput trajectory,
+    # never fall back to zero current
+    run, steps = _soc_floor_hour(day_forecast, bank_module, monkeypatch)
     assert "solver-failure" not in run.status
     clipped = [(p, d) for p, d in steps if d.status == "infeasible-clipped"]
     assert clipped
     for p, d in clipped:
         assert d.path == "least-distance" and d.kkt_residual <= 1e-6
         assert mpc_constraints_satisfied(p, d.i_traj)
+
+
+def test_soc_floor_guess_matches_nnls(day_forecast, monkeypatch):
+    # the same hour with the guessed least-distance active set bypassed: the
+    # clipped steps whose guess was certified (no NNLS solve) change their
+    # currents by rounding only, and every status stays
+    run, steps = _soc_floor_hour(day_forecast, ModelBank(), monkeypatch)
+    monkeypatch.setattr(solver, "_guessed_least_distance", lambda p, act: None)
+    nnls_run, nnls_steps = _soc_floor_hour(day_forecast, ModelBank(), monkeypatch)
+    guessed = [d for _, d in steps if d.status == "infeasible-clipped" and d.iterations == 0]
+    assert len(guessed) >= 30
+    assert all(d.iterations == 1 for _, d in nnls_steps if d.status == "infeasible-clipped")
+    assert run.status == nnls_run.status
+    assert np.abs(run.i_a - nnls_run.i_a).max() <= 1e-9
 
 
 def _two_slot_plan(levels, shift):

@@ -5,7 +5,8 @@ from feederdispatch import solver
 from feederdispatch.solver import (LinearProgram, QcqpProblem, QcqpSolution, lp_kkt_residual,
                                    qcqp_kkt_residual, solve_lp, solve_qcqp)
 
-from oracles import active_set_qcqp, grid_current_search, qcqp_kkt_residual_np
+from oracles import (active_set_qcqp, grid_current_search, piece_cho_solve,
+                     qcqp_kkt_residual_np)
 
 
 def test_lp_one_dimensional():
@@ -336,3 +337,119 @@ def test_closed_form_certificate_matches_numpy_reductions(rng):
             row = int(rng.integers(m))
             b[row] = np.nextafter(ax[row], -np.inf)
             assert solve_qcqp(p.with_rhs(p.l, p.r, b))[1].path != "closed-form"
+
+
+def test_piece_matches_cho_solve(rng):
+    # x(t) on an active set through LAPACK's dpotrf/dpotrs equals the
+    # cho_factor/cho_solve form bit for bit: no row, some rows, and as many
+    # independent rows as variables (no null space left)
+    for j in range(300):
+        n = int(rng.integers(1, 31))
+        m = int(rng.integers(n, 2 * n + 1))
+        p = _random_qcqp(rng, n, m)
+        k = 0 if j % 7 == 0 else n if j % 7 == 1 else int(rng.integers(1, n + 1))
+        act = np.zeros(m, dtype=bool)
+        act[rng.choice(m, size=k, replace=False)] = True
+        t = float(rng.uniform(0.0, 10.0))
+        got, want = solver._piece(p, act, t), piece_cho_solve(p, act, t)
+        for a, b in zip(got[:4], want[:4]):
+            assert a.tobytes() == b.tobytes()
+        assert got[4] == want[4]
+    # a reduced quadratic without a Cholesky factor is an error, as before
+    p = _random_qcqp(rng, 3, 2)
+    p.q_sym = np.diag([1.0, -1.0, 1.0])
+    with pytest.raises(np.linalg.LinAlgError):
+        solver._piece(p, np.zeros(2, dtype=bool), 0.0)
+
+
+def _cut_qcqp(rng):
+    """A random strictly convex QCQP whose closed form breaks rows: one to
+    three rows, leaning along c, cut off the centre of the quadratic, and the
+    rest are random rows that the centre holds."""
+    n = int(rng.integers(2, 21))
+    f = rng.normal(size=(n, n))
+    q = f @ f.T + 10.0 ** rng.uniform(-1, 1) * np.eye(n)
+    c = rng.normal(size=n)
+    l = rng.normal(size=n) * 10.0 ** rng.uniform(-1, 1)
+    centre = -0.5 * np.linalg.solve(q, l)
+    # f_q(centre) = -10^U(-1, 1): the quadratic's set has an interior
+    r = 10.0 ** rng.uniform(-1, 1) - float(centre @ q @ centre)
+    k = int(rng.integers(1, 4))
+    cut = c + 0.5 * rng.normal(size=(k, n)) * np.abs(c).max()
+    loose = rng.normal(size=(int(rng.integers(0, 2 * n)), n))
+    a = np.vstack([cut, loose])
+    b = a @ centre + np.concatenate([-rng.uniform(0.01, 1.0, k),
+                                     rng.uniform(0.5, 5.0, loose.shape[0])])
+    return QcqpProblem(c=c, q=q, l=l, r=r, a_ineq=a, b_ineq=b)
+
+
+def _same_solve(a, b):
+    """Two solve results with the same bits in the solution and certificate."""
+    (sol_a, cert_a), (sol_b, cert_b) = a, b
+    assert (sol_a is None) == (sol_b is None)
+    if sol_a is not None:
+        for name in ("x", "dual_ineq", "active"):
+            assert getattr(sol_a, name).tobytes() == getattr(sol_b, name).tobytes()
+        assert sol_a.dual_quad == sol_b.dual_quad and sol_a.quad_active == sol_b.quad_active
+    for name in ("status", "iterations", "path"):
+        assert getattr(cert_a, name) == getattr(cert_b, name)
+    for name in ("objective", "kkt_residual"):
+        assert np.float64(getattr(cert_a, name)).tobytes() \
+            == np.float64(getattr(cert_b, name)).tobytes()
+
+
+def test_guessed_least_distance_matches_nnls(rng):
+    # whenever the rows the closed form breaks are certified as the
+    # least-distance active set, the point is the NNLS point to 1e-9 relative,
+    # with the same active set; a failed guess leaves the NNLS result
+    taken = missed = 0
+    for _ in range(400):
+        p = _cut_qcqp(rng)
+        slack = p.b_ineq - p.a_ineq @ solver._closed_form(p).x
+        assert (slack < 0.0).any()
+        solve_qcqp(p)
+        sol, cert = solver.least_distance(p)
+        fresh = p.with_rhs(p.l, p.r, p.b_ineq)
+        ref, ref_cert = solver.least_distance(fresh)
+        assert ref_cert.iterations == 1
+        if cert.iterations == 1:
+            missed += 1
+            _same_solve((sol, cert), (ref, ref_cert))
+            continue
+        taken += 1
+        assert cert.status == ref_cert.status == "optimal" and cert.path == "least-distance"
+        assert cert.iterations == 0 and cert.kkt_residual <= solver.KKT_GATE
+        assert np.abs(sol.x - ref.x).max() <= 1e-9 * max(1.0, float(np.abs(ref.x).max()))
+        assert np.array_equal(sol.active, ref.active)
+        assert np.array_equal(sol.active, slack < 0.0)
+    assert taken >= 100 and missed >= 20
+
+
+def _guess_bypassed(p, monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(solver, "_guessed_least_distance", lambda p, act: None)
+        return solve_qcqp(p)
+
+
+def test_failed_guess_falls_back_to_nnls(monkeypatch):
+    # maximize x0 in the unit disk: the closed form (1, 0) breaks both rows.
+    # x0 <= -0.5 alone binds at the least-distance point (-0.5, 0); guessing
+    # x0 + x1 <= 0.9 active too gives it the multiplier -2.8
+    base = QcqpProblem(c=[1.0, 0.0], q=np.eye(2), l=[0.0, 0.0], r=1.0,
+                       a_ineq=[[1.0, 0.0], [1.0, 1.0]], b_ineq=[-0.5, 0.9])
+    # the same first row twice: G_W G_W' = [[1, 1], [1, 1]] has no Cholesky factor
+    twice = QcqpProblem(c=[1.0, 0.0], q=np.eye(2), l=[0.0, 0.0], r=1.0,
+                        a_ineq=[[1.0, 0.0], [1.0, 0.0]], b_ineq=[-0.5, -0.5])
+    for p in (base, twice):
+        broken = p.b_ineq - p.a_ineq @ solver._closed_form(p).x < 0.0
+        assert broken.all()
+        assert solver._guessed_least_distance(p, broken) is None
+        got = solve_qcqp(p)
+        assert got[1].status == "optimal" and got[1].path == "parametric"
+        assert solver.least_distance(p)[1].iterations == 1
+        fresh = p.with_rhs(p.l, p.r, p.b_ineq)
+        _same_solve(got, _guess_bypassed(fresh, monkeypatch))
+        _same_solve(solver.least_distance(p), solver.least_distance(fresh))
+    # with Q = I and l = 0 the whitened rows are the rows: the planted faults
+    assert -2.0 * np.linalg.solve(base.a_ineq @ base.a_ineq.T, base.b_ineq)[1] < 0.0
+    assert np.linalg.matrix_rank(twice.a_ineq @ twice.a_ineq.T) == 1

@@ -4,12 +4,13 @@ Draws random control problems (horizon 2-30, SOC 0.12-0.88, energy target
 within +-2 kWh * h/30, voltage-model state within +-1, rate limit +-2..40
 A/step), solves each with ``mpc.solve`` and prints the decision-status counts,
 the solve-path counts (closed form, parametric, least distance), the NNLS
-solves per draw, how many least-distance points came from the certified guess
-of the rows the closed form breaks and how many from NNLS, the draws that did
-not return ``solved`` and, last, two SHA-256 digests in draw order: one of
-every actuated trajectory and one of the bits of every certificate's KKT
-residual, so that two versions of the solver can be compared for identical
-decisions and certificates by two lines.
+solves per draw, how many least-distance points were certified on fewer rows
+(those the closed form breaks, or those the unconstrained minimum breaks) and
+how many needed the NNLS on all rows, the draws that did not return ``solved``
+and, last, two SHA-256 digests in draw order: one of every actuated trajectory
+and one of the bits of every certificate's KKT residual, so that two versions
+of the solver can be compared for identical decisions and certificates by two
+lines.
 
 ``--low-soc`` draws the SOC at or just below ``soc_min`` instead (a third of
 the draws exactly at it, the rest up to 0.002 below, which one step of
@@ -30,6 +31,7 @@ from collections import Counter
 
 import numpy as np
 
+from feederdispatch import solver
 from feederdispatch.battery import ModelBank
 from feederdispatch.mpc import MpcLimits, MpcProblem, solve
 
@@ -50,6 +52,14 @@ def draw(bank: ModelBank, rng: np.random.Generator, low_soc: bool) -> MpcProblem
                       psi_v_1=tv.psi_1, phi_soc=ts.phi, psi_soc_i=ts.psi_i,
                       x_k=x, soc_k=soc, v_k=652.0,
                       limits=MpcLimits(di_min=-di, di_max=di))
+
+
+def _relaxations(q: solver.QcqpProblem) -> int:
+    """How many least-distance programs on fewer rows a solve of q tries: one on
+    the rows its closed form breaks, one on those its unconstrained minimum breaks."""
+    cf = solver._closed_form(q)
+    broken = q.b_ineq - q.a_ineq @ cf.x < 0.0 if cf is not None else np.zeros(0, dtype=bool)
+    return int(broken.any()) + int((solver._whitened_rhs(q)[1] < 0.0).any())
 
 
 def main() -> None:
@@ -75,7 +85,8 @@ def main() -> None:
         paths[dec.path] += 1
         ld = p._qcqp._least_distance            # computed by this solve, if it needed one
         if ld is not None:
-            least_distance["guess" if ld[1].iterations == 0 else "NNLS"] += 1
+            least_distance["fewer rows" if ld[1].iterations <= _relaxations(p._qcqp)
+                           else "all rows"] += 1
         iterations.append(dec.iterations)
         residuals.append(dec.kkt_residual)
         digest.update(dec.i_traj.tobytes())

@@ -178,7 +178,7 @@ class ControlDecision:
     status: str
     active: str = ""           # active constraint groups at the optimum
     kkt_residual: float = np.nan
-    iterations: int = 0        # NNLS solves of the QCQP (0: closed form or certified guess)
+    iterations: int = 0        # NNLS solves of the QCQP (0 for the closed form)
     path: str = "none"         # "closed-form" | "parametric" | "least-distance" | "none"
 
     def __post_init__(self):
@@ -211,18 +211,18 @@ def _rhs(p: MpcProblem, v_free: np.ndarray) -> np.ndarray:
     return b
 
 
-_GROUPS = ("box", "rate", "v", "soc")
+_GROUPS = np.array(["box", "rate", "v", "soc"])
 _GROUP_STARTS = [np.array([0, 2 * h, 4 * h - 2, 6 * h - 2]) for h in range(31)]
 
 
 def _active_groups(h: int, sol: solver.QcqpSolution) -> str:
     """Names of the constraint groups holding a constraint the solver found
-    active, in the row order of :func:`_stack_constraints`; a lone name is a shared literal."""
+    active, in the row order of :func:`_stack_constraints`."""
     if not sol.active.any():
         return "throughput" if sol.quad_active else "-"
     hit = np.logical_or.reduceat(sol.active, _GROUP_STARTS[h])
     hit[1] &= h > 1                 # no rate rows at horizon 1
-    active = (["throughput"] if sol.quad_active else []) + [g for g, on in zip(_GROUPS, hit) if on]
+    active = (["throughput"] if sol.quad_active else []) + _GROUPS[hit].tolist()
     return ",".join(active) if active else "-"
 
 
@@ -236,10 +236,9 @@ def solve(p: MpcProblem) -> ControlDecision:
     case is always a too-negative energy target, so the trajectory of least
     throughput over the linear rows is the closest achievable one: it is
     :func:`solver.least_distance`'s certified minimiser, the same one that
-    showed the target infeasible (``infeasible-clipped``); no NNLS runs when the
-    rows the closed form breaks certify as its active set. ``path`` records
-    which ran, or ``none`` when the decision actuates zero current;
-    ``iterations`` counts the NNLS solves of the first solve.
+    showed the target infeasible (``infeasible-clipped``), first sought on the
+    rows the closed form breaks. ``path`` records which ran (``none``: zero
+    current); ``iterations`` counts the NNLS solves of the first solve.
     """
     prob = p._qcqp
     sol, cert = solver.solve_qcqp(prob)

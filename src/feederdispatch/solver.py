@@ -10,17 +10,14 @@ in their right-hand sides share the factor and rows
 and take its closed form. Every other step walks the path of least-distance
 programs minimize x'Qx + (l - t c)'x over the rows, parametric in t = 1/mu: one
 NNLS gives the active set at a t, on which the path is affine and the root of
-the quadratic row is a scalar equation. The t = 0 end of that path is the
-minimum of the quadratic over the rows (its active set guessed first as the
-rows the closed form breaks); a positive minimum proves the problem infeasible
-and its minimiser is the controller's closest achievable point. Every solve
-returns a certificate whose KKT residual is computed by the same public
-evaluators used in the test suite. At this size a step's cost is mostly fixed
-per-call overhead, so the solves call LAPACK's dpotrf, dpotrs and dtrtrs and
-the residuals reduce with ndarray methods, the results of scipy's cho_factor,
-cho_solve, solve_triangular (on Q's C-ordered factor) and np.max bit for bit.
-A closed-form step makes one row product: its slacks b - A x serve both the
-row check and the residual, which forms no term of the zero row multipliers.
+the quadratic row is a scalar equation. The t = 0 end of that path, first
+tried on fewer rows, is the minimum of the quadratic over the rows; a positive
+minimum proves the problem infeasible and its minimiser is the controller's
+closest achievable point. Every solve returns a certificate whose KKT residual
+is computed by the same public evaluators used in the test suite. A step's cost
+is mostly per-call overhead, so the solves call LAPACK's dpotrf, dpotrs and
+dtrtrs and reduce with ndarray methods, as scipy's cho_factor, cho_solve,
+solve_triangular (C-ordered factor) and np.max do, bit for bit.
 
 Conventions: LPs minimize, QCQPs maximize. All solves are deterministic for
 identical inputs (fixed iteration schedules, no randomized pivoting).
@@ -335,29 +332,33 @@ def qp_kkt_residual(p: QcqpProblem, sol: QcqpSolution) -> float:
     return max(float(np.abs(stat).max(initial=0.0)) / g_scale, primal, dual, comp)
 
 
-def _nnls(p: QcqpProblem, t: float) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
-    """Least-distance point of the rows in the whitened variable of
-    minimize x'Qx + (l - t c)'x, by one NNLS (Lawson & Hanson, Solving Least
-    Squares Problems, 1974, ch. 23).
+def _nnls(p: QcqpProblem, h: np.ndarray, rows=slice(None)) -> tuple:
+    """Least-distance point of the rows ``rows`` (all by default) in the whitened variable
+    of minimize x'Qx + (l - t c)'x, by one NNLS (Lawson & Hanson, Solving Least Squares
+    Problems, 1974, ch. 23).
 
-    With Q = L L', w0 = L^-1 l / 2 and wc = L^-1 c / 2, u = L'x + w0 - t wc
-    turns that objective into |u|^2 less a constant, and the rows into
-    G u <= h0 - t h1 with G = A L^-T, h0 = b + G w0 and h1 = G wc: only the
-    right-hand side moves with t. The NNLS works on rows of unit norm, so its
-    target and infeasibility test are free of units, with the right-hand side
-    scaled to unit size. Returns the NNLS solution w, its residual r, that
-    scale and w0: the point is u = -scale r[:n] / r[n], and r[n] ~ 0 means
-    the rows are infeasible."""
-    g, h1, norms, e_g, _ = _whitened(p)
+    With Q = L L', w0 = L^-1 l / 2 and wc = L^-1 c / 2, u = L'x + w0 - t wc turns that
+    objective into |u|^2 less a constant, and the rows into G u <= h = h0 - t h1 with
+    G = A L^-T, h0 = b + G w0 (:func:`_whitened_rhs`) and h1 = G wc: only the right-hand
+    side moves with t. The NNLS works on rows of unit norm, so its target and
+    infeasibility test are free of units, with the right-hand side scaled to unit size.
+    Returns the NNLS solution w, its residual r and that scale: the point is
+    u = -scale r[:n] / r[n], and r[n] ~ 0 means the rows are infeasible."""
+    norms, e_g = _whitened(p)[2:4]
     n = p.c.size
-    w0 = 0.5 * dtrtrs(p.q_chol.T, p.l, lower=0, trans=1)[0]     # L^-1 l / 2
-    h = p.b_ineq + g @ w0 - t * h1
+    h, norms = h[rows], norms[rows]
     h_scale = float(np.abs(h / norms).max(initial=0.0)) or 1.0
-    e = np.vstack([e_g, -h / (norms * h_scale)])
+    e = np.vstack([e_g[:, rows], -h / (norms * h_scale)])
     f = np.zeros(n + 1)
     f[n] = 1.0
     w, _ = nnls(e, f)
-    return w, e @ w - f, h_scale, w0
+    return w, e @ w - f, h_scale
+
+
+def _whitened_rhs(p: QcqpProblem) -> tuple[np.ndarray, np.ndarray]:
+    """w0 = L^-1 l / 2 and h0 = b + G w0 of :func:`_nnls`, for p's own l and b."""
+    w0 = 0.5 * dtrtrs(p.q_chol.T, p.l, lower=0, trans=1)[0]
+    return w0, p.b_ineq + _whitened(p)[0] @ w0
 
 
 def _whitened(p: QcqpProblem) -> tuple[np.ndarray, ...]:
@@ -377,13 +378,12 @@ def least_distance(p: QcqpProblem) -> tuple[QcqpSolution | None, SolveCertificat
     """Minimize f_q(x) = x'Qx + l'x - r subject to a_ineq x <= b_ineq; computed
     once per problem and kept on it.
 
-    This is the t = 0 point of :func:`_nnls`: a least-distance program in
-    u = L'x + L^-1 l / 2, solved exactly by one NNLS, whose row multipliers are
-    2 w / (-r_{n+1}) for the NNLS solution w and residual r. The certificate's
-    ``objective`` is the minimum of f_q. Status is "optimal" when
-    :func:`qp_kkt_residual` passes the gate, "infeasible" when the NNLS solution
-    is a checked Farkas vector of the rows (:func:`_farkas`), and "failure"
-    otherwise. ``iterations`` counts NNLS solves: 0 for a certified guess.
+    This is the t = 0 point of :func:`_nnls`: a least-distance program in u = L'x + L^-1 l / 2,
+    solved exactly by one NNLS, whose row multipliers are 2 w / (-r_{n+1}) for the NNLS
+    solution w and residual r. The certificate's ``objective`` is the minimum of f_q. Status
+    is "optimal" when :func:`qp_kkt_residual` passes the gate, "infeasible" when the NNLS
+    solution is a checked Farkas vector of the rows (:func:`_farkas`), "failure" otherwise.
+    Fewer rows go first (:func:`_guessed_least_distance`); ``iterations`` counts NNLS solves.
     """
     if p._least_distance is None:
         t0 = time.perf_counter()
@@ -394,16 +394,14 @@ def least_distance(p: QcqpProblem) -> tuple[QcqpSolution | None, SolveCertificat
 
 
 def _least_distance(p: QcqpProblem) -> tuple[QcqpSolution | None, SolveCertificate]:
-    n = p.c.size
-    norms = _whitened(p)[2]
-    w, res, h_scale, w0 = _nnls(p, 0.0)
+    w0, h0 = _whitened_rhs(p)
+    ld, solves = _guessed_least_distance(p, w0, h0)
+    if ld is not None:
+        return ld
+    w, res, h_scale = _nnls(p, h0)
+    sol, solves = _ld_point(p, w, res, h_scale, w0), solves + 1
     objective = residual = np.nan
-    # |u|^2 = -1/r_{n+1} - 1: a vanishing r_{n+1} leaves no bounded point
-    if -res[n] > 1e-12:
-        u = h_scale * (-res[:n] / res[n])
-        x = dtrtrs(p.q_chol.T, u - w0, lower=0, trans=0)[0]         # L^-T (u - w0)
-        lam = 2.0 * h_scale * w / (-res[n] * norms)
-        sol = QcqpSolution(x=x, dual_quad=0.0, dual_ineq=lam, active=lam > 0.0)
+    if sol is not None:
         residual = qp_kkt_residual(p, sol)
         if residual > KKT_GATE:
             # rounding in the whitened point: solve the same active set in x
@@ -413,36 +411,43 @@ def _least_distance(p: QcqpProblem) -> tuple[QcqpSolution | None, SolveCertifica
         objective = p.f_quad(sol.x)
         if residual <= KKT_GATE:
             return sol, SolveCertificate(status="optimal", objective=objective,
-                                         kkt_residual=residual, iterations=1,
+                                         kkt_residual=residual, iterations=solves,
                                          path="least-distance")
-    farkas = _farkas(p, w / norms)
+    farkas = _farkas(p, w / _whitened(p)[2])
     if farkas is not None:
-        return None, farkas
+        return None, replace(farkas, iterations=solves)
     return None, SolveCertificate(status="failure", objective=objective, kkt_residual=residual,
-                                  iterations=1, path="least-distance")
+                                  iterations=solves, path="least-distance")
 
 
-def _guessed_least_distance(p: QcqpProblem, act: np.ndarray):
-    """The :func:`least_distance` result if the rows ``act`` are its active set,
-    in the whitened variable of :func:`_nnls`: u = G_act' y, (G_act G_act') y =
-    h_act and multipliers -2y (Lawson & Hanson 1974, ch. 23). None unless that
-    matrix has a Cholesky factor, no multiplier is negative, every row holds to
-    FEAS_TOL (1 + |b_i|) and :func:`qp_kkt_residual` passes the gate."""
-    g = _whitened(p)[0][act]
-    w0 = 0.5 * dtrtrs(p.q_chol.T, p.l, lower=0, trans=1)[0]
-    f, info = dpotrf(g @ g.T, lower=1, clean=0)
-    if info != 0 or not act.any():
-        return None                                 # dependent rows, or no guess
-    y = dpotrs(f, p.b_ineq[act] + g @ w0, lower=1)[0]
+def _guessed_least_distance(p: QcqpProblem, w0: np.ndarray, h0: np.ndarray):
+    """Least distance on the rows the closed form breaks, then on those the unconstrained
+    minimum of f_q breaks (u = 0: h0 < 0): relaxations, whose point is kept if all rows hold to
+    FEAS_TOL (1 + |b_i|) and the KKT gate passes. Returns it or None, and the NNLS solves."""
+    cf = _closed_form(p)
+    guess = None if cf is None else p.b_ineq - p.a_ineq @ cf.x < 0.0
+    solves = 0
+    for rows in (guess, h0 < 0.0):
+        if rows is not None and rows.any():
+            sol, solves = _ld_point(p, *_nnls(p, h0, rows), w0, rows), solves + 1
+            tol = -FEAS_TOL * (1.0 + np.abs(p.b_ineq))
+            if sol is not None and (p.b_ineq - p.a_ineq @ sol.x >= tol).all() \
+                    and (residual := qp_kkt_residual(p, sol)) <= KKT_GATE:
+                return (sol, SolveCertificate("optimal", p.f_quad(sol.x), residual, solves,
+                                              path="least-distance")), solves
+    return None, solves
+
+
+def _ld_point(p: QcqpProblem, w, res, h_scale, w0, rows=slice(None)) -> QcqpSolution | None:
+    """x and row multipliers of an :func:`_nnls` result on ``rows``; None without a point."""
+    n = p.c.size
+    if not -res[n] > 1e-12:
+        return None                     # |u|^2 = -1/r_{n+1} - 1: no bounded point
+    u = h_scale * (-res[:n] / res[n])
+    x = dtrtrs(p.q_chol.T, u - w0, lower=0, trans=0)[0]         # L^-T (u - w0)
     lam = np.zeros(p.b_ineq.size)
-    lam[act] = -2.0 * y
-    x = dtrtrs(p.q_chol.T, g.T @ y - w0, lower=0, trans=0)[0]
-    sol = QcqpSolution(x=x, dual_quad=0.0, dual_ineq=lam, active=lam > 0.0)
-    if (lam >= 0.0).all() \
-            and (p.b_ineq - p.a_ineq @ x >= -FEAS_TOL * (1.0 + np.abs(p.b_ineq))).all() \
-            and (residual := qp_kkt_residual(p, sol)) <= KKT_GATE:
-        return sol, SolveCertificate(status="optimal", objective=p.f_quad(x),
-                                     kkt_residual=residual, path="least-distance")
+    lam[rows] = 2.0 * h_scale * w / (-res[n] * _whitened(p)[2][rows])
+    return QcqpSolution(x=x, dual_quad=0.0, dual_ineq=lam, active=lam > 0.0)
 
 
 def _farkas(p: QcqpProblem, y: np.ndarray) -> SolveCertificate | None:
@@ -470,18 +475,18 @@ def solve_qcqp(p: QcqpProblem) -> tuple[QcqpSolution | None, SolveCertificate]:
     With t = 1/mu for the quadratic's multiplier mu > 0, the optimum minimizes
     x'Qx + (l - t c)'x over the rows, at the t where f_q reaches 0. The path
     of these minimisers starts at the :func:`least_distance` point (t = 0)
-    and is affine in t on each active set (:func:`_piece`), so f_q along it is
-    a scalar quadratic: the parametric active-set method of Ferreau, Bock &
-    Diehl (qpOASES, 2008) over the single parameter t.
+    and is affine in t on each active set (:func:`_piece`), so f_q
+    along it is a scalar quadratic: the parametric active-set method of
+    Ferreau, Bock & Diehl (qpOASES, 2008) over the single parameter t.
 
     The path with no row active is the closed form (:func:`_closed_form`,
     ``path="closed-form"``, no iterations), returned when every row holds and
     it passes the KKT gate. Otherwise :func:`_parametric` walks the path
     (``path="parametric"``). A least-distance minimum of f_q above FEAS_TOL
     (1 + |r|), or rows that admit no point at all, prove the problem infeasible
-    (``path="least-distance"``); the rows the closed form breaks are tried
-    first as that point's active set. ``iterations`` counts NNLS solves. The
-    solution names the constraints found active (``quad_active``, ``active``).
+    (``path="least-distance"``); that minimum is first sought on the rows the
+    closed form breaks. ``iterations`` counts NNLS solves. The solution names
+    the constraints found active (``quad_active``, ``active``).
     """
     t_start = time.perf_counter()
     sol = _closed_form(p)
@@ -495,8 +500,6 @@ def solve_qcqp(p: QcqpProblem) -> tuple[QcqpSolution | None, SolveCertificate]:
                                              kkt_residual=residual,
                                              wall_time=time.perf_counter() - t_start,
                                              path="closed-form")
-        elif p._least_distance is None:
-            p._least_distance = _guessed_least_distance(p, slack < 0.0)
     # the closed form's t = 1/mu sizes the first steps of the walk
     t_scale = 1.0 / sol.dual_quad if sol is not None else 1.0
     sol, cert = _parametric(p, t_scale)
@@ -547,9 +550,7 @@ def _parametric(p: QcqpProblem, t_scale: float) -> tuple[QcqpSolution | None, So
         return None, replace(ld)
     if ld.objective > FEAS_TOL * (1.0 + abs(p.r)):
         # the certified minimum of f_q over the rows is positive
-        return None, SolveCertificate(status="infeasible", objective=ld.objective,
-                                      kkt_residual=ld.kkt_residual, iterations=ld.iterations,
-                                      path="least-distance")
+        return None, replace(ld, status="infeasible")
     act, solves = ld_sol.active, ld.iterations
     row_tol = FEAS_TOL * (1.0 + np.abs(p.b_ineq))
     row_norms = _whitened(p)[4]
@@ -591,7 +592,7 @@ def _parametric(p: QcqpProblem, t_scale: float) -> tuple[QcqpSolution | None, So
             t_next = (t - _piece_end(p, act, x, -dx, nu, -dnu)) * (1.0 - 1e-6)
         if not t_lo < t_next < t_hi:
             t_next = _bisect(t_lo, t_hi, t_scale)
-        w, res, _, _ = _nnls(p, t_next)
+        w, res, _ = _nnls(p, _whitened_rhs(p)[1] - t_next * _whitened(p)[1])
         solves += 1
         if not -res[-1] > 1e-12:
             break

@@ -330,15 +330,25 @@ def test_soc_floor_hour_clips_without_failures(day_forecast, bank_module, monkey
 
 
 def test_soc_floor_guess_matches_nnls(day_forecast, monkeypatch):
-    # the same hour with the guessed least-distance active set bypassed: the
-    # clipped steps whose guess was certified (no NNLS solve) change their
-    # currents by rounding only, and every status stays
+    # the same hour with the least-distance relaxations bypassed: the clipped
+    # steps certified on the rows their closed form breaks (no NNLS on all
+    # rows) change their currents by rounding only, and every status stays
+    all_rows = []
+    nnls = solver._nnls
+
+    def counting_nnls(p, h, rows=slice(None)):
+        all_rows.append(isinstance(rows, slice))
+        return nnls(p, h, rows)
+
+    monkeypatch.setattr(solver, "_nnls", counting_nnls)
     run, steps = _soc_floor_hour(day_forecast, ModelBank(), monkeypatch)
-    monkeypatch.setattr(solver, "_guessed_least_distance", lambda p, act: None)
+    guessed_all_rows = sum(all_rows)
+    all_rows.clear()
+    monkeypatch.setattr(solver, "_guessed_least_distance", lambda *args: (None, 0))
     nnls_run, nnls_steps = _soc_floor_hour(day_forecast, ModelBank(), monkeypatch)
-    guessed = [d for _, d in steps if d.status == "infeasible-clipped" and d.iterations == 0]
-    assert len(guessed) >= 30
-    assert all(d.iterations == 1 for _, d in nnls_steps if d.status == "infeasible-clipped")
+    clipped = [d for _, d in nnls_steps if d.status == "infeasible-clipped"]
+    assert len(clipped) >= 30 and all(d.iterations == 1 for d in clipped)
+    assert sum(all_rows) >= len(clipped) and sum(all_rows) - guessed_all_rows >= 30
     assert run.status == nnls_run.status
     assert np.abs(run.i_a - nnls_run.i_a).max() <= 1e-9
 

@@ -383,73 +383,89 @@ def _cut_qcqp(rng):
     return QcqpProblem(c=c, q=q, l=l, r=r, a_ineq=a, b_ineq=b)
 
 
-def _same_solve(a, b):
-    """Two solve results with the same bits in the solution and certificate."""
+def _same_solve(a, b, iterations=True):
+    """Two solve results with the same bits in the solution and certificate
+    (and the same NNLS count, unless ``iterations`` is False)."""
     (sol_a, cert_a), (sol_b, cert_b) = a, b
     assert (sol_a is None) == (sol_b is None)
     if sol_a is not None:
         for name in ("x", "dual_ineq", "active"):
             assert getattr(sol_a, name).tobytes() == getattr(sol_b, name).tobytes()
         assert sol_a.dual_quad == sol_b.dual_quad and sol_a.quad_active == sol_b.quad_active
-    for name in ("status", "iterations", "path"):
+    for name in ("status", "path") + (("iterations",) if iterations else ()):
         assert getattr(cert_a, name) == getattr(cert_b, name)
     for name in ("objective", "kkt_residual"):
         assert np.float64(getattr(cert_a, name)).tobytes() \
             == np.float64(getattr(cert_b, name)).tobytes()
 
 
-def test_guessed_least_distance_matches_nnls(rng):
-    # whenever the rows the closed form breaks are certified as the
-    # least-distance active set, the point is the NNLS point to 1e-9 relative,
-    # with the same active set; a failed guess leaves the NNLS result
+def _guess_bypassed(p, monkeypatch, solve=solve_qcqp):
+    """``solve(p)`` with no least-distance relaxation tried: one NNLS on all rows."""
+    with monkeypatch.context() as m:
+        m.setattr(solver, "_guessed_least_distance", lambda *args: (None, 0))
+        return solve(p)
+
+
+def test_guessed_least_distance_matches_nnls(rng, monkeypatch):
+    # whenever the least-distance program on fewer rows (those the closed form
+    # breaks, then those the unconstrained minimum breaks) is certified, its
+    # point is the NNLS point of all rows to 1e-9 relative, with the same
+    # active set inside those rows; otherwise the all-row NNLS result is
+    # returned bit for bit, after one more NNLS solve
     taken = missed = 0
     for _ in range(400):
         p = _cut_qcqp(rng)
-        slack = p.b_ineq - p.a_ineq @ solver._closed_form(p).x
-        assert (slack < 0.0).any()
+        broken = p.b_ineq - p.a_ineq @ solver._closed_form(p).x < 0.0
+        assert broken.any()
         solve_qcqp(p)
         sol, cert = solver.least_distance(p)
-        fresh = p.with_rhs(p.l, p.r, p.b_ineq)
-        ref, ref_cert = solver.least_distance(fresh)
+        ref, ref_cert = _guess_bypassed(p.with_rhs(p.l, p.r, p.b_ineq), monkeypatch,
+                                        solver.least_distance)
         assert ref_cert.iterations == 1
-        if cert.iterations == 1:
+        stages = [rows for rows in (broken, solver._whitened_rhs(p)[1] < 0.0) if rows.any()]
+        if cert.iterations > len(stages):
             missed += 1
-            _same_solve((sol, cert), (ref, ref_cert))
+            assert cert.iterations == len(stages) + 1
+            _same_solve((sol, cert), (ref, ref_cert), iterations=False)
             continue
         taken += 1
         assert cert.status == ref_cert.status == "optimal" and cert.path == "least-distance"
-        assert cert.iterations == 0 and cert.kkt_residual <= solver.KKT_GATE
+        assert cert.kkt_residual <= solver.KKT_GATE
         assert np.abs(sol.x - ref.x).max() <= 1e-9 * max(1.0, float(np.abs(ref.x).max()))
         assert np.array_equal(sol.active, ref.active)
-        assert np.array_equal(sol.active, slack < 0.0)
-    assert taken >= 100 and missed >= 20
-
-
-def _guess_bypassed(p, monkeypatch):
-    with monkeypatch.context() as m:
-        m.setattr(solver, "_guessed_least_distance", lambda p, act: None)
-        return solve_qcqp(p)
+        assert not (sol.active & ~stages[cert.iterations - 1]).any()
+    assert taken >= 100 and missed >= 5
 
 
 def test_failed_guess_falls_back_to_nnls(monkeypatch):
-    # maximize x0 in the unit disk: the closed form (1, 0) breaks both rows.
-    # x0 <= -0.5 alone binds at the least-distance point (-0.5, 0); guessing
-    # x0 + x1 <= 0.9 active too gives it the multiplier -2.8
-    base = QcqpProblem(c=[1.0, 0.0], q=np.eye(2), l=[0.0, 0.0], r=1.0,
-                       a_ineq=[[1.0, 0.0], [1.0, 1.0]], b_ineq=[-0.5, 0.9])
-    # the same first row twice: G_W G_W' = [[1, 1], [1, 1]] has no Cholesky factor
-    twice = QcqpProblem(c=[1.0, 0.0], q=np.eye(2), l=[0.0, 0.0], r=1.0,
-                        a_ineq=[[1.0, 0.0], [1.0, 0.0]], b_ineq=[-0.5, -0.5])
-    for p in (base, twice):
-        broken = p.b_ineq - p.a_ineq @ solver._closed_form(p).x < 0.0
-        assert broken.all()
-        assert solver._guessed_least_distance(p, broken) is None
-        got = solve_qcqp(p)
-        assert got[1].status == "optimal" and got[1].path == "parametric"
-        assert solver.least_distance(p)[1].iterations == 1
-        fresh = p.with_rhs(p.l, p.r, p.b_ineq)
-        _same_solve(got, _guess_bypassed(fresh, monkeypatch))
-        _same_solve(solver.least_distance(p), solver.least_distance(fresh))
-    # with Q = I and l = 0 the whitened rows are the rows: the planted faults
-    assert -2.0 * np.linalg.solve(base.a_ineq @ base.a_ineq.T, base.b_ineq)[1] < 0.0
-    assert np.linalg.matrix_rank(twice.a_ineq @ twice.a_ineq.T) == 1
+    # maximize x0 in the unit disk: the closed form (1, 0) and the unconstrained
+    # minimum (0, 0) both break x0 <= -0.5 alone, and its least-distance point
+    # (-0.5, 0) breaks -x0 + x1 <= 0.25, which binds at the point of both rows,
+    # (-0.5, -0.25): two relaxations fail, then one NNLS on all rows gives the
+    # result of a solve without them, bit for bit
+    p = QcqpProblem(c=[1.0, 0.0], q=np.eye(2), l=[0.0, 0.0], r=1.0,
+                    a_ineq=[[1.0, 0.0], [-1.0, 1.0]], b_ineq=[-0.5, 0.25])
+    assert list(p.b_ineq - p.a_ineq @ solver._closed_form(p).x < 0.0) == [True, False]
+    assert list(solver._whitened_rhs(p)[1] < 0.0) == [True, False]
+    got = solve_qcqp(p)
+    assert got[1].status == "optimal" and got[1].path == "parametric"
+    ld = solver.least_distance(p)
+    assert ld[1].iterations == 3 and ld[0].x == pytest.approx([-0.5, -0.25], abs=1e-12)
+    fresh = p.with_rhs(p.l, p.r, p.b_ineq)
+    want = _guess_bypassed(fresh, monkeypatch)
+    _same_solve(got, want, iterations=False)
+    assert got[1].iterations == want[1].iterations + 2
+    _same_solve(ld, solver.least_distance(fresh), iterations=False)
+    # a guess that holds more rows than the active set, one of them with a
+    # negative multiplier on its own (x0 + x1 <= 0.9), or the same row twice,
+    # is still certified: the NNLS on the guessed rows drops what is not active
+    for rows, b in (([[1.0, 0.0], [1.0, 1.0]], [-0.5, 0.9]), ([[1.0, 0.0], [1.0, 0.0]], [-0.5, -0.5])):
+        p = QcqpProblem(c=[1.0, 0.0], q=np.eye(2), l=[0.0, 0.0], r=1.0, a_ineq=rows, b_ineq=b)
+        assert (p.b_ineq - p.a_ineq @ solver._closed_form(p).x < 0.0).all()
+        solve_qcqp(p)
+        sol, cert = solver.least_distance(p)
+        ref, ref_cert = _guess_bypassed(p.with_rhs(p.l, p.r, p.b_ineq), monkeypatch,
+                                        solver.least_distance)
+        assert cert.iterations == 1 and cert.status == ref_cert.status == "optimal"
+        assert sol.x == pytest.approx([-0.5, 0.0], abs=1e-12)
+        assert np.abs(sol.x - ref.x).max() <= 1e-12

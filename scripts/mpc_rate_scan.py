@@ -56,10 +56,14 @@ def draw(bank: ModelBank, rng: np.random.Generator, low_soc: bool) -> MpcProblem
 
 def _relaxations(q: solver.QcqpProblem) -> int:
     """How many least-distance programs on fewer rows a solve of q tries: one on
-    the rows its closed form breaks, one on those its unconstrained minimum breaks."""
+    the rows its closed form breaks, one on those its unconstrained minimum
+    breaks, unless they are the same rows."""
     cf = solver._closed_form(q)
-    broken = q.b_ineq - q.a_ineq @ cf.x < 0.0 if cf is not None else np.zeros(0, dtype=bool)
-    return int(broken.any()) + int((solver._whitened_rhs(q)[1] < 0.0).any())
+    unconstrained = solver._whitened_rhs(q)[1] < 0.0
+    broken = q.b_ineq - q.a_ineq @ cf.x < 0.0 if cf is not None else unconstrained
+    if np.array_equal(broken, unconstrained):
+        return int(broken.any())
+    return int(broken.any()) + int(unconstrained.any())
 
 
 def main() -> None:
@@ -83,8 +87,8 @@ def main() -> None:
         dec = solve(p)
         statuses[dec.status] += 1
         paths[dec.path] += 1
-        ld = p._qcqp._least_distance            # computed by this solve, if it needed one
-        if ld is not None:
+        if dec.path != "closed-form":           # the solve needed a least-distance point
+            ld = solver.least_distance(p._qcqp)
             least_distance["fewer rows" if ld[1].iterations <= _relaxations(p._qcqp)
                            else "all rows"] += 1
         iterations.append(dec.iterations)

@@ -23,8 +23,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-TS_CONTROL = 10.0        # s, real-time actuation period
+from .timegrid import STEP_SECONDS
+
 C_NOM_AH = 810.0         # Ah, pack capacity from datasheet
+CONVERTER_EFF = 0.98     # AC power per DC power of the converter
 
 
 @dataclass(frozen=True)
@@ -133,7 +135,7 @@ class DiscreteStateSpace:
     label: str = ""
 
 
-def reduce_and_discretize(p: TtcParameters, ts: float = TS_CONTROL) -> DiscreteStateSpace:
+def reduce_and_discretize(p: TtcParameters, ts: float = STEP_SECONDS) -> DiscreteStateSpace:
     """Drop the fast (R3, C3) branch into the series feedthrough (the unique
     choice preserving DC gain exactly) and discretize the remaining two states
     with a single forward-Euler step; process noise per the first-order
@@ -170,7 +172,7 @@ def voltage_step(m: DiscreteStateSpace, x: np.ndarray, i: float) -> tuple[np.nda
     return x_next, c0 * x0 + c1 * x1 + m.d_i * i + m.d_1
 
 
-def soc_statespace(ts: float = TS_CONTROL, c_nom: float = C_NOM_AH) -> DiscreteStateSpace:
+def soc_statespace(ts: float = STEP_SECONDS, c_nom: float = C_NOM_AH) -> DiscreteStateSpace:
     """Scalar coulomb-counting model whose output is the end-of-step SOC, so the
     predictive constraints bound the SOC actually reached after each actuation."""
     b = ts / 3600.0 / c_nom
@@ -179,7 +181,7 @@ def soc_statespace(ts: float = TS_CONTROL, c_nom: float = C_NOM_AH) -> DiscreteS
                               g=0.0, n=1, label="soc")
 
 
-def soc_step(soc: float, i: float, ts: float = TS_CONTROL, c_nom: float = C_NOM_AH) -> float:
+def soc_step(soc: float, i: float, ts: float = STEP_SECONDS, c_nom: float = C_NOM_AH) -> float:
     """Coulomb counting: soc + (ts/3600) * i / c_nom."""
     return soc + (ts / 3600.0) * i / c_nom
 
@@ -238,9 +240,9 @@ class KalmanState:
     p: np.ndarray
 
     @staticmethod
-    def initial(prior_std: float = 10.0) -> "KalmanState":
-        # large prior variance: the first measurements dominate
-        return KalmanState(x=np.zeros(2), p=np.eye(2) * prior_std**2)
+    def initial() -> "KalmanState":
+        # large prior variance (std 10 V): the first measurements dominate
+        return KalmanState(x=np.zeros(2), p=np.eye(2) * 10.0**2)
 
 
 def kalman_update(st: KalmanState, m: DiscreteStateSpace, i_prev: float,
@@ -309,17 +311,13 @@ class ModelBank:
     rejected here rather than at a control step.
     """
 
-    def __init__(self, table: tuple[TtcParameters, ...] = TABLE1,
-                 ts: float = TS_CONTROL, c_nom: float = C_NOM_AH,
-                 max_horizon: int = 30):
+    def __init__(self, table: tuple[TtcParameters, ...] = TABLE1):
         self.table = table
-        self.ts = ts
-        self.max_horizon = max_horizon
-        self.voltage_models = tuple(reduce_and_discretize(p, ts) for p in table)
-        self.soc_model = soc_statespace(ts, c_nom)
+        self.voltage_models = tuple(reduce_and_discretize(p) for p in table)
+        self.soc_model = soc_statespace()
         self._cache: dict[tuple[str, int], TransitionMatrices] = {}
         for m in self.voltage_models:
-            tm = self.transitions(m, max_horizon)
+            tm = self.transitions(m, 30)        # a slot's steps, the longest horizon
             try:
                 np.linalg.cholesky(0.5 * (tm.psi_i + tm.psi_i.T))
             except np.linalg.LinAlgError:

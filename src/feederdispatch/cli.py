@@ -13,7 +13,6 @@ import logging
 import os
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -44,24 +43,33 @@ class ConfigError(ValueError):
     pass
 
 
+# A key's type, or the field of DayAheadConfig, MpcLimits or PlantConfig it
+# sets followed by its types; the dataclasses hold the defaults.
 _SCHEMA = {
     "seed": int,
     "initial_soc": float,
     "dayahead": {
-        "soe0_kwh": float, "soe_min_kwh": float, "soe_max_kwh": float,
-        "b_min_kw": float, "b_max_kw": float, "p_max_kw": (float, type(None)),
-        "eta": float, "e_nom_kwh": float, "soe_backoff_kwh": float,
-        "power_backoff_kw": float,
+        "soe0_kwh": ("soe0", float), "soe_min_kwh": ("soe_min", float),
+        "soe_max_kwh": ("soe_max", float), "b_min_kw": ("b_min", float),
+        "b_max_kw": ("b_max", float), "p_max_kw": ("p_max", float, type(None)),
+        "eta": ("eta", float), "e_nom_kwh": ("e_nom", float),
+        "soe_backoff_kwh": ("soe_backoff", float),
+        "power_backoff_kw": ("power_backoff", float),
     },
     "mpc": {
-        "i_min_a": float, "i_max_a": float, "di_min_a": float, "di_max_a": float,
-        "v_min_v": float, "v_max_v": float, "soc_min": float, "soc_max": float,
+        "i_min_a": ("i_min", float), "i_max_a": ("i_max", float),
+        "di_min_a": ("di_min", float), "di_max_a": ("di_max", float),
+        "v_min_v": ("v_min", float), "v_max_v": ("v_max", float),
+        "soc_min": ("soc_min", float), "soc_max": ("soc_max", float),
     },
     "plant": {
-        "param_perturbation": float, "voltage_noise_v": float,
-        "power_noise_kw": float, "actuation_error_frac": float,
-        "actuation_noise_kw": float, "step_noise_kw": float,
-        "step_noise_ar": float, "parameter_file": (str, type(None)),
+        "param_perturbation": ("param_perturbation", float),
+        "voltage_noise_v": ("voltage_noise_v", float),
+        "power_noise_kw": ("power_noise_kw", float),
+        "actuation_error_frac": ("actuation_error_frac", float),
+        "actuation_noise_kw": ("actuation_noise_kw", float),
+        "step_noise_kw": ("step_noise_kw", float), "step_noise_ar": ("step_noise_ar", float),
+        "parameter_file": ("parameter_table", str, type(None)),
     },
     "paths": {"history": str, "plan": str, "trace": str, "out_dir": str},
 }
@@ -77,7 +85,7 @@ def _validate(section: dict, schema: dict, where: str) -> None:
                 raise ConfigError(f"config key {where}{key!r} must be an object")
             _validate(value, spec, f"{where}{key}.")
         else:
-            types = spec if isinstance(spec, tuple) else (spec,)
+            types = spec[1:] if isinstance(spec, tuple) else (spec,)
             if float in types:
                 types = types + (int,)
             if not isinstance(value, types) or isinstance(value, bool):
@@ -101,53 +109,33 @@ def load_config(path: str | None) -> dict:
     return doc
 
 
+def _fields(doc: dict, section: str) -> dict:
+    """The dataclass fields a validated config's ``section`` sets, int values as floats."""
+    spec = _SCHEMA[section]
+    return {spec[key][0]: float(value) if isinstance(value, int) else value
+            for key, value in doc.get(section, {}).items()}
+
+
 def dayahead_config(doc: dict, soe0: float | None = None,
                     p_max: float | None = None) -> DayAheadConfig:
-    d = doc.get("dayahead", {})
-    cfg = DayAheadConfig(
-        soe0=float(d.get("soe0_kwh", soe0 if soe0 is not None else 250.0)),
-        soe_min=float(d.get("soe_min_kwh", 50.0)),
-        soe_max=float(d.get("soe_max_kwh", 450.0)),
-        b_min=float(d.get("b_min_kw", -250.0)),
-        b_max=float(d.get("b_max_kw", 250.0)),
-        p_max=d.get("p_max_kw"),
-        eta=float(d.get("eta", 0.96)),
-        e_nom=float(d.get("e_nom_kwh", 500.0)),
-        soe_backoff=float(d.get("soe_backoff_kwh", 0.0)),
-        power_backoff=float(d.get("power_backoff_kw", 0.0)),
-    )
+    """The config's DayAheadConfig, with soe0 250 kWh unless set; ``soe0`` and
+    ``p_max`` override the config."""
+    fields = {"soe0": 250.0, **_fields(doc, "dayahead")}
     if soe0 is not None:
-        cfg = replace(cfg, soe0=soe0)
+        fields["soe0"] = soe0
     if p_max is not None:
-        cfg = replace(cfg, p_max=p_max)
-    return cfg
+        fields["p_max"] = p_max
+    return DayAheadConfig(**fields)
 
 
 def mpc_limits(doc: dict) -> MpcLimits:
-    m = doc.get("mpc", {})
-    return MpcLimits(i_min=float(m.get("i_min_a", -810.0)),
-                     i_max=float(m.get("i_max_a", 810.0)),
-                     di_min=float(m.get("di_min_a", -200.0)),
-                     di_max=float(m.get("di_max_a", 200.0)),
-                     v_min=float(m.get("v_min_v", 530.0)),
-                     v_max=float(m.get("v_max_v", 750.0)),
-                     soc_min=float(m.get("soc_min", 0.10)),
-                     soc_max=float(m.get("soc_max", 0.90)))
+    return MpcLimits(**_fields(doc, "mpc"))
 
 
 def plant_config(doc: dict) -> PlantConfig:
-    p = doc.get("plant", {})
-    table = None
-    if p.get("parameter_file"):
-        table = load_parameter_table(p["parameter_file"])
-    return PlantConfig(param_perturbation=float(p.get("param_perturbation", 0.05)),
-                       voltage_noise_v=float(p.get("voltage_noise_v", 0.1)),
-                       power_noise_kw=float(p.get("power_noise_kw", 0.5)),
-                       actuation_error_frac=float(p.get("actuation_error_frac", 0.01)),
-                       actuation_noise_kw=float(p.get("actuation_noise_kw", 0.5)),
-                       step_noise_kw=float(p.get("step_noise_kw", 1.0)),
-                       step_noise_ar=float(p.get("step_noise_ar", 0.9)),
-                       parameter_table=table)
+    fields = _fields(doc, "plant")
+    path = fields.pop("parameter_table", None)
+    return PlantConfig(**fields, parameter_table=load_parameter_table(path) if path else None)
 
 
 # ---------------------------------------------------------------------------

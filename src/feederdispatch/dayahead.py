@@ -8,9 +8,12 @@ bounds; it thereby steers the battery back toward a flexible energy level.
 The optimization is solved as a linear program over the positive/negative parts
 of the two worst-case battery powers K = f + envelope_low and
 G = f + envelope_high (charging and discharging are weighted by different
-efficiency coefficients, which the split keeps linear), with sparse rows. Plan
-files rebuild the forecast from their columns, without members, so they are
-held to the same envelope signs as a fresh forecast.
+efficiency coefficients, which the split keeps linear), with sparse rows. When
+no offset is within bounds, the least-violation point that
+:func:`solver.solve_lp` returns with its infeasible verdict names the first
+slot it could not hold. Plan files rebuild the forecast from their columns,
+without members, so they are held to the same envelope signs as a fresh
+forecast.
 """
 
 from __future__ import annotations
@@ -23,8 +26,8 @@ import scipy.sparse as sp
 
 from . import solver
 from .forecast import ProsumptionForecast
+from .timegrid import SLOT_SECONDS
 
-TS_PLAN = 300.0              # s, slot length
 E_NOM_KWH = 500.0            # kWh, pack energy capacity
 COMPLEMENTARITY_TOL = 1e-6
 
@@ -48,7 +51,7 @@ class DayAheadConfig:
     b_max: float = 250.0              # kW (charge limit)
     p_max: float | None = None        # kW, optional peak-shaving cap on the plan
     eta: float = 0.96                 # conversion efficiency
-    ts: float = TS_PLAN               # s
+    ts: float = SLOT_SECONDS          # s
     e_nom: float = E_NOM_KWH          # kWh, for SOC <-> SOE conversion
     soe_backoff: float = 0.0          # kWh margin inside the SOE bounds
     power_backoff: float = 0.0        # kW margin inside the power bounds
@@ -146,32 +149,18 @@ def _offset_lp(l_hat, env_low, env_high, cfg: DayAheadConfig) -> solver.LinearPr
                                 lb=np.zeros(4 * n))
 
 
-def _diagnose_infeasibility(p: solver.LinearProgram, cfg: DayAheadConfig) -> InfeasiblePlanError:
-    """Elastic re-solve of the offset LP ``p`` to locate the first slot whose
-    constraint cannot hold."""
-    n = p.c.size // 4
-    m = p.a_ineq.shape[0]
-    a_ineq = sp.hstack([p.a_ineq, -sp.eye(m)], format="csr")
-    c = np.concatenate([np.zeros(4 * n), np.ones(m)])
-    a_eq = sp.hstack([p.a_eq, sp.csr_array((n, m))], format="csr")
-    elastic = solver.LinearProgram(c=c, a_ineq=a_ineq, b_ineq=p.b_ineq, a_eq=a_eq,
-                                   b_eq=p.b_eq, lb=np.zeros(4 * n + m))
-    sol, cert = solver.solve_lp(elastic)
-    if sol is None:
-        return InfeasiblePlanError("day-ahead problem infeasible (diagnosis solve failed)")
-    slacks = sol.x[4 * n:]
-    groups = ["soe_min", "soe_max", "b_max(K)", "b_min(K)", "b_max(G)", "b_min(G)"]
-    if cfg.p_max is not None:
-        groups.append("p_max")
-    worst = int(np.argmax(slacks))
-    group, slot = groups[worst // n], worst % n
-    first = int(np.argmax(slacks > 1e-9)) if np.any(slacks > 1e-9) else worst
-    first_group, first_slot = groups[first // n], first % n
+def _infeasibility(violation: np.ndarray, cfg: DayAheadConfig) -> InfeasiblePlanError:
+    """The error naming the first slot whose row the offset LP's elastic solve
+    had to violate, given each row's violation in the row order of
+    :func:`_offset_lp`, then the coupling equalities'."""
+    groups = ["soe_min", "soe_max", "b_max(K)", "b_min(K)", "b_max(G)", "b_min(G)"] \
+        + (["p_max"] if cfg.p_max is not None else []) + ["coupling"]
+    n = violation.size // len(groups)
+    first = int(np.argmax(violation > 1e-9))
+    group, slot = groups[first // n], first % n
     return InfeasiblePlanError(
-        f"day-ahead problem infeasible: first violation at slot {first_slot} "
-        f"({first_group}), total bound violation {slacks.sum():.3f}; "
-        f"largest single violation {slacks[worst]:.3f} at slot {slot} ({group})",
-        slot=first_slot, constraint=first_group)
+        f"day-ahead problem infeasible: first violation at slot {slot} ({group}), "
+        f"total violation {violation.sum():.3f}", slot=slot, constraint=group)
 
 
 def solve_offset(forecast: ProsumptionForecast, cfg: DayAheadConfig) -> OffsetPlan:
@@ -181,7 +170,7 @@ def solve_offset(forecast: ProsumptionForecast, cfg: DayAheadConfig) -> OffsetPl
     p = _offset_lp(l_hat, env_low, env_high, cfg)
     sol, cert = solver.solve_lp(p)
     if cert.status == "infeasible":
-        raise _diagnose_infeasibility(p, cfg)
+        raise _infeasibility(sol.x[4 * n:], cfg)
     if cert.status != "optimal":
         raise solver.SolverError("day-ahead LP solve failed")
     kp, km = sol.x[:n], sol.x[n:2 * n]

@@ -214,18 +214,13 @@ def synthesize_day(rng: np.random.Generator, year: int, day_of_year: int,
 
 
 def synthesize_history(seed: int, days: int,
-                       shape: SyntheticShape = SyntheticShape(),
-                       year: int = 2016, start_day: int = 1) -> list[HistoricalDay]:
-    """Deterministic-for-seed synthetic dataset of ``days`` consecutive days."""
+                       shape: SyntheticShape = SyntheticShape()) -> list[HistoricalDay]:
+    """Deterministic-for-seed synthetic dataset of ``days`` consecutive days
+    from 2016 day 1."""
     if days < 15:
         raise ValueError("need at least 15 days of history for forecasting")
     rng = np.random.default_rng(seed)
-    out = []
-    for offset in range(days):
-        d = start_day + offset
-        y = year + (d - 1) // 365
-        out.append(synthesize_day(rng, y, (d - 1) % 365 + 1, shape))
-    return out
+    return [synthesize_day(rng, 2016 + d // 365, d % 365 + 1, shape) for d in range(days)]
 
 
 # ---------------------------------------------------------------------------

@@ -15,13 +15,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import solver
-from .battery import ModelBank
+from .battery import CONVERTER_EFF, ModelBank
 from .dayahead import DispatchPlan
-from .timegrid import TimeGrid, DEFAULT_GRID
+from .timegrid import SLOT_SECONDS, STEP_SECONDS, TimeGrid, DEFAULT_GRID
 from .forecast import short_term_predict
 
-ALPHA = 10.0 / 3600.0 * 0.98   # kWh per kW of DC power over one step, incl. converter loss
-KKT_ACCEPT = 1e-6
+# kWh per kW of DC power over one step, incl. converter loss
+ALPHA = STEP_SECONDS / 3600.0 * CONVERTER_EFF
 
 STATUS_SOLVED = "solved"
 STATUS_CLIPPED = "infeasible-clipped"
@@ -133,7 +133,7 @@ def _stack_constraints(psi_v, psi_soc, h: int) -> np.ndarray:
 def dispatch_error(p_star: float, p_plus: float) -> float:
     """Energy gap (kWh) between the slot's committed average power and its
     expected realization; negative means the battery must discharge."""
-    return (300.0 / 3600.0) * (p_star - p_plus)
+    return (SLOT_SECONDS / 3600.0) * (p_star - p_plus)
 
 
 def expected_average(window, k: int, p_k: float, short_term: np.ndarray) -> float:
@@ -143,7 +143,7 @@ def expected_average(window, k: int, p_k: float, short_term: np.ndarray) -> floa
     expected = window.k_hi - k + 1
     if short_term.size != expected:
         raise ValueError(f"short_term must have {expected} values, got {short_term.size}")
-    return ((k - window.k_lo) * p_k + float(short_term.sum())) / 30.0
+    return ((k - window.k_lo) * p_k + float(short_term.sum())) / (window.k_hi - window.k_lo + 1)
 
 
 def build_problem(k: int, plan: DispatchPlan, telemetry: StepTelemetry,
@@ -234,27 +234,23 @@ def solve(p: MpcProblem) -> ControlDecision:
     throughput row binds (it is checked against every linear row and the KKT
     gate) and its parametric least-distance solve otherwise. The infeasible
     case is always a too-negative energy target, so the trajectory of least
-    throughput over the linear rows is the closest achievable one: it is
-    :func:`solver.least_distance`'s certified minimiser, the same one that
-    showed the target infeasible (``infeasible-clipped``), first sought on the
-    rows the closed form breaks. ``path`` records which ran (``none``: zero
-    current); ``iterations`` counts the NNLS solves of the first solve.
+    throughput over the linear rows is the closest achievable one: it is the
+    certified minimiser that :func:`solver.solve_qcqp` returns with its
+    infeasible verdict (``infeasible-clipped``), first sought on the rows the
+    closed form breaks. ``path`` records which ran (``none``: zero current);
+    ``iterations`` counts the NNLS solves.
     """
-    prob = p._qcqp
-    sol, cert = solver.solve_qcqp(prob)
-    iterations, status = cert.iterations, STATUS_SOLVED
-    if cert.status == "infeasible":
-        sol, cert = solver.least_distance(prob)
-        status = STATUS_CLIPPED
-    if cert.status == "optimal" and cert.kkt_residual <= KKT_ACCEPT:
+    sol, cert = solver.solve_qcqp(p._qcqp)
+    if sol is not None and cert.kkt_residual <= solver.KKT_GATE:
         i_first = float(sol.x[0])
         return ControlDecision(i_traj=sol.x, i_first=i_first,
                                b_setpoint=to_power_setpoint(i_first, p.v_k),
-                               status=status,
+                               status=STATUS_CLIPPED if cert.status == "infeasible"
+                               else STATUS_SOLVED,
                                active=_active_groups(p.horizon, sol),
                                kkt_residual=cert.kkt_residual,
-                               iterations=iterations, path=cert.path)
+                               iterations=cert.iterations, path=cert.path)
     zero = np.zeros(p.horizon)
     return ControlDecision(i_traj=zero, i_first=0.0, b_setpoint=0.0,
                            status=STATUS_FAILURE, active="-",
-                           kkt_residual=cert.kkt_residual, iterations=iterations)
+                           kkt_residual=cert.kkt_residual, iterations=cert.iterations)

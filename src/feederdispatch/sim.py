@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import battery
-from .battery import (ModelBank, KalmanState, TtcParameters, TABLE1,
+from .battery import (CONVERTER_EFF, ModelBank, KalmanState, TtcParameters, TABLE1,
                       kalman_update, soc_step)
 from .dayahead import (DayAheadConfig, DispatchPlan, plan_day, save_plan)
 from .forecast import (ProsumptionForecast, SyntheticShape, HistoricalDay,
@@ -27,8 +27,6 @@ from .forecast import (ProsumptionForecast, SyntheticShape, HistoricalDay,
                        synthesize_day)
 from .mpc import MpcLimits, StepTelemetry, build_problem, solve
 from .timegrid import TimeGrid, DEFAULT_GRID
-
-CONVERTER_EFF = 0.98
 
 
 class PlantStateError(RuntimeError):
@@ -87,14 +85,11 @@ class BatteryPlant:
     The voltages are written out on Python floats, as in
     :func:`battery.voltage_step`."""
 
-    def __init__(self, cfg: PlantConfig, seed: int, initial_soc: float,
-                 ts: float = battery.TS_CONTROL, c_nom: float = battery.C_NOM_AH):
+    def __init__(self, cfg: PlantConfig, seed: int, initial_soc: float):
         table = cfg.parameter_table or TABLE1
         rng = np.random.default_rng([seed, 777])
         self.table = perturbed_table(table, cfg.param_perturbation, rng)
-        self.models = tuple(battery.reduce_and_discretize(p, ts) for p in self.table)
-        self.ts = ts
-        self.c_nom = c_nom
+        self.models = tuple(battery.reduce_and_discretize(p) for p in self.table)
         self.soc = float(initial_soc)
         self.model = self.models[battery.schedule_index(self.soc)]
         self.x = np.zeros(2)
@@ -125,7 +120,7 @@ class BatteryPlant:
     def _advance(self, i: float, step: int) -> tuple[float, float, float]:
         self.x, v = battery.voltage_step(self.model, self.x, i)
         b_real = CONVERTER_EFF * v * i / 1000.0
-        self.soc = battery.soc_step(self.soc, i, self.ts, self.c_nom)
+        self.soc = battery.soc_step(self.soc, i)
         self.last_i = i
         if not 0.0 <= self.soc <= 1.0:
             raise PlantStateError(f"plant SOC {self.soc:.4f} left [0, 1] at step {step}",
@@ -377,7 +372,6 @@ def run_multi_day(days: int, history: list[HistoricalDay],
                   initial_soc: float = 0.5,
                   shape: SyntheticShape = SyntheticShape(),
                   realization_scale: float = 1.0,
-                  radiation_forecast_noise: float = 0.0,
                   bank: ModelBank | None = None,
                   grid: TimeGrid = DEFAULT_GRID,
                   battery_enabled: bool = True) -> list[DayResult]:
@@ -387,7 +381,7 @@ def run_multi_day(days: int, history: list[HistoricalDay],
     initial stored energy by persistence: the SOC observed at 23:00 (for the
     first day, the SOC the simulation starts from). The realized prosumption is
     a fresh synthetic draw for the target date, optionally scaled to emulate
-    systematically biased forecasts.
+    systematically biased forecasts; its radiation is the forecast's.
     """
     if days < 1:
         raise ValueError("days must be >= 1")
@@ -406,11 +400,8 @@ def run_multi_day(days: int, history: list[HistoricalDay],
         rng_day = np.random.default_rng([seed, 10_000 + d])
         true_day = synthesize_day(rng_day, year, doy, shape)
         true_profile = true_day.profile * realization_scale
-        r_star = true_day.daily_radiation
-        if radiation_forecast_noise > 0.0:
-            r_star = max(0.0, r_star * (1.0 + radiation_forecast_noise
-                                        * rng_day.standard_normal()))
-        target = TargetDayInfo(year=year, day_of_year=doy, radiation_forecast=r_star,
+        target = TargetDayInfo(year=year, day_of_year=doy,
+                               radiation_forecast=true_day.daily_radiation,
                                is_working_day=is_working_dayofyear(doy))
         fc = forecast_day(history, target)
         cfg_d = replace(dayahead_cfg, soe0=soc_at_plan_time * dayahead_cfg.e_nom)

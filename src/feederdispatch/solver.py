@@ -12,9 +12,11 @@ programs minimize x'Qx + (l - t c)'x over the rows, parametric in t = 1/mu: one
 NNLS gives the active set at a t, on which the path is affine and the root of
 the quadratic row is a scalar equation. The t = 0 end of that path, first
 tried on fewer rows, is the minimum of the quadratic over the rows; a positive
-minimum proves the problem infeasible and its minimiser is the controller's
-closest achievable point. Every solve returns a certificate whose KKT residual
-is computed by the same public evaluators used in the test suite. A step's cost
+minimum proves the problem infeasible, and its minimiser, the controller's
+closest achievable point, comes back with that verdict. An infeasible LP
+likewise comes back with the point of least total row violation, which proves
+it. Every solve returns a certificate whose KKT residual is computed by the
+same public evaluators used in the test suite. A step's cost
 is mostly per-call overhead, so the solves call LAPACK's dpotrf, dpotrs and
 dtrtrs and reduce with ndarray methods, as scipy's cho_factor, cho_solve,
 solve_triangular (C-ordered factor) and np.max do, bit for bit.
@@ -26,7 +28,6 @@ identical inputs (fixed iteration schedules, no randomized pivoting).
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -51,7 +52,6 @@ class SolveCertificate:
     objective: float = np.nan
     kkt_residual: float = np.nan
     iterations: int = 0
-    wall_time: float = 0.0
     # QCQP stage that ran last: "closed-form" | "parametric" | "least-distance";
     # an "infeasible" least-distance verdict holds either the positive minimum
     # of the quadratic (objective) or a Farkas vector's relative b'y
@@ -103,6 +103,8 @@ class LinearProgram:
         self.ub = np.full(n, np.inf) if self.ub is None else np.asarray(self.ub, dtype=float)
         if self.lb.size != n or self.ub.size != n:
             raise ValueError("bound length mismatch")
+        if not np.all((self.lb <= self.ub) & (self.lb < np.inf) & (self.ub > -np.inf)):
+            raise ValueError("bounds must satisfy lb <= ub, lb < inf and ub > -inf")
 
 
 @dataclass
@@ -150,22 +152,35 @@ def lp_kkt_residual(p: LinearProgram, sol: LpSolution) -> float:
 
 
 def solve_lp(p: LinearProgram) -> tuple[LpSolution | None, SolveCertificate]:
-    """Solve an LP; infeasibility is certified by a phase-1 positive optimum."""
-    t0 = time.perf_counter()
-    bounds = list(zip(p.lb, p.ub))
+    """Solve an LP by HiGHS; the solution is None unless the status is "optimal"
+    or "infeasible".
+
+    When HiGHS returns status 2 (it found no point, or refused the model), the
+    elastic LP of :func:`_elastic` is solved the same way, once. Its positive
+    optimum, the least total violation of p's rows, certifies "infeasible";
+    its objective and KKT residual are the verdict's, ``iterations`` counts
+    both solves, and its solution comes back with the verdict: x is p's
+    variables followed by the violation of each inequality row, then of each
+    equality row. Any other outcome of the elastic solve is a "failure".
+    """
+    sol, cert, code = _highs(p)
+    if code != 2:
+        return sol, cert
+    e_sol, e_cert, _ = _highs(_elastic(p))
+    infeasible = e_cert.status == "optimal" and e_cert.objective > FEAS_TOL
+    return (e_sol if infeasible else None), replace(
+        e_cert, status="infeasible" if infeasible else "failure",
+        iterations=cert.iterations + e_cert.iterations)
+
+
+def _highs(p: LinearProgram) -> tuple[LpSolution | None, SolveCertificate, int]:
+    """One HiGHS solve: p's solution and certificate, or None and a failure; and scipy's status."""
     res = linprog(p.c, A_ub=p.a_ineq, b_ub=p.b_ineq, A_eq=p.a_eq, b_eq=p.b_eq,
-                  bounds=bounds, method="highs",
+                  bounds=list(zip(p.lb, p.ub)), method="highs",
                   options={"maxiter": max(LP_ITERATION_CAP * 100, 10000)})
-    wall = time.perf_counter() - t0
     nit = int(getattr(res, "nit", 0) or 0)
-    if res.status == 2:
-        # confirm with an elastic phase-1: positive optimum certifies infeasibility
-        viol = _phase1_violation(p)
-        status = "infeasible" if viol > FEAS_TOL else "failure"
-        return None, SolveCertificate(status=status, objective=viol,
-                                      kkt_residual=np.nan, iterations=nit, wall_time=wall)
     if res.status != 0:
-        return None, SolveCertificate(status="failure", iterations=nit, wall_time=wall)
+        return None, SolveCertificate(status="failure", iterations=nit), res.status
     x = np.asarray(res.x, dtype=float)
     # scipy marginals are d(objective)/d(rhs); convert to nonnegative multipliers.
     m_in = p.a_ineq.shape[0] if p.a_ineq is not None else 0
@@ -177,38 +192,30 @@ def solve_lp(p: LinearProgram) -> tuple[LpSolution | None, SolveCertificate]:
     sol = LpSolution(x=x, dual_ineq=np.maximum(dual_ineq, 0.0), dual_eq=dual_eq,
                      dual_lb=np.maximum(dual_lb, 0.0), dual_ub=np.maximum(dual_ub, 0.0))
     cert = SolveCertificate(status="optimal", objective=float(p.c @ x),
-                            kkt_residual=lp_kkt_residual(p, sol),
-                            iterations=nit, wall_time=wall)
-    return sol, cert
+                            kkt_residual=lp_kkt_residual(p, sol), iterations=nit)
+    return sol, cert, 0
 
 
-def _phase1_violation(p: LinearProgram) -> float:
-    """Minimum total constraint violation with bounds kept hard (elastic LP)."""
+def _elastic(p: LinearProgram) -> LinearProgram:
+    """p with one violation variable s >= 0 per row, whose sum it minimizes with
+    p's bounds kept hard: a_ineq x - s <= b_ineq, and |a_eq x - b_eq| <= s as
+    two rows per equality."""
     n = p.c.size
     m_in = p.a_ineq.shape[0] if p.a_ineq is not None else 0
     m_eq = p.a_eq.shape[0] if p.a_eq is not None else 0
     n_s = m_in + m_eq
-    if n_s == 0:
-        return 0.0
-    c = np.concatenate([np.zeros(n), np.ones(n_s)])
     rows, rhs = [], []
     if m_in:
         rows.append(sp.hstack([p.a_ineq, -sp.eye(m_in, n_s)]))
         rhs.append(p.b_ineq)
     if m_eq:
         s_eq = sp.eye(m_eq, n_s, k=m_in)
-        rows.append(sp.hstack([p.a_eq, -s_eq]))
-        rhs.append(p.b_eq)
-        rows.append(sp.hstack([-p.a_eq, -s_eq]))
-        rhs.append(-p.b_eq)
-    a_ub = sp.vstack(rows, format="csr")
-    b_ub = np.concatenate(rhs)
-    lb = np.concatenate([p.lb, np.zeros(n_s)])
-    ub = np.concatenate([p.ub, np.full(n_s, np.inf)])
-    res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=list(zip(lb, ub)), method="highs")
-    if res.status != 0:
-        return np.inf
-    return float(res.fun)
+        rows += [sp.hstack([p.a_eq, -s_eq]), sp.hstack([-p.a_eq, -s_eq])]
+        rhs += [p.b_eq, -p.b_eq]
+    return LinearProgram(c=np.concatenate([np.zeros(n), np.ones(n_s)]),
+                         a_ineq=sp.vstack(rows, format="csr"), b_ineq=np.concatenate(rhs),
+                         lb=np.concatenate([p.lb, np.zeros(n_s)]),
+                         ub=np.concatenate([p.ub, np.full(n_s, np.inf)]))
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +244,6 @@ class QcqpProblem:
     y: np.ndarray = field(init=False, repr=False)          # Q^-1 c
     cy: float = field(init=False, repr=False)
     _shared: dict = field(init=False, repr=False, compare=False, default_factory=dict)
-    _least_distance: tuple | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         self.c = np.asarray(self.c, dtype=float).ravel()
@@ -265,7 +271,7 @@ class QcqpProblem:
             raise ValueError("right-hand side dimension mismatch")
         p = object.__new__(QcqpProblem)     # a shallow copy, without copy.copy's protocol
         p.__dict__.update(self.__dict__)
-        p.l, p.r, p.b_ineq, p._least_distance = l, r, b_ineq, None
+        p.l, p.r, p.b_ineq = l, r, b_ineq
         return p
 
     def f_quad(self, x: np.ndarray) -> float:
@@ -375,8 +381,7 @@ def _whitened(p: QcqpProblem) -> tuple[np.ndarray, ...]:
 
 
 def least_distance(p: QcqpProblem) -> tuple[QcqpSolution | None, SolveCertificate]:
-    """Minimize f_q(x) = x'Qx + l'x - r subject to a_ineq x <= b_ineq; computed
-    once per problem and kept on it.
+    """Minimize f_q(x) = x'Qx + l'x - r subject to a_ineq x <= b_ineq.
 
     This is the t = 0 point of :func:`_nnls`: a least-distance program in u = L'x + L^-1 l / 2,
     solved exactly by one NNLS, whose row multipliers are 2 w / (-r_{n+1}) for the NNLS
@@ -384,16 +389,8 @@ def least_distance(p: QcqpProblem) -> tuple[QcqpSolution | None, SolveCertificat
     is "optimal" when :func:`qp_kkt_residual` passes the gate, "infeasible" when the NNLS
     solution is a checked Farkas vector of the rows (:func:`_farkas`), "failure" otherwise.
     Fewer rows go first (:func:`_guessed_least_distance`); ``iterations`` counts NNLS solves.
+    Nothing is kept on p: :func:`solve_qcqp` calls it once when the closed form fails.
     """
-    if p._least_distance is None:
-        t0 = time.perf_counter()
-        sol, cert = _least_distance(p)
-        cert.wall_time = time.perf_counter() - t0
-        p._least_distance = (sol, cert)
-    return p._least_distance
-
-
-def _least_distance(p: QcqpProblem) -> tuple[QcqpSolution | None, SolveCertificate]:
     w0, h0 = _whitened_rhs(p)
     ld, solves = _guessed_least_distance(p, w0, h0)
     if ld is not None:
@@ -422,13 +419,15 @@ def _least_distance(p: QcqpProblem) -> tuple[QcqpSolution | None, SolveCertifica
 
 def _guessed_least_distance(p: QcqpProblem, w0: np.ndarray, h0: np.ndarray):
     """Least distance on the rows the closed form breaks, then on those the unconstrained
-    minimum of f_q breaks (u = 0: h0 < 0): relaxations, whose point is kept if all rows hold to
-    FEAS_TOL (1 + |b_i|) and the KKT gate passes. Returns it or None, and the NNLS solves."""
+    minimum of f_q breaks (u = 0: h0 < 0) unless they are the same rows: relaxations, whose
+    point is kept if all rows hold to FEAS_TOL (1 + |b_i|) and the KKT gate passes. Returns
+    it or None, and the NNLS solves."""
     cf = _closed_form(p)
-    guess = None if cf is None else p.b_ineq - p.a_ineq @ cf.x < 0.0
+    unconstrained = h0 < 0.0
+    guess = unconstrained if cf is None else p.b_ineq - p.a_ineq @ cf.x < 0.0
     solves = 0
-    for rows in (guess, h0 < 0.0):
-        if rows is not None and rows.any():
+    for rows in (guess,) if np.array_equal(guess, unconstrained) else (guess, unconstrained):
+        if rows.any():
             sol, solves = _ld_point(p, *_nnls(p, h0, rows), w0, rows), solves + 1
             tol = -FEAS_TOL * (1.0 + np.abs(p.b_ineq))
             if sol is not None and (p.b_ineq - p.a_ineq @ sol.x >= tol).all() \
@@ -470,7 +469,8 @@ def _farkas(p: QcqpProblem, y: np.ndarray) -> SolveCertificate | None:
 
 
 def solve_qcqp(p: QcqpProblem) -> tuple[QcqpSolution | None, SolveCertificate]:
-    """Solve the maximization QCQP exactly.
+    """Solve the maximization QCQP exactly; the solution is None unless the
+    status is "optimal" or the verdict "infeasible" comes with its minimiser.
 
     With t = 1/mu for the quadratic's multiplier mu > 0, the optimum minimizes
     x'Qx + (l - t c)'x over the rows, at the t where f_q reaches 0. The path
@@ -483,12 +483,13 @@ def solve_qcqp(p: QcqpProblem) -> tuple[QcqpSolution | None, SolveCertificate]:
     ``path="closed-form"``, no iterations), returned when every row holds and
     it passes the KKT gate. Otherwise :func:`_parametric` walks the path
     (``path="parametric"``). A least-distance minimum of f_q above FEAS_TOL
-    (1 + |r|), or rows that admit no point at all, prove the problem infeasible
-    (``path="least-distance"``); that minimum is first sought on the rows the
-    closed form breaks. ``iterations`` counts NNLS solves. The solution names
-    the constraints found active (``quad_active``, ``active``).
+    (1 + |r|) proves the problem infeasible (``path="least-distance"``), and
+    the verdict returns its certified minimiser, with the least-distance
+    certificate's objective and KKT residual; that minimum is first sought on
+    the rows the closed form breaks. Rows that admit no point at all return
+    None with their Farkas verdict. ``iterations`` counts NNLS solves. The
+    solution names the constraints found active (``quad_active``, ``active``).
     """
-    t_start = time.perf_counter()
     sol = _closed_form(p)
     if sol is not None:
         # one row product serves both the row check and the residual
@@ -497,14 +498,9 @@ def solve_qcqp(p: QcqpProblem) -> tuple[QcqpSolution | None, SolveCertificate]:
             residual = _qcqp_residual(p, sol, slack)
             if residual <= KKT_GATE:
                 return sol, SolveCertificate(status="optimal", objective=float(p.c @ sol.x),
-                                             kkt_residual=residual,
-                                             wall_time=time.perf_counter() - t_start,
-                                             path="closed-form")
+                                             kkt_residual=residual, path="closed-form")
     # the closed form's t = 1/mu sizes the first steps of the walk
-    t_scale = 1.0 / sol.dual_quad if sol is not None else 1.0
-    sol, cert = _parametric(p, t_scale)
-    cert.wall_time = time.perf_counter() - t_start
-    return sol, cert
+    return _parametric(p, 1.0 / sol.dual_quad if sol is not None else 1.0)
 
 
 def _closed_form(p: QcqpProblem) -> QcqpSolution | None:
@@ -528,7 +524,9 @@ def _closed_form(p: QcqpProblem) -> QcqpSolution | None:
 
 
 def _parametric(p: QcqpProblem, t_scale: float) -> tuple[QcqpSolution | None, SolveCertificate]:
-    """Walk the path x(t) of :func:`solve_qcqp` to its root of f_q.
+    """Walk the path x(t) of :func:`solve_qcqp` to its root of f_q, from the
+    :func:`least_distance` point at t = 0, which instead ends the solve when it
+    is not certified or f_q is positive there.
 
     Each NNLS at some t gives the active set there, and on it the root of the
     scalar quadratic f_q(x(t)) gives a candidate (x, mu = 1/t, lambda = nu/t);
@@ -546,11 +544,10 @@ def _parametric(p: QcqpProblem, t_scale: float) -> tuple[QcqpSolution | None, So
     """
     ld_sol, ld = least_distance(p)
     if ld.status != "optimal":
-        # a copy: the cached certificate keeps its own wall time
-        return None, replace(ld)
+        return None, ld
     if ld.objective > FEAS_TOL * (1.0 + abs(p.r)):
         # the certified minimum of f_q over the rows is positive
-        return None, replace(ld, status="infeasible")
+        return ld_sol, replace(ld, status="infeasible")
     act, solves = ld_sol.active, ld.iterations
     row_tol = FEAS_TOL * (1.0 + np.abs(p.b_ineq))
     row_norms = _whitened(p)[4]

@@ -1,9 +1,23 @@
+import json
+from dataclasses import fields, replace
+
 import pytest
 
 from feederdispatch import cli
-from feederdispatch.dayahead import plan_day, save_plan
+from feederdispatch.battery import TABLE1, save_parameter_table
+from feederdispatch.dayahead import DayAheadConfig, plan_day, save_plan
 from feederdispatch.forecast import (TargetDayInfo, forecast_day, is_working_dayofyear,
                                      load_history, save_history)
+from feederdispatch.mpc import MpcLimits
+from feederdispatch.sim import PlantConfig
+
+
+@pytest.fixture(scope="module")
+def synth_history(tmp_path_factory):
+    """20 synthetic days written by ``feederdispatch synth``."""
+    path = tmp_path_factory.mktemp("cli") / "history.csv"
+    assert cli.main(["synth", "--days", "20", "--out", str(path)]) == cli.EXIT_OK
+    return path
 
 
 def test_plan_takes_no_seed(tmp_path, history):
@@ -25,3 +39,104 @@ def test_plan_takes_no_seed(tmp_path, history):
     save_plan(tmp_path / "expected.csv",
               plan_day(forecast_day(load_history(path), target), cli.dayahead_config({})))
     assert out.read_bytes() == (tmp_path / "expected.csv").read_bytes()
+
+
+def test_synth_plan_run_report(tmp_path, capsys):
+    history, plan, out = tmp_path / "history.csv", tmp_path / "plan.csv", tmp_path / "run"
+    assert cli.main(["synth", "--seed", "2", "--days", "20", "--out", str(history)]) == 0
+    assert len(load_history(history)) == 20
+    assert cli.main(["plan", "--history", str(history), "--out", str(plan)]) == 0
+    assert "feasible" in capsys.readouterr().out
+    assert cli.main(["run", "--plan", str(plan), "--out-dir", str(out)]) == 0
+    printed = capsys.readouterr().out
+    steps = (out / "steps.csv").read_text().splitlines()[2:]     # below the two headers
+    assert len(steps) == 8640
+    assert {row.split(",")[9] for row in steps} <= {"solved", "infeasible-clipped"}
+    assert (out / "plan.csv").read_bytes() == plan.read_bytes()
+    assert cli.main(["report", str(out)]) == 0
+    report = capsys.readouterr().out
+    assert report == (out / "report.txt").read_text()
+    assert report.startswith("Tracking error statistics (kW)") and report in printed
+
+
+def test_unknown_config_key_exits_2(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"mpc": {"i_max": 700.0}}))
+    argv = ["plan", "--config", str(config), "--out", str(tmp_path / "plan.csv")]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert "unknown config key mpc.'i_max'" in capsys.readouterr().err
+
+
+def test_infeasible_plan_exits_3(synth_history, tmp_path, capsys):
+    out = tmp_path / "plan.csv"
+    argv = ["plan", "--history", str(synth_history), "--out", str(out), "--p-max", "10"]
+    assert cli.main(argv) == cli.EXIT_INFEASIBLE
+    assert "first violation at slot 277 (soe_min)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_plant_abort_exits_4(synth_history, tmp_path, capsys):
+    # at SOC 0 the controller actuates zero current, and the converter's
+    # noise alone takes the plant below 0 on the first step
+    plan = tmp_path / "plan.csv"
+    assert cli.main(["plan", "--history", str(synth_history), "--out", str(plan)]) == 0
+    argv = ["run", "--plan", str(plan), "--initial-soc", "0", "--out-dir", str(tmp_path)]
+    assert cli.main(argv) == cli.EXIT_PLANT_ABORT
+    assert "plant abort at step 0" in capsys.readouterr().err
+
+
+def test_solver_failure_exits_5(synth_history, tmp_path, capsys):
+    # eta = 1e-20 puts 8.3e18 kWh/kW into the offset LP, a coefficient HiGHS
+    # refuses, and it refuses the elastic LP too: no verdict of infeasibility
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"dayahead": {"eta": 1e-20}}))
+    argv = ["plan", "--config", str(config), "--history", str(synth_history),
+            "--out", str(tmp_path / "plan.csv")]
+    assert cli.main(argv) == cli.EXIT_SOLVER_FAILURE
+    assert "solver failure: day-ahead LP solve failed" in capsys.readouterr().err
+
+
+def test_config_sets_every_field(tmp_path):
+    table = tuple(replace(p, e=p.e + 1.0) for p in TABLE1)
+    save_parameter_table(tmp_path / "params.csv", table)
+    doc = {
+        "seed": 3, "initial_soc": 0.4,
+        "dayahead": {"soe0_kwh": 200, "soe_min_kwh": 40.5, "soe_max_kwh": 460,
+                     "b_min_kw": -200, "b_max_kw": 220.5, "p_max_kw": 300, "eta": 0.95,
+                     "e_nom_kwh": 480, "soe_backoff_kwh": 5, "power_backoff_kw": 2.5},
+        "mpc": {"i_min_a": -700, "i_max_a": 750.5, "di_min_a": -150, "di_max_a": 160,
+                "v_min_v": 540, "v_max_v": 740.5, "soc_min": 0.15, "soc_max": 0.85},
+        "plant": {"param_perturbation": 0.1, "voltage_noise_v": 0.2, "power_noise_kw": 0,
+                  "actuation_error_frac": 0.02, "actuation_noise_kw": 1, "step_noise_kw": 2,
+                  "step_noise_ar": 0.8, "parameter_file": str(tmp_path / "params.csv")},
+        "paths": {"history": "h.csv", "plan": "p.csv", "trace": "t.txt", "out_dir": "out"},
+    }
+    # the document names every key of the schema
+    assert set(doc) == set(cli._SCHEMA)
+    for name, section in cli._SCHEMA.items():
+        if isinstance(section, dict):
+            assert set(doc[name]) == set(section)
+    (tmp_path / "config.json").write_text(json.dumps(doc))
+    doc = cli.load_config(str(tmp_path / "config.json"))
+    built = (cli.dayahead_config(doc), cli.mpc_limits(doc), cli.plant_config(doc))
+    assert built == (
+        DayAheadConfig(soe0=200.0, soe_min=40.5, soe_max=460.0, b_min=-200.0, b_max=220.5,
+                       p_max=300.0, eta=0.95, ts=300.0, e_nom=480.0, soe_backoff=5.0,
+                       power_backoff=2.5),
+        MpcLimits(i_min=-700.0, i_max=750.5, di_min=-150.0, di_max=160.0, v_min=540.0,
+                  v_max=740.5, soc_min=0.15, soc_max=0.85),
+        PlantConfig(param_perturbation=0.1, voltage_noise_v=0.2, power_noise_kw=0.0,
+                    actuation_error_frac=0.02, actuation_noise_kw=1.0, step_noise_kw=2.0,
+                    step_noise_ar=0.8, parameter_table=table))
+    # int values arrive as floats
+    for cfg in built:
+        for f in fields(cfg):
+            if f.name != "parameter_table":
+                assert type(getattr(cfg, f.name)) is float, f.name
+    # the arguments override the document; a null cap and an empty document
+    # leave the dataclass defaults, with soe0 250 kWh
+    assert cli.dayahead_config(doc, soe0=0.0, p_max=10.0) \
+        == replace(built[0], soe0=0.0, p_max=10.0)
+    assert cli.dayahead_config({"dayahead": {"p_max_kw": None}}).p_max is None
+    assert (cli.dayahead_config({}), cli.mpc_limits({}), cli.plant_config({})) \
+        == (DayAheadConfig(soe0=250.0), MpcLimits(), PlantConfig())

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from feederdispatch.dayahead import (DayAheadConfig, InfeasiblePlanError,
+from feederdispatch import solver
+from feederdispatch.dayahead import (DayAheadConfig, InfeasiblePlanError, _offset_lp,
                                      assemble_plan, beta_coeffs, load_plan,
                                      plan_day, save_plan, solve_offset,
                                      worst_case_soe)
@@ -173,12 +174,22 @@ def test_peak_cap_respected(day_forecast):
     assert dayahead_plan_feasible(capped, _cfg(p_max=cap))
 
 
-def test_infeasible_cap_reports_slot(day_forecast):
+def test_infeasible_cap_reports_slot(day_forecast, monkeypatch):
+    # HiGHS finds no point, then one elastic LP certifies that (with its own
+    # KKT residual) and its row violations name the slot
+    calls = []
+    linprog = solver.linprog
+    monkeypatch.setattr(solver, "linprog", lambda *a, **kw: calls.append(1) or linprog(*a, **kw))
+    cfg = _cfg(p_max=float(day_forecast.point.min()) - 60.0, b_min=-20.0, b_max=20.0)
     with pytest.raises(InfeasiblePlanError) as exc:
-        plan_day(day_forecast, _cfg(p_max=float(day_forecast.point.min()) - 60.0,
-                                    b_min=-20.0, b_max=20.0))
-    assert exc.value.slot is not None
-    assert "slot" in str(exc.value)
+        plan_day(day_forecast, cfg)
+    assert len(calls) == 2
+    assert (exc.value.slot, exc.value.constraint) == (277, "soe_min")
+    assert "slot 277 (soe_min), total violation 19155.842" in str(exc.value)
+    fc = day_forecast
+    sol, cert = solver.solve_lp(_offset_lp(fc.point, fc.envelope_low, fc.envelope_high, cfg))
+    assert cert.status == "infeasible" and cert.kkt_residual <= 1e-6
+    assert cert.objective == pytest.approx(sol.x[4 * N_SLOTS:].sum(), rel=1e-12)
 
 
 def test_infeasible_soe_band(day_forecast):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -32,11 +34,38 @@ def test_lp_keeps_csr_constraints():
 
 
 def test_lp_infeasible_certified():
-    sol, cert = solve_lp(LinearProgram(c=[1.0], a_ineq=[[1.0], [-1.0]],
-                                       b_ineq=[0.0, -1.0]))
-    assert sol is None
+    # x <= 0 and x >= 1: the elastic LP's point violates the rows by 1 in
+    # total, and comes back with the verdict and that solve's residual
+    p = LinearProgram(c=[1.0], a_ineq=[[1.0], [-1.0]], b_ineq=[0.0, -1.0])
+    sol, cert = solve_lp(p)
     assert cert.status == "infeasible"
-    assert cert.objective > 1e-6          # phase-1 positive optimum
+    assert cert.objective == pytest.approx(1.0, abs=1e-9)
+    assert cert.kkt_residual <= 1e-6
+    violation = sol.x[1:]
+    assert violation.size == 2 and violation.sum() == pytest.approx(1.0, abs=1e-9)
+    assert violation == pytest.approx(np.maximum(p.a_ineq @ sol.x[:1] - p.b_ineq, 0.0), abs=1e-9)
+    # an equality violated by 1 counts once, with the inequality rows first
+    sol, cert = solve_lp(LinearProgram(c=[0.0], a_ineq=[[1.0]], b_ineq=[2.0], a_eq=[[1.0]],
+                                       b_eq=[3.0], lb=[0.0], ub=[4.0]))
+    assert cert.status == "infeasible" and cert.objective == pytest.approx(1.0, abs=1e-9)
+    assert sol.x.size == 3 and sol.x[1:].sum() == pytest.approx(1.0, abs=1e-9)
+    # bounds with no point are refused, so the elastic LP always has one
+    for lb, ub in (([1.0], [0.0]), ([np.inf], [np.inf]), ([-np.inf], [-np.inf]),
+                   ([np.nan], [1.0])):
+        with pytest.raises(ValueError):
+            LinearProgram(c=[1.0], lb=lb, ub=ub)
+
+
+def test_lp_refused_model_is_a_failure(monkeypatch):
+    # HiGHS refuses a coefficient of 1e20 with the status of an infeasible
+    # LP; the elastic LP is refused too, and is solved once, not recursively
+    calls = []
+    linprog = solver.linprog
+    monkeypatch.setattr(solver, "linprog", lambda *a, **kw: calls.append(1) or linprog(*a, **kw))
+    sol, cert = solve_lp(LinearProgram(c=[1.0], a_ineq=[[1e20]], b_ineq=[1.0], lb=[0.0],
+                                       ub=[1.0]))
+    assert sol is None and cert.status == "failure"
+    assert len(calls) == 2
 
 
 def test_lp_certificate_honesty():
@@ -84,23 +113,23 @@ def test_qcqp_infeasible():
     p = QcqpProblem(c=[1.0], q=[[1.0]], l=[0.0], r=-1.0,
                     a_ineq=[[1.0], [-1.0]], b_ineq=[10.0, 10.0])
     sol, cert = solve_qcqp(p)
-    assert sol is None
     assert cert.status == "infeasible"
+    assert sol.x == pytest.approx([0.0], abs=1e-12)     # the minimiser of f_q
 
 
 def test_least_distance_proves_infeasibility():
     # min x^2 + 1 over |x| <= 10 is 1 > 0: infeasible after one NNLS, and the
-    # minimiser is computed once and kept on the problem
+    # verdict carries the minimiser and certificate of least_distance
     p = QcqpProblem(c=[1.0], q=[[1.0]], l=[0.0], r=-1.0,
                     a_ineq=[[1.0], [-1.0]], b_ineq=[10.0, 10.0])
     sol, cert = solve_qcqp(p)
-    assert sol is None and cert.status == "infeasible"
+    assert cert.status == "infeasible"
     assert cert.path == "least-distance" and cert.iterations == 1
     assert cert.objective == pytest.approx(1.0)
+    assert sol.x == pytest.approx([0.0], abs=1e-12)
     ld, ld_cert = solver.least_distance(p)
     assert ld_cert.status == "optimal" and ld_cert.path == "least-distance"
-    assert ld.x == pytest.approx([0.0], abs=1e-12)
-    assert solver.least_distance(p)[0] is ld
+    _same_solve((sol, replace(cert, status="optimal")), (ld, ld_cert))
     # rows that exclude each other (x <= -1, x >= 1) have no least-distance
     # point; the NNLS solution is their Farkas vector y: A'y = 0, b'y < 0
     p = QcqpProblem(c=[1.0], q=[[1.0]], l=[0.0], r=-1.0,
@@ -417,12 +446,13 @@ def test_guessed_least_distance_matches_nnls(rng, monkeypatch):
         p = _cut_qcqp(rng)
         broken = p.b_ineq - p.a_ineq @ solver._closed_form(p).x < 0.0
         assert broken.any()
-        solve_qcqp(p)
         sol, cert = solver.least_distance(p)
         ref, ref_cert = _guess_bypassed(p.with_rhs(p.l, p.r, p.b_ineq), monkeypatch,
                                         solver.least_distance)
         assert ref_cert.iterations == 1
         stages = [rows for rows in (broken, solver._whitened_rhs(p)[1] < 0.0) if rows.any()]
+        if len(stages) == 2 and np.array_equal(*stages):
+            stages.pop()                # the same rows are not relaxed twice
         if cert.iterations > len(stages):
             missed += 1
             assert cert.iterations == len(stages) + 1
@@ -441,8 +471,8 @@ def test_failed_guess_falls_back_to_nnls(monkeypatch):
     # maximize x0 in the unit disk: the closed form (1, 0) and the unconstrained
     # minimum (0, 0) both break x0 <= -0.5 alone, and its least-distance point
     # (-0.5, 0) breaks -x0 + x1 <= 0.25, which binds at the point of both rows,
-    # (-0.5, -0.25): two relaxations fail, then one NNLS on all rows gives the
-    # result of a solve without them, bit for bit
+    # (-0.5, -0.25): the one relaxation of those same rows fails, then one NNLS
+    # on all rows gives the result of a solve without it, bit for bit
     p = QcqpProblem(c=[1.0, 0.0], q=np.eye(2), l=[0.0, 0.0], r=1.0,
                     a_ineq=[[1.0, 0.0], [-1.0, 1.0]], b_ineq=[-0.5, 0.25])
     assert list(p.b_ineq - p.a_ineq @ solver._closed_form(p).x < 0.0) == [True, False]
@@ -450,11 +480,11 @@ def test_failed_guess_falls_back_to_nnls(monkeypatch):
     got = solve_qcqp(p)
     assert got[1].status == "optimal" and got[1].path == "parametric"
     ld = solver.least_distance(p)
-    assert ld[1].iterations == 3 and ld[0].x == pytest.approx([-0.5, -0.25], abs=1e-12)
+    assert ld[1].iterations == 2 and ld[0].x == pytest.approx([-0.5, -0.25], abs=1e-12)
     fresh = p.with_rhs(p.l, p.r, p.b_ineq)
     want = _guess_bypassed(fresh, monkeypatch)
     _same_solve(got, want, iterations=False)
-    assert got[1].iterations == want[1].iterations + 2
+    assert got[1].iterations == want[1].iterations + 1
     _same_solve(ld, solver.least_distance(fresh), iterations=False)
     # a guess that holds more rows than the active set, one of them with a
     # negative multiplier on its own (x0 + x1 <= 0.9), or the same row twice,
@@ -462,7 +492,6 @@ def test_failed_guess_falls_back_to_nnls(monkeypatch):
     for rows, b in (([[1.0, 0.0], [1.0, 1.0]], [-0.5, 0.9]), ([[1.0, 0.0], [1.0, 0.0]], [-0.5, -0.5])):
         p = QcqpProblem(c=[1.0, 0.0], q=np.eye(2), l=[0.0, 0.0], r=1.0, a_ineq=rows, b_ineq=b)
         assert (p.b_ineq - p.a_ineq @ solver._closed_form(p).x < 0.0).all()
-        solve_qcqp(p)
         sol, cert = solver.least_distance(p)
         ref, ref_cert = _guess_bypassed(p.with_rhs(p.l, p.r, p.b_ineq), monkeypatch,
                                         solver.least_distance)

@@ -144,16 +144,16 @@ def plant_config(doc: dict) -> PlantConfig:
 
 
 def cmd_synth(args) -> int:
-    days = args.days
-    history = synthesize_history(args.seed, days)
-    save_history(args.out, history)
-    print(f"wrote {days} days to {args.out}")
+    save_history(args.out, synthesize_history(args.seed, args.days))
+    print(f"wrote {args.days} days to {args.out}")
     return EXIT_OK
 
 
 def cmd_plan(args) -> int:
     doc = load_config(args.config)
+    t0 = time.perf_counter()
     history = load_history(args.history or doc.get("paths", {}).get("history"))
+    load_s = time.perf_counter() - t0
     if args.target_day is not None:
         doy = args.target_day
         year = args.target_year
@@ -165,13 +165,18 @@ def cmd_plan(args) -> int:
         np.mean([d.daily_radiation for d in history[-10:]]))
     target = TargetDayInfo(year=year, day_of_year=doy, radiation_forecast=r_star,
                            is_working_day=is_working_dayofyear(doy))
+    log.info("history: %d rows loaded in %.3f s; target: year %d day %d, radiation %.3f",
+             len(history), load_s, year, doy, r_star)
     cfg = dayahead_config(doc, p_max=args.p_max)
     t0 = time.perf_counter()
     fc = forecast_day(history, target)
     plan = plan_day(fc, cfg)
     wall = time.perf_counter() - t0
-    save_plan(args.out, plan)
     cert = plan.offset.certificate
+    log.info("offset LP: status %s, %d iterations, objective %.6f, KKT residual %.3g; "
+             "forecast and plan: %.3f s", cert.status, cert.iterations, cert.objective,
+             cert.kkt_residual, wall)
+    save_plan(args.out, plan)
     print(f"plan for year {year} day {doy}: feasible, objective {plan.offset.objective:.3f}, "
           f"peak {plan.p_hat.max():.1f} kW, wall time {wall:.2f} s "
           f"({cert.iterations} solver iterations)")

@@ -12,6 +12,7 @@ optimization.
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -196,18 +197,28 @@ def is_working_dayofyear(day_of_year: int) -> bool:
     return day_of_year % 7 not in (5, 6)
 
 
+def ar1_noise(rng: np.random.Generator, n: int, std: float, ar: float,
+              start_std: float) -> np.ndarray:
+    """n steps of prev = ar * prev + e from prev ~ N(0, start_std); the n draws of
+    e ~ N(0, std) are one call, which gives the stream of n scalar draws."""
+    prev = rng.normal(0.0, start_std)
+    out = rng.normal(0.0, std, size=n).tolist()
+    for i, e in enumerate(out):
+        prev = out[i] = ar * prev + e
+    return np.array(out)
+
+
 def synthesize_day(rng: np.random.Generator, year: int, day_of_year: int,
                    shape: SyntheticShape) -> HistoricalDay:
+    """One synthetic day: base shape minus PV plus AR(1) noise. Draws from
+    ``rng`` the radiation (one uniform), then the noise (see :func:`ar1_noise`)."""
     working = is_working_dayofyear(day_of_year)
     season = 1.0 + 0.6 * np.sin(2.0 * np.pi * (day_of_year - 80) / 365.0)
     radiation = float(np.clip(shape.radiation_mean * season / 1.3
                               + shape.radiation_spread * (rng.random() - 0.3),
                               0.05, shape.radiation_clear_sky))
-    noise = np.empty(N_SLOTS)
-    prev = rng.normal(0.0, shape.noise_std_kw / np.sqrt(1 - shape.noise_ar**2))
-    for i in range(N_SLOTS):
-        prev = shape.noise_ar * prev + rng.normal(0.0, shape.noise_std_kw)
-        noise[i] = prev
+    noise = ar1_noise(rng, N_SLOTS, shape.noise_std_kw, shape.noise_ar,
+                      shape.noise_std_kw / np.sqrt(1 - shape.noise_ar**2))
     profile = base_profile(shape, working) - pv_profile(shape, radiation) + noise
     return HistoricalDay(year=year, day_of_year=day_of_year, profile=profile,
                          daily_radiation=radiation, is_working_day=working)
@@ -227,33 +238,52 @@ def synthesize_history(seed: int, days: int,
 # Historical dataset files
 # ---------------------------------------------------------------------------
 #
-# One CSV record per day:
+# A header, then one CSV record per day:
 #   year, day_of_year, working_day (0/1), daily_radiation, v0, ..., v287
-# Rows with a value count other than 288 are rejected.
+# The writer ends records with CRLF and writes floats as repr, which reads back
+# as the same double. The reader takes LF or CRLF and quoted fields, skips blank
+# lines, the header and records whose first field starts with '#', and parses
+# as float() does, but refuses '_' and non-ASCII digits. It rejects a record of
+# other than 4 + 288 fields, or with a fractional year, day_of_year or working_day.
 
 
 def save_history(path, history) -> None:
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["year", "day_of_year", "working_day", "daily_radiation"]
-                   + [f"kw_{i:03d}" for i in range(N_SLOTS)])
+        fh.write(",".join(["year", "day_of_year", "working_day", "daily_radiation"]
+                          + [f"kw_{i:03d}" for i in range(N_SLOTS)]) + "\r\n")
         for d in history:
-            w.writerow([d.year, d.day_of_year, int(d.is_working_day),
-                        repr(float(d.daily_radiation))] + [repr(float(v)) for v in d.profile])
+            fh.write(f"{d.year},{d.day_of_year},{int(d.is_working_day)},"
+                     f"{float(d.daily_radiation)!r},"
+                     + ",".join(map(repr, d.profile.tolist())) + "\r\n")
+
+
+def _data_lines(fh, path):
+    """The data records of an open history file; raises at one of the wrong width."""
+    for lineno, line in enumerate(fh, start=1):
+        text = line.rstrip("\r\n")
+        quoted = '"' in text
+        row = next(csv.reader([text]), []) if quoted else text.split(",", 1) if text else []
+        if not row or row[0].startswith("#") or row[0] == "year":
+            continue
+        count = len(row) if quoted else text.count(",") + 1
+        if count != 4 + N_SLOTS:
+            raise ValueError(f"{path}:{lineno}: expected {4 + N_SLOTS} columns, got {count}")
+        yield text
 
 
 def load_history(path) -> list[HistoricalDay]:
-    out = []
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        for lineno, row in enumerate(reader, start=1):
-            if not row or row[0].startswith("#") or row[0] == "year":
-                continue
-            if len(row) != 4 + N_SLOTS:
-                raise ValueError(f"{path}:{lineno}: expected {4 + N_SLOTS} columns, "
-                                 f"got {len(row)}")
-            out.append(HistoricalDay(year=int(row[0]), day_of_year=int(row[1]),
-                                     is_working_day=bool(int(row[2])),
-                                     daily_radiation=float(row[3]),
-                                     profile=np.array([float(v) for v in row[4:]])))
-    return out
+        lines = _data_lines(fh, path)
+        first = next(lines, None)
+        if first is None:
+            return []
+        data = np.loadtxt(itertools.chain([first], lines), delimiter=",", quotechar='"',
+                          comments=None, ndmin=2)
+    meta = data[:, :4].tolist()
+    if not all(v.is_integer() for row in meta for v in row[:3]):
+        raise ValueError(f"{path}: year, day_of_year and working_day must be whole numbers")
+    # a copy per day, so that the parsed block is freed before the planner
+    # runs: a history of views kept it alive and moved glibc's heap by ~5 MB
+    return [HistoricalDay(year=int(year), day_of_year=int(doy), is_working_day=bool(working),
+                          daily_radiation=radiation, profile=profile.copy())
+            for (year, doy, working, radiation), profile in zip(meta, data[:, 4:])]

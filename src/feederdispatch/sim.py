@@ -23,7 +23,7 @@ from .battery import (CONVERTER_EFF, ModelBank, KalmanState, TtcParameters, TABL
                       kalman_update, soc_step)
 from .dayahead import (DayAheadConfig, DispatchPlan, plan_day, save_plan)
 from .forecast import (ProsumptionForecast, SyntheticShape, HistoricalDay,
-                       TargetDayInfo, forecast_day, is_working_dayofyear,
+                       TargetDayInfo, ar1_noise, forecast_day, is_working_dayofyear,
                        synthesize_day)
 from .mpc import MpcLimits, StepTelemetry, build_problem, solve
 from .timegrid import TimeGrid, DEFAULT_GRID
@@ -143,15 +143,12 @@ def step_trace(profile_kw: np.ndarray, rng: np.random.Generator | None = None,
                noise_std: float = 0.0, ar: float = 0.9,
                grid: TimeGrid = DEFAULT_GRID) -> np.ndarray:
     """10-second prosumption realization from a daily slot profile: each slot
-    value held for 30 steps plus optional AR(1) fast noise."""
+    value held for 30 steps plus, when ``noise_std`` > 0 and ``rng`` is given,
+    stationary AR(1) fast noise drawn by :func:`forecast.ar1_noise`."""
     trace = np.repeat(np.asarray(profile_kw, dtype=float), grid.steps_per_slot)
     if noise_std > 0.0 and rng is not None:
-        noise = np.empty(grid.n_steps)
-        prev = rng.normal(0.0, noise_std / np.sqrt(1 - ar * ar))
-        for k in range(grid.n_steps):
-            prev = ar * prev + rng.normal(0.0, noise_std)
-            noise[k] = prev
-        trace = trace + noise
+        trace = trace + ar1_noise(rng, grid.n_steps, noise_std, ar,
+                                  noise_std / np.sqrt(1 - ar * ar))
     return trace
 
 
@@ -470,27 +467,19 @@ def write_plot_data(out_dir, run: SimulationRun, plan: DispatchPlan,
     plan vs realizations, and battery SOC/current/voltage with limits."""
     out = Path(out_dir)
     fc = plan.forecast
-    f = plan.offset.f
-    with open(out / "forecast_panel.csv", "w") as fh:
-        fh.write("# slot,l_hat_kw,member_min_kw,member_max_kw,f_kw,p_hat_kw\n")
-        lo = np.asarray(fc.point) - np.asarray(fc.envelope_high)
-        hi = np.asarray(fc.point) - np.asarray(fc.envelope_low)
-        for i in range(plan.p_hat.size):
-            fh.write(f"{i}," + ",".join(_FMT % v for v in
-                                        (fc.point[i], lo[i], hi[i], f[i],
-                                         plan.p_hat[i])) + "\n")
-    with open(out / "tracking_panel.csv", "w") as fh:
-        fh.write("# slot,p_hat_kw,p_avg_kw,l_avg_kw\n")
-        p_avg = run.slot_average(run.p_kw, grid)
-        l_avg = run.slot_average(run.l_kw, grid)
-        for i in range(plan.p_hat.size):
-            fh.write(f"{i}," + ",".join(_FMT % v for v in
-                                        (plan.p_hat[i], p_avg[i], l_avg[i])) + "\n")
+    slots = np.arange(plan.p_hat.size)
     lim = limits or MpcLimits()
-    with open(out / "battery_panel.csv", "w") as fh:
-        fh.write(f"# limits: i=[{lim.i_min},{lim.i_max}] v=[{lim.v_min},{lim.v_max}]"
-                 f" soc=[{lim.soc_min},{lim.soc_max}]\n")
-        fh.write("# k,soc,i_a,v_v\n")
-        for k in range(run.k.size):
-            fh.write(f"{k}," + ",".join(_FMT % v for v in
-                                        (run.soc[k], run.i_a[k], run.v[k])) + "\n")
+    panels = {
+        "forecast_panel.csv": ("slot,l_hat_kw,member_min_kw,member_max_kw,f_kw,p_hat_kw",
+                               [slots, fc.point, fc.member_min, fc.member_max,
+                                plan.offset.f, plan.p_hat]),
+        "tracking_panel.csv": ("slot,p_hat_kw,p_avg_kw,l_avg_kw",
+                               [slots, plan.p_hat, run.slot_average(run.p_kw, grid),
+                                run.slot_average(run.l_kw, grid)]),
+        "battery_panel.csv": (f"limits: i=[{lim.i_min},{lim.i_max}] v=[{lim.v_min},"
+                              f"{lim.v_max}] soc=[{lim.soc_min},{lim.soc_max}]\nk,soc,i_a,v_v",
+                              [run.k, run.soc, run.i_a, run.v]),
+    }
+    for name, (header, cols) in panels.items():
+        np.savetxt(out / name, np.column_stack(cols), fmt=["%d"] + [_FMT] * (len(cols) - 1),
+                   delimiter=",", header=header)

@@ -4,9 +4,13 @@ These deliberately avoid the library's solver code: feasibility and objectives
 are evaluated directly from problem data with plain numpy.
 """
 
+import csv
+
 import numpy as np
 
-from feederdispatch.dayahead import DayAheadConfig, beta_coeffs
+from feederdispatch.dayahead import _PLAN_COLUMNS, PLAN_HEADER, DayAheadConfig, beta_coeffs
+from feederdispatch.forecast import (N_SLOTS, HistoricalDay, base_profile,
+                                     is_working_dayofyear, pv_profile)
 
 
 def grid_offset_search(l_hat, env_low, env_high, cfg: DayAheadConfig,
@@ -394,3 +398,84 @@ def piece_cho_solve(p, act, t):
                                                p.c - 2.0 * (p.q_sym @ dx)]))) / norms[:, None]
     flat = float(np.abs(n_c).max(initial=0.0)) <= 1e-9 * float(np.abs(p.c).max())
     return x, dx, nu[:, 0], nu[:, 1], flat
+
+
+# ---------------------------------------------------------------------------
+# Scalar and csv-module references for the bulk history paths
+# ---------------------------------------------------------------------------
+
+
+def scalar_synthesize_history(seed, days, shape):
+    """``forecast.synthesize_history`` with one scalar draw per AR(1) step."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for d in range(days):
+        year, doy = 2016 + d // 365, d % 365 + 1
+        working = is_working_dayofyear(doy)
+        season = 1.0 + 0.6 * np.sin(2.0 * np.pi * (doy - 80) / 365.0)
+        radiation = float(np.clip(shape.radiation_mean * season / 1.3
+                                  + shape.radiation_spread * (rng.random() - 0.3),
+                                  0.05, shape.radiation_clear_sky))
+        noise = np.empty(N_SLOTS)
+        prev = rng.normal(0.0, shape.noise_std_kw / np.sqrt(1 - shape.noise_ar**2))
+        for i in range(N_SLOTS):
+            prev = shape.noise_ar * prev + rng.normal(0.0, shape.noise_std_kw)
+            noise[i] = prev
+        profile = base_profile(shape, working) - pv_profile(shape, radiation) + noise
+        out.append(HistoricalDay(year=year, day_of_year=doy, profile=profile,
+                                 daily_radiation=radiation, is_working_day=working))
+    return out
+
+
+def scalar_step_trace(profile_kw, rng, noise_std, ar, steps_per_slot=30):
+    """``sim.step_trace`` with one scalar draw per AR(1) step."""
+    trace = np.repeat(np.asarray(profile_kw, dtype=float), steps_per_slot)
+    if noise_std > 0.0 and rng is not None:
+        noise = np.empty(trace.size)
+        prev = rng.normal(0.0, noise_std / np.sqrt(1 - ar * ar))
+        for k in range(trace.size):
+            prev = ar * prev + rng.normal(0.0, noise_std)
+            noise[k] = prev
+        trace = trace + noise
+    return trace
+
+
+def csv_save_history(path, history):
+    """A history file written field by field with ``csv.writer``."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["year", "day_of_year", "working_day", "daily_radiation"]
+                   + [f"kw_{i:03d}" for i in range(N_SLOTS)])
+        for d in history:
+            w.writerow([d.year, d.day_of_year, int(d.is_working_day),
+                        repr(float(d.daily_radiation))] + [repr(float(v)) for v in d.profile])
+
+
+def csv_load_history(path):
+    """A history file read with ``csv.reader`` and ``float``/``int`` per field."""
+    out = []
+    with open(path, newline="") as fh:
+        for lineno, row in enumerate(csv.reader(fh), start=1):
+            if not row or row[0].startswith("#") or row[0] == "year":
+                continue
+            if len(row) != 4 + N_SLOTS:
+                raise ValueError(f"{path}:{lineno}: expected {4 + N_SLOTS} columns, "
+                                 f"got {len(row)}")
+            out.append(HistoricalDay(year=int(row[0]), day_of_year=int(row[1]),
+                                     is_working_day=bool(int(row[2])),
+                                     daily_radiation=float(row[3]),
+                                     profile=np.array([float(v) for v in row[4:]])))
+    return out
+
+
+def csv_save_plan(path, plan):
+    """A plan file written row by row with ``csv.writer``."""
+    with open(path, "w", newline="") as fh:
+        fh.write(PLAN_HEADER + "\n")
+        fh.write(_PLAN_COLUMNS + "\n")
+        w = csv.writer(fh)
+        fc = plan.forecast
+        for i in range(plan.p_hat.size):
+            w.writerow([i] + [repr(float(v)) for v in
+                              (plan.p_hat[i], plan.offset.f[i], fc.point[i],
+                               fc.envelope_low[i], fc.envelope_high[i])])

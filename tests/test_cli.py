@@ -1,4 +1,5 @@
 import json
+import logging
 from dataclasses import fields, replace
 
 import pytest
@@ -39,6 +40,21 @@ def test_plan_takes_no_seed(tmp_path, history):
     save_plan(tmp_path / "expected.csv",
               plan_day(forecast_day(load_history(path), target), cli.dayahead_config({})))
     assert out.read_bytes() == (tmp_path / "expected.csv").read_bytes()
+
+
+def test_plan_logs_facts_at_info(synth_history, tmp_path, caplog, capsys):
+    argv = ["plan", "--history", str(synth_history), "--out", str(tmp_path / "plan.csv")]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert not caplog.records and "feasible" not in capsys.readouterr().err
+    with caplog.at_level(logging.INFO, logger="feederdispatch"):
+        assert cli.main(argv) == cli.EXIT_OK
+    facts = [r.getMessage() for r in caplog.records if r.name == "feederdispatch"]
+    assert len(facts) == 2
+    assert facts[0].startswith("history: 20 rows loaded in ")
+    assert "; target: year 2016 day 21, radiation " in facts[0]
+    assert facts[1].startswith("offset LP: status optimal, ")
+    for fact in (" iterations, objective ", ", KKT residual ", "; forecast and plan: "):
+        assert fact in facts[1]
 
 
 def test_synth_plan_run_report(tmp_path, capsys):

@@ -8,7 +8,8 @@ from feederdispatch.dayahead import (DayAheadConfig, InfeasiblePlanError, _offse
                                      worst_case_soe)
 from feederdispatch.forecast import N_SLOTS, ProsumptionForecast
 
-from oracles import dayahead_plan_feasible, dense_offset_optimum, grid_offset_search
+from oracles import (csv_save_plan, dayahead_plan_feasible, dense_offset_optimum,
+                     grid_offset_search)
 
 
 def _cfg(**kw):
@@ -219,6 +220,8 @@ def test_plan_file_roundtrip(tmp_path, day_forecast):
     save_plan(path, plan)
     header = path.read_text().splitlines()[0]
     assert header.startswith("#")
+    csv_save_plan(tmp_path / "csv.csv", plan)
+    assert path.read_bytes() == (tmp_path / "csv.csv").read_bytes()
     back = load_plan(path, cfg)
     assert np.array_equal(back.p_hat, plan.p_hat)
     assert np.array_equal(back.offset.f, plan.offset.f)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +11,8 @@ from feederdispatch.forecast import (N_SLOTS, HistoricalDay,
                                      point_forecast, pv_profile, save_history,
                                      select_days, short_term_predict,
                                      synthesize_history, time_distance)
+
+from oracles import csv_load_history, csv_save_history, scalar_synthesize_history
 
 
 def _day(year, doy, level, radiation, working=True):
@@ -189,6 +193,69 @@ def test_history_file_rejects_bad_row(tmp_path):
     path.write_text("2016,1,1,3.0,1.0,2.0\n")
     with pytest.raises(ValueError):
         load_history(path)
+
+
+def _same_days(a, b):
+    assert len(a) == len(b)
+    for x, y in zip(a, b):
+        assert np.array_equal(x.profile, y.profile)
+        assert (x.year, x.day_of_year, x.is_working_day, x.daily_radiation) == \
+            (y.year, y.day_of_year, y.is_working_day, y.daily_radiation)
+
+
+@pytest.mark.parametrize("seed,days", [(0, 20), (5, 400), (11, 365)])
+def test_bulk_history_paths_match_scalar_oracles(tmp_path, seed, days):
+    # one vector draw per day, one join per record and one loadtxt per file
+    # give the arrays, bytes and values of the scalar and csv-module paths;
+    # 400 days run into 2017
+    shape = SyntheticShape(noise_std_kw=1.5, noise_ar=0.7) if seed == 11 else SyntheticShape()
+    days_ = synthesize_history(seed, days, shape)
+    _same_days(days_, scalar_synthesize_history(seed, days, shape))
+    assert days_[-1].year == 2016 + (days - 1) // 365
+    save_history(tmp_path / "bulk.csv", days_)
+    csv_save_history(tmp_path / "csv.csv", days_)
+    assert (tmp_path / "bulk.csv").read_bytes() == (tmp_path / "csv.csv").read_bytes()
+    _same_days(load_history(tmp_path / "bulk.csv"), csv_load_history(tmp_path / "csv.csv"))
+
+
+def _record(values="1.5", year="2016", doy="3", working="1"):
+    return ",".join([year, doy, working, "2.25"] + [values] * N_SLOTS)
+
+
+@pytest.mark.parametrize("lines,match", [
+    ([_record(), _record() + ",7.0"], r"bad\.csv:2: expected 292 columns, got 293"),
+    (["year,x", "# note", _record().rsplit(",", 1)[0]],
+     r"bad\.csv:3: expected 292 columns, got 291"),
+    ([_record(values="abc")], "could not convert"),
+    ([_record(year="2016.5")], "whole numbers"),
+    ([_record(working="0.5")], "whole numbers"),
+])
+def test_history_reader_rejects(tmp_path, lines, match):
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=match):
+        load_history(path)
+    with pytest.raises(ValueError):
+        csv_load_history(path)
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+@pytest.mark.parametrize("lines,count", [
+    ([_record(), _record(doy="4", working="0")], 2),
+    (['"2016","3","1","2.25",' + ",".join(['"1.5"'] * N_SLOTS)], 1),
+    (['"year","day_of_year"', "#" + _record(), '"#quoted",1', "", _record(), ""], 1),
+    (["year,day_of_year,working_day", "# only a header"], 0),
+])
+def test_history_reader_matches_csv_oracle(tmp_path, lines, count, newline):
+    # quoted numbers, header, '#' and blank lines, and LF or CRLF records read
+    # as the csv module reads them; a file with no record gives [] silently
+    path = tmp_path / "hist.csv"
+    path.write_bytes((newline.join(lines) + newline).encode())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        back = load_history(path)
+    assert len(back) == count
+    _same_days(back, csv_load_history(path))
 
 
 @given(st.floats(-300, 300), st.integers(1, 30))

@@ -15,7 +15,7 @@ from feederdispatch.sim import (BatteryPlant, ErrorStats, InitState, PlantConfig
                                 step_trace, tracking_report, write_run_artifacts)
 from feederdispatch.timegrid import DEFAULT_GRID, TimeGrid
 
-from oracles import matrix_voltage_step, mpc_constraints_satisfied
+from oracles import matrix_voltage_step, mpc_constraints_satisfied, scalar_step_trace
 
 grid = DEFAULT_GRID
 
@@ -224,6 +224,15 @@ def test_step_trace_exact_repeat():
     assert not np.array_equal(noisy, trace)
 
 
+@pytest.mark.parametrize("noise_std,ar", [(0.0, 0.9), (1.0, 0.9), (2.5, 0.5)])
+def test_step_trace_matches_scalar_oracle(noise_std, ar):
+    profile = synthesize_history(3, 15)[-1].profile
+    for seed in (0, 1):
+        assert np.array_equal(step_trace(profile, np.random.default_rng(seed), noise_std, ar),
+                              scalar_step_trace(profile, np.random.default_rng(seed),
+                                                noise_std, ar))
+
+
 def test_artifacts_roundtrip(tmp_path, noiseless_day, bank_module):
     plan, run = noiseless_day
     rep = tracking_report(run, plan)
@@ -241,6 +250,8 @@ def test_artifacts_roundtrip(tmp_path, noiseless_day, bank_module):
                      if not l.startswith("#")])
     assert np.array_equal(data[:, 0], plan.p_hat)
     assert np.array_equal(data[:, 1], run.slot_average(run.p_kw))
+    assert (tmp_path / "battery_panel.csv").read_text().splitlines()[:2] == \
+        ["# limits: i=[-810.0,810.0] v=[530.0,750.0] soc=[0.1,0.9]", "# k,soc,i_a,v_v"]
 
 
 # ---------------------------------------------------------------------------

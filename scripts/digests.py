@@ -7,14 +7,16 @@ Prints one line each for:
 - ``history``: the file ``save_history`` writes for ``synthesize_history(1, 365)``;
 - ``plans``: the plan files of ``feederdispatch plan --target-year 2017
   --target-day d`` for d = 1..14 from that file, concatenated;
-- ``baseline``, ``floor`` and ``ceiling``: the bytes of the actuated currents
+- ``baseline``, ``floor``, ``ceiling`` and ``rate``: the bytes of the actuated currents
   (``i_a``, float64), then the statuses and then the active groups, each joined
   by ``|``, of one whole day of ``run_day`` (seed 0) on the ROADMAP scenario:
   the day after ``synthesize_history(7, 60)`` with radiation 4.0 and a trace
   from ``step_trace(scale * point, default_rng(3), 1.0, 0.9)``. The baseline
   day plans from 250 kWh and starts at SOC 0.5 with scale 1; the floor day
   from 50 kWh, SOC 0.1 and scale 1.1; the ceiling day from 450 kWh, SOC 0.9
-  and scale 0.9. The ceiling day takes the longest, about 20 s on 2 vCPUs.
+  and scale 0.9. The rate day is the baseline day with a current-rate limit of
+  +-5 A per step (``MpcLimits(di_min=-5, di_max=5)``), so the rate rows bind.
+  The ceiling day takes the longest, about 20 s on 2 vCPUs.
 
 Run from the repository root:
 
@@ -35,9 +37,12 @@ from feederdispatch import cli
 from feederdispatch.dayahead import DayAheadConfig, plan_day
 from feederdispatch.forecast import (TargetDayInfo, forecast_day, is_working_dayofyear,
                                      save_history, synthesize_history)
+from feederdispatch.mpc import MpcLimits
 from feederdispatch.sim import InitState, PlantConfig, run_day, step_trace
 
-DAYS = {"baseline": (250.0, 0.5, 1.0), "floor": (50.0, 0.1, 1.1), "ceiling": (450.0, 0.9, 0.9)}
+DAYS = {"baseline": (250.0, 0.5, 1.0, MpcLimits()), "floor": (50.0, 0.1, 1.1, MpcLimits()),
+        "ceiling": (450.0, 0.9, 0.9, MpcLimits()),
+        "rate": (250.0, 0.5, 1.0, MpcLimits(di_min=-5.0, di_max=5.0))}
 
 
 def sha(data: bytes) -> str:
@@ -59,7 +64,7 @@ def file_digests(workdir: Path) -> tuple[str, str]:
     return sha(history.read_bytes()), sha(plans)
 
 
-def day_digest(soe0: float, soc: float, scale: float) -> str:
+def day_digest(soe0: float, soc: float, scale: float, limits: MpcLimits) -> str:
     history = synthesize_history(7, 60)
     doy = history[-1].day_of_year + 1
     fc = forecast_day(history, TargetDayInfo(year=history[-1].year, day_of_year=doy,
@@ -67,7 +72,8 @@ def day_digest(soe0: float, soc: float, scale: float) -> str:
                                              is_working_day=is_working_dayofyear(doy)))
     plan = plan_day(fc, DayAheadConfig(soe0=soe0))
     trace = step_trace(fc.point * scale, np.random.default_rng(3), 1.0, 0.9)
-    run = run_day(plan, PlantConfig(), InitState(soc=soc), trace_kw=trace, seed=0)
+    run = run_day(plan, PlantConfig(), InitState(soc=soc), trace_kw=trace, seed=0,
+                  limits=limits)
     return sha(run.i_a.tobytes() + "|".join(run.status).encode()
                + "|".join(run.active).encode())
 
@@ -77,8 +83,8 @@ def main() -> None:
         history, plans = file_digests(Path(tmp))
     print(f"history  {history[:16]}")
     print(f"plans    {plans[:16]}")
-    for name, (soe0, soc, scale) in DAYS.items():
-        print(f"{name:8s} {day_digest(soe0, soc, scale)[:16]}")
+    for name, day in DAYS.items():
+        print(f"{name:8s} {day_digest(*day)[:16]}")
 
 
 if __name__ == "__main__":

@@ -60,11 +60,6 @@ class TtcParameters:
         """Measurement noise standard deviation, volts."""
         return float(np.exp(0.5 * self.sigma2))
 
-    @property
-    def r_total(self) -> float:
-        """DC (steady-state) resistance of the full circuit, ohm."""
-        return self.rs + self.r1 + self.r2 + self.r3
-
 
 TABLE1: tuple[TtcParameters, ...] = (
     TtcParameters("0-20%", e=592.2, rs=0.029, r1=0.095, c1=8930, r2=0.04, c2=909,
@@ -88,31 +83,6 @@ def schedule_index(soc: float) -> int:
     if not 0.0 <= soc <= 1.0:
         raise ValueError(f"soc {soc} outside [0, 1]")
     return min(bisect_right(_RANGE_EDGES, soc), 4)
-
-
-@dataclass(frozen=True)
-class ContinuousStateSpace:
-    """Full third-order stochastic state space of the circuit.
-
-    State x = branch voltages [v_C1, v_C2, v_C3], input u = [i, 1],
-    output v = C x + D u + sigma_g * white noise.
-    """
-
-    a_c: np.ndarray
-    b_c: np.ndarray
-    k_c: np.ndarray
-    c: np.ndarray
-    d: np.ndarray
-    g: float
-
-    @staticmethod
-    def from_parameters(p: TtcParameters) -> "ContinuousStateSpace":
-        a_c = np.diag([-1.0 / (p.r1 * p.c1), -1.0 / (p.r2 * p.c2), -1.0 / (p.r3 * p.c3)])
-        b_c = np.array([[1.0 / p.c1, 0.0], [1.0 / p.c2, 0.0], [1.0 / p.c3, 0.0]])
-        k_c = np.diag([p.k1, p.k2, p.k3])
-        return ContinuousStateSpace(a_c=a_c, b_c=b_c, k_c=k_c,
-                                    c=np.ones((1, 3)), d=np.array([p.rs, p.e]),
-                                    g=p.sigma_g)
 
 
 @dataclass(frozen=True)
@@ -172,18 +142,19 @@ def voltage_step(m: DiscreteStateSpace, x: np.ndarray, i: float) -> tuple[np.nda
     return x_next, c0 * x0 + c1 * x1 + m.d_i * i + m.d_1
 
 
-def soc_statespace(ts: float = STEP_SECONDS, c_nom: float = C_NOM_AH) -> DiscreteStateSpace:
-    """Scalar coulomb-counting model whose output is the end-of-step SOC, so the
-    predictive constraints bound the SOC actually reached after each actuation."""
-    b = ts / 3600.0 / c_nom
+def soc_statespace() -> DiscreteStateSpace:
+    """Scalar coulomb-counting model of one STEP_SECONDS step of the C_NOM_AH pack,
+    whose output is the end-of-step SOC, so the predictive constraints bound the
+    SOC actually reached after each actuation."""
+    b = STEP_SECONDS / 3600.0 / C_NOM_AH
     return DiscreteStateSpace(a=np.array([[1.0]]), b_i=np.array([b]), b_1=np.array([0.0]),
                               c=np.ones(1), d_i=b, d_1=0.0, k=np.zeros((1, 1)),
                               g=0.0, n=1, label="soc")
 
 
-def soc_step(soc: float, i: float, ts: float = STEP_SECONDS, c_nom: float = C_NOM_AH) -> float:
-    """Coulomb counting: soc + (ts/3600) * i / c_nom."""
-    return soc + (ts / 3600.0) * i / c_nom
+def soc_step(soc: float, i: float) -> float:
+    """Coulomb counting over one step: soc + (STEP_SECONDS/3600) * i / C_NOM_AH."""
+    return soc + (STEP_SECONDS / 3600.0) * i / C_NOM_AH
 
 
 @dataclass(frozen=True)
@@ -194,7 +165,6 @@ class TransitionMatrices:
     phi: np.ndarray
     psi_i: np.ndarray
     psi_1: np.ndarray
-    horizon: int
     derived: dict = field(default_factory=dict, compare=False, repr=False)
 
 
@@ -226,7 +196,7 @@ def build_transition(m: DiscreteStateSpace, horizon: int) -> TransitionMatrices:
     for j in range(horizon):
         psi_i[j:, j] = h_i[:horizon - j]
         psi_1[j:, j] = h_1[:horizon - j]
-    return TransitionMatrices(phi=phi, psi_i=psi_i, psi_1=psi_1, horizon=horizon)
+    return TransitionMatrices(phi=phi, psi_i=psi_i, psi_1=psi_1)
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +282,6 @@ class ModelBank:
     """
 
     def __init__(self, table: tuple[TtcParameters, ...] = TABLE1):
-        self.table = table
         self.voltage_models = tuple(reduce_and_discretize(p) for p in table)
         self.soc_model = soc_statespace()
         self._cache: dict[tuple[str, int], TransitionMatrices] = {}

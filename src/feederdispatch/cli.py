@@ -128,6 +128,13 @@ def dayahead_config(doc: dict, soe0: float | None = None,
     return DayAheadConfig(**fields)
 
 
+def _required_input(args, doc: dict, key: str) -> str:
+    """The --<key> file, else the config's paths.<key>; ConfigError if neither."""
+    if not (path := getattr(args, key) or doc.get("paths", {}).get(key)):
+        raise ConfigError(f"missing input: pass --{key} or set paths.{key} in --config")
+    return path
+
+
 def mpc_limits(doc: dict) -> MpcLimits:
     return MpcLimits(**_fields(doc, "mpc"))
 
@@ -152,7 +159,7 @@ def cmd_synth(args) -> int:
 def cmd_plan(args) -> int:
     doc = load_config(args.config)
     t0 = time.perf_counter()
-    history = load_history(args.history or doc.get("paths", {}).get("history"))
+    history = load_history(_required_input(args, doc, "history"))
     load_s = time.perf_counter() - t0
     if args.target_day is not None:
         doy = args.target_day
@@ -195,7 +202,7 @@ def cmd_run(args) -> int:
         else float(doc.get("initial_soc", 0.5))
 
     if args.days is not None:
-        history = load_history(args.history or doc.get("paths", {}).get("history"))
+        history = load_history(_required_input(args, doc, "history"))
         cfg = dayahead_config(doc, soe0=0.0, p_max=args.p_max)
         results = run_multi_day(args.days, history, cfg, limits, plant_cfg,
                                 seed=seed, initial_soc=initial_soc, bank=bank)
@@ -211,8 +218,7 @@ def cmd_run(args) -> int:
         print("day-final plant SOC: " + ", ".join(f"{s:.3f}" for s in focs))
         return EXIT_OK
 
-    plan = load_plan(args.plan or doc.get("paths", {}).get("plan"),
-                     dayahead_config(doc))
+    plan = load_plan(_required_input(args, doc, "plan"), dayahead_config(doc))
     trace_path = args.trace or doc.get("paths", {}).get("trace")
     if trace_path:
         trace = np.loadtxt(trace_path, comments="#")

@@ -224,10 +224,10 @@ def save_plan(path, plan: DispatchPlan) -> None:
         fh.writelines(f"{i},{','.join(map(repr, row))}\r\n" for i, row in enumerate(cols))
 
 
-def load_plan(path, cfg: DayAheadConfig | None = None) -> DispatchPlan:
-    """Rebuild a DispatchPlan from a plan file (SOE trajectories re-propagated
-    when a config is supplied, zero otherwise). A file whose envelopes have the
-    wrong sign raises ValueError."""
+def load_plan(path, cfg: DayAheadConfig) -> DispatchPlan:
+    """Rebuild a DispatchPlan from a plan file, with the SOE trajectories
+    re-propagated under ``cfg``. A file whose envelopes have the wrong sign
+    raises ValueError."""
     data = np.loadtxt(path, delimiter=",", ndmin=2)
     if data.shape[1] != 6:
         raise ValueError(f"{path}: expected 6 columns per plan row")
@@ -235,10 +235,7 @@ def load_plan(path, cfg: DayAheadConfig | None = None) -> DispatchPlan:
     data = data[order]
     forecast = ProsumptionForecast(data[:, 3], data[:, 4], data[:, 5], members=())
     f = data[:, 2]
-    if cfg is not None:
-        soe_low, soe_high = worst_case_soe(f, forecast, cfg)
-    else:
-        soe_low = soe_high = np.zeros(f.size + 1)
+    soe_low, soe_high = worst_case_soe(f, forecast, cfg)
     offset = OffsetPlan(f=f, soe_low=soe_low, soe_high=soe_high,
                         objective=np.nan,
                         certificate=solver.SolveCertificate(status="optimal"))

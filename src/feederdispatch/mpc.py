@@ -11,6 +11,7 @@ first component is actuated; the next cycle re-solves with fresh measurements.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -88,7 +89,7 @@ class MpcProblem:
     soc_k: float
     v_k: float                     # measured voltage, used for set-point conversion
     limits: MpcLimits
-    alpha: float = ALPHA
+    alpha: ClassVar[float] = ALPHA
     _structure: _Structure | None = field(default=None, repr=False, compare=False)
     _qcqp: solver.QcqpProblem = field(init=False, repr=False)
 
@@ -97,36 +98,27 @@ class MpcProblem:
             raise ValueError("horizon must be in 1..30")
         if self._structure is None:
             self._structure = _mpc_structure(self.psi_v_i, self.psi_v_1, self.psi_soc_i,
-                                             self.horizon, self.alpha)
+                                             self.horizon)
         v_free = self.phi_v @ self.x_k + self._structure.v_one
         # V*A = W: the 1e-3 brings the throughput to kW before alpha's kWh
-        self._qcqp = self._structure.qcqp.with_rhs(self.alpha / 1000.0 * v_free, self.e_k,
+        self._qcqp = self._structure.qcqp.with_rhs(ALPHA / 1000.0 * v_free, self.e_k,
                                                    _rhs(self, v_free))
 
 
-def _mpc_structure(psi_v_i, psi_v_1, psi_soc_i, h: int, alpha: float) -> _Structure:
+def _mpc_structure(psi_v_i, psi_v_1, psi_soc_i, h: int) -> _Structure:
     """The QCQP at one (model, horizon) with zero right-hand sides: c = 1, the
     throughput quadratic in kWh and the rows; ValueError unless it is convex.
     With it, psi_v_1 @ 1, the EMF part of the zero-current voltages."""
     a_ineq = _stack_constraints(psi_v_i, psi_soc_i, h)
-    qcqp = solver.QcqpProblem(c=np.ones(h), q=alpha / 1000.0 * 0.5 * (psi_v_i + psi_v_i.T),
+    qcqp = solver.QcqpProblem(c=np.ones(h), q=ALPHA / 1000.0 * 0.5 * (psi_v_i + psi_v_i.T),
                               l=np.zeros(h), r=0.0, a_ineq=a_ineq,
                               b_ineq=np.zeros(a_ineq.shape[0]))
     return _Structure(qcqp, psi_v_1 @ np.ones(h))
 
 
-def _diff_matrix(h: int) -> np.ndarray:
-    """First-difference operator: row j computes i[j+1] - i[j]."""
-    d = np.zeros((max(h - 1, 0), h))
-    for j in range(h - 1):
-        d[j, j] = -1.0
-        d[j, j + 1] = 1.0
-    return d
-
-
 def _stack_constraints(psi_v, psi_soc, h: int) -> np.ndarray:
     eye = np.eye(h)
-    d = _diff_matrix(h)
+    d = np.diff(eye, axis=0)            # row j computes i[j+1] - i[j]
     return np.vstack([eye, -eye, d, -d, psi_v, -psi_v, psi_soc, -psi_soc])
 
 
@@ -139,7 +131,6 @@ def dispatch_error(p_star: float, p_plus: float) -> float:
 def expected_average(window, k: int, p_k: float, short_term: np.ndarray) -> float:
     """Expected slot-average composite power: observed part plus the short-term
     prosumption predictions for the remaining steps."""
-    short_term = np.asarray(short_term, dtype=float)
     expected = window.k_hi - k + 1
     if short_term.size != expected:
         raise ValueError(f"short_term must have {expected} values, got {short_term.size}")
@@ -161,8 +152,7 @@ def build_problem(k: int, plan: DispatchPlan, telemetry: StepTelemetry,
     ts = bank.transitions(bank.soc_model, horizon)
     structure = tv.derived.get("mpc")
     if structure is None:
-        structure = tv.derived["mpc"] = _mpc_structure(tv.psi_i, tv.psi_1, ts.psi_i,
-                                                       horizon, ALPHA)
+        structure = tv.derived["mpc"] = _mpc_structure(tv.psi_i, tv.psi_1, ts.psi_i, horizon)
     return MpcProblem(horizon=horizon, e_k=e_k,
                       phi_v=tv.phi, psi_v_i=tv.psi_i, psi_v_1=tv.psi_1,
                       phi_soc=ts.phi, psi_soc_i=ts.psi_i,
@@ -173,17 +163,12 @@ def build_problem(k: int, plan: DispatchPlan, telemetry: StepTelemetry,
 @dataclass(frozen=True)
 class ControlDecision:
     i_traj: np.ndarray
-    i_first: float
     b_setpoint: float          # kW
     status: str
     active: str = ""           # active constraint groups at the optimum
     kkt_residual: float = np.nan
     iterations: int = 0        # NNLS solves of the QCQP (0 for the closed form)
     path: str = "none"         # "closed-form" | "parametric" | "least-distance" | "none"
-
-    def __post_init__(self):
-        if self.i_traj.size and self.i_first != self.i_traj[0]:
-            raise ValueError("i_first must equal i_traj[0]")
 
 
 def to_power_setpoint(i_first: float, v_k: float) -> float:
@@ -242,15 +227,14 @@ def solve(p: MpcProblem) -> ControlDecision:
     """
     sol, cert = solver.solve_qcqp(p._qcqp)
     if sol is not None and cert.kkt_residual <= solver.KKT_GATE:
-        i_first = float(sol.x[0])
-        return ControlDecision(i_traj=sol.x, i_first=i_first,
-                               b_setpoint=to_power_setpoint(i_first, p.v_k),
+        return ControlDecision(i_traj=sol.x,
+                               b_setpoint=to_power_setpoint(float(sol.x[0]), p.v_k),
                                status=STATUS_CLIPPED if cert.status == "infeasible"
                                else STATUS_SOLVED,
                                active=_active_groups(p.horizon, sol),
                                kkt_residual=cert.kkt_residual,
                                iterations=cert.iterations, path=cert.path)
     zero = np.zeros(p.horizon)
-    return ControlDecision(i_traj=zero, i_first=0.0, b_setpoint=0.0,
+    return ControlDecision(i_traj=zero, b_setpoint=0.0,
                            status=STATUS_FAILURE, active="-",
                            kkt_residual=cert.kkt_residual, iterations=cert.iterations)

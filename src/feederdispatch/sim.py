@@ -22,9 +22,8 @@ from . import battery
 from .battery import (CONVERTER_EFF, ModelBank, KalmanState, TtcParameters, TABLE1,
                       kalman_update, soc_step)
 from .dayahead import (DayAheadConfig, DispatchPlan, plan_day, save_plan)
-from .forecast import (ProsumptionForecast, SyntheticShape, HistoricalDay,
-                       TargetDayInfo, ar1_noise, forecast_day, is_working_dayofyear,
-                       synthesize_day)
+from .forecast import (SyntheticShape, HistoricalDay, TargetDayInfo, ar1_noise,
+                       forecast_day, is_working_dayofyear, synthesize_day)
 from .mpc import MpcLimits, StepTelemetry, build_problem, solve
 from .timegrid import TimeGrid, DEFAULT_GRID
 
@@ -86,10 +85,9 @@ class BatteryPlant:
     :func:`battery.voltage_step`."""
 
     def __init__(self, cfg: PlantConfig, seed: int, initial_soc: float):
-        table = cfg.parameter_table or TABLE1
         rng = np.random.default_rng([seed, 777])
-        self.table = perturbed_table(table, cfg.param_perturbation, rng)
-        self.models = tuple(battery.reduce_and_discretize(p) for p in self.table)
+        table = perturbed_table(cfg.parameter_table or TABLE1, cfg.param_perturbation, rng)
+        self.models = tuple(battery.reduce_and_discretize(p) for p in table)
         self.soc = float(initial_soc)
         self.model = self.models[battery.schedule_index(self.soc)]
         self.x = np.zeros(2)
@@ -112,12 +110,9 @@ class BatteryPlant:
         if cfg.actuation_noise_kw > 0.0:
             b_applied += cfg.actuation_noise_kw * rng.standard_normal()
         i = self.current_for_power(b_applied)
-        return self._advance(i, step)
+        return self.apply_current(i, step)
 
     def apply_current(self, i: float, step: int) -> tuple[float, float, float]:
-        return self._advance(i, step)
-
-    def _advance(self, i: float, step: int) -> tuple[float, float, float]:
         self.x, v = battery.voltage_step(self.model, self.x, i)
         b_real = CONVERTER_EFF * v * i / 1000.0
         self.soc = battery.soc_step(self.soc, i)
@@ -178,10 +173,8 @@ class SimulationRun:
     status: list[str]
     active: list[str]
     solve_seconds: np.ndarray
-    seed: int
     config: dict
     initial_soc: float = 0.0
-    final_soc: float = 0.0
     final_kalman: KalmanState | None = None
     final_last_load: float = 0.0
 
@@ -253,7 +246,7 @@ def run_day(plan: DispatchPlan, plant_cfg: PlantConfig, init: InitState, *,
         solve_s = time.perf_counter() - t0
 
         p_k = l_k + b_k
-        soc_ctrl = soc_step(soc_ctrl, i_k, ts=grid.step_seconds)
+        soc_ctrl = soc_step(soc_ctrl, i_k)
         rows.append((b_k, p_k, plant.soc, soc_ctrl, v_k, i_k, problem.e_k, b_sp, solve_s))
         horizon.append(problem.horizon)
         status.append(st)
@@ -270,9 +263,8 @@ def run_day(plan: DispatchPlan, plant_cfg: PlantConfig, init: InitState, *,
                          soc=soc, soc_ctrl=soc_c, v=v, i_a=i_a, e_kwh=e_kwh,
                          b_setpoint_kw=b_setpoint, horizon=np.array(horizon, dtype=np.int8),
                          status=status, active=active, solve_seconds=solve_seconds,
-                         seed=seed, config=asdict(plant_cfg), initial_soc=initial_soc,
-                         final_soc=plant.soc, final_kalman=kalman,
-                         final_last_load=last_load)
+                         config=asdict(plant_cfg), initial_soc=initial_soc,
+                         final_kalman=kalman, final_last_load=last_load)
 
 
 # ---------------------------------------------------------------------------
@@ -301,14 +293,13 @@ class TrackingReport:
 
 
 def tracking_report(run: SimulationRun, plan: DispatchPlan,
-                    forecast: ProsumptionForecast | None = None,
                     grid: TimeGrid = DEFAULT_GRID) -> TrackingReport:
-    """Per-slot error statistics in both operating modes."""
-    fc = forecast if forecast is not None else plan.forecast
+    """Per-slot error statistics in both operating modes; without dispatch, the
+    plan's own forecast is compared with the realized prosumption."""
     p_avg = run.slot_average(run.p_kw, grid)
     l_avg = run.slot_average(run.l_kw, grid)
     return TrackingReport(dispatch=ErrorStats.of(plan.p_hat - p_avg),
-                          no_dispatch=ErrorStats.of(np.asarray(fc.point) - l_avg))
+                          no_dispatch=ErrorStats.of(np.asarray(plan.forecast.point) - l_avg))
 
 
 def format_report(report: TrackingReport, label: str = "") -> str:
@@ -353,8 +344,6 @@ def peak_shave_check(run: SimulationRun, p_max: float, tol_kw: float = 2.0,
 @dataclass
 class DayResult:
     day_index: int
-    target: TargetDayInfo
-    forecast: ProsumptionForecast
     plan: DispatchPlan
     run: SimulationRun
     report: TrackingReport
@@ -370,8 +359,7 @@ def run_multi_day(days: int, history: list[HistoricalDay],
                   shape: SyntheticShape = SyntheticShape(),
                   realization_scale: float = 1.0,
                   bank: ModelBank | None = None,
-                  grid: TimeGrid = DEFAULT_GRID,
-                  battery_enabled: bool = True) -> list[DayResult]:
+                  grid: TimeGrid = DEFAULT_GRID) -> list[DayResult]:
     """Chain consecutive days with battery-state continuity.
 
     Each day's plan is computed one hour before its start, predicting the
@@ -413,11 +401,9 @@ def run_multi_day(days: int, history: list[HistoricalDay],
         run = run_day(plan, plant_cfg, InitState(soc=plant.soc, kalman=kalman,
                                                  last_load=last_load),
                       trace_kw=trace, seed=seed, rng=rng_day, plant=plant,
-                      bank=bank, limits=limits, grid=grid,
-                      battery_enabled=battery_enabled)
-        results.append(DayResult(day_index=d, target=target, forecast=fc,
-                                 plan=plan, run=run,
-                                 report=tracking_report(run, plan, fc, grid)))
+                      bank=bank, limits=limits, grid=grid)
+        results.append(DayResult(day_index=d, plan=plan, run=run,
+                                 report=tracking_report(run, plan, grid)))
         kalman = run.final_kalman
         last_load = run.final_last_load
         soc_at_plan_time = float(run.soc[(grid.n_slots - PLAN_LEAD_SLOTS)

@@ -357,7 +357,7 @@ def _nnls(p: QcqpProblem, h: np.ndarray, rows=slice(None)) -> tuple:
     e = np.vstack([e_g[:, rows], -h / (norms * h_scale)])
     f = np.zeros(n + 1)
     f[n] = 1.0
-    w, _ = nnls(e, f)
+    w = nnls(e, f)[0] if e.shape[1] else np.zeros(0)     # SciPy's nnls aborts on no rows
     return w, e @ w - f, h_scale
 
 

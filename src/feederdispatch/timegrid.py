@@ -24,19 +24,15 @@ class SlotWindow:
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """The day's two index systems: 288 five-minute slots, 8640 ten-second steps."""
+    """The day's index systems: 288 slots of SLOT_SECONDS, 8640 steps of STEP_SECONDS."""
 
     n_slots: int = 288
     n_steps: int = 8640
     steps_per_slot: int = 30
-    slot_seconds: float = SLOT_SECONDS
-    step_seconds: float = STEP_SECONDS
 
     def __post_init__(self):
         if self.n_steps != self.n_slots * self.steps_per_slot:
             raise ValueError("n_steps must equal n_slots * steps_per_slot")
-        if self.slot_seconds != self.steps_per_slot * self.step_seconds:
-            raise ValueError("slot_seconds must equal steps_per_slot * step_seconds")
 
     def window_of(self, k: int) -> SlotWindow:
         """First/last step indices of the 5-minute slot containing step k."""

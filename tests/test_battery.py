@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from feederdispatch.battery import (C_NOM_AH, TABLE1, ContinuousStateSpace,
-                                    ModelBank, TtcParameters, build_transition,
-                                    load_parameter_table, reduce_and_discretize,
-                                    save_parameter_table, schedule_index,
-                                    soc_statespace, soc_step, voltage_step)
+from feederdispatch.battery import (C_NOM_AH, TABLE1, ModelBank, TtcParameters,
+                                    build_transition, load_parameter_table,
+                                    reduce_and_discretize, save_parameter_table,
+                                    schedule_index, soc_statespace, soc_step, voltage_step)
 from feederdispatch.mpc import ALPHA
 
 
@@ -39,15 +38,6 @@ def test_schedule_boundaries():
             schedule_index(bad)
 
 
-def test_continuous_matrices():
-    p = TABLE1[2]
-    ss = ContinuousStateSpace.from_parameters(p)
-    assert ss.a_c[0, 0] == pytest.approx(-1.0 / (p.r1 * p.c1))
-    assert ss.a_c[2, 2] == pytest.approx(-1.0 / (p.r3 * p.c3))
-    assert np.all(np.diag(ss.a_c) < 0)
-    assert ss.d == pytest.approx([p.rs, p.e])
-
-
 def test_discretization_euler_entries():
     m = reduce_and_discretize(TABLE1[2], 10.0)
     p = TABLE1[2]
@@ -76,7 +66,7 @@ def test_dc_gain_preserved_exactly():
         for i in (-500.0, 120.0):
             x_ss = np.linalg.solve(np.eye(2) - m.a, m.b_i * i + m.b_1)
             v_ss = float(m.c @ x_ss + m.d_i * i + m.d_1)
-            v_ref = p.e + i * p.r_total
+            v_ref = p.e + i * (p.rs + p.r1 + p.r2 + p.r3)
             assert abs(v_ss - v_ref) <= 1e-9 * abs(v_ref)
 
 
@@ -121,7 +111,7 @@ def test_voltage_step_converges_to_dc_gain():
     i = 200.0
     for _ in range(20000):
         x, v = voltage_step(m, x, i)
-    assert v == pytest.approx(p.e + i * p.r_total, rel=1e-9)
+    assert v == pytest.approx(p.e + i * (p.rs + p.r1 + p.r2 + p.r3), rel=1e-9)
 
 
 def test_voltage_step_superposition():

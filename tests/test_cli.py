@@ -83,6 +83,47 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     assert "unknown config key mpc.'i_max'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["plan", "--out", "plan.csv"], "history"),
+    (["run", "--days", "1", "--out-dir", "run"], "history"),
+    (["run", "--out-dir", "run"], "plan"),
+])
+def test_missing_input_exits_2(tmp_path, monkeypatch, capsys, argv, flag):
+    # neither the option nor the config's paths entry: the message names both
+    monkeypatch.chdir(tmp_path)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"paths": {"out_dir": "run"}}))
+    for extra in ([], ["--config", str(config)]):
+        assert cli.main(argv + extra) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"pass --{flag} or set paths.{flag} in --config" in err
+    assert list(tmp_path.iterdir()) == [config]
+
+
+def test_run_days_with_peak_cap(synth_history, tmp_path, capsys):
+    out = tmp_path / "run"
+    argv = ["run", "--days", "2", "--history", str(synth_history), "--p-max", "270",
+            "--out-dir", str(out)]
+    assert cli.main(argv) == cli.EXIT_OK
+    printed = capsys.readouterr().out.splitlines()
+    for day in ("day0", "day1"):
+        assert {f.name for f in (out / day).iterdir()} == {
+            "steps.csv", "plan.csv", "report.txt", "config.json"}
+    assert printed.count("peak-shave violations above 270.0 kW: 0") == 2
+    assert printed[-1].startswith("day-final plant SOC: ")
+    assert len(printed[-1].split(", ")) == 2
+
+
+def test_trace_of_wrong_length_exits_2(synth_history, tmp_path, capsys):
+    plan, trace = tmp_path / "plan.csv", tmp_path / "trace.txt"
+    assert cli.main(["plan", "--history", str(synth_history), "--out", str(plan)]) == 0
+    trace.write_text("\n".join(["100.0"] * 8639) + "\n")
+    argv = ["run", "--plan", str(plan), "--trace", str(trace), "--out-dir", str(tmp_path / "run")]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert "trace must hold 8640 values" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_infeasible_plan_exits_3(synth_history, tmp_path, capsys):
     out = tmp_path / "plan.csv"
     argv = ["plan", "--history", str(synth_history), "--out", str(out), "--p-max", "10"]

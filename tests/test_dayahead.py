@@ -241,7 +241,7 @@ def test_load_plan_rejects_wrong_envelope_sign(tmp_path, day_forecast):
     lines[2] = ",".join(row)
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match="envelope signs"):
-        load_plan(path)
+        load_plan(path, _cfg())
 
 
 def test_backoff_tightens_bounds(day_forecast):

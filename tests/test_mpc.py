@@ -6,7 +6,7 @@ from feederdispatch import solver
 from feederdispatch.battery import ModelBank, soc_step, voltage_step
 from feederdispatch.dayahead import DispatchPlan
 from feederdispatch.forecast import ProsumptionForecast
-from feederdispatch.mpc import (ALPHA, ControlDecision, MpcLimits, MpcProblem,
+from feederdispatch.mpc import (ALPHA, MpcLimits, MpcProblem,
                                 StepTelemetry, build_problem, dispatch_error,
                                 expected_average, solve, to_power_setpoint)
 from feederdispatch.timegrid import DEFAULT_GRID
@@ -226,7 +226,7 @@ def test_active_soc_ceiling_blocks_charging(bank):
     p = _problem(bank, h=10, e_k=1.0, soc=limits.soc_max, limits=limits)
     dec = solve(p)
     assert dec.status == "solved"
-    assert dec.i_first <= 1e-6
+    assert dec.i_traj[0] <= 1e-6
     assert np.all(np.cumsum(dec.i_traj) <= 1e-6)
     assert "soc" in dec.active
     assert mpc_constraints_satisfied(p, dec.i_traj)
@@ -339,7 +339,7 @@ def test_failed_solve_reports_residual(bank, monkeypatch):
     monkeypatch.setattr(solver, "solve_qcqp", failing)
     dec = solve(_problem(bank, h=5, e_k=0.3))
     assert dec.status == "solver-failure"
-    assert dec.i_first == 0.0
+    assert dec.i_traj[0] == 0.0
     assert dec.kkt_residual == 2e-6
     assert dec.iterations == 7
     assert dec.path == "none"
@@ -366,7 +366,7 @@ def test_clipped_below_soc_floor(bank):
     dec = solve(p)
     assert dec.status == "infeasible-clipped"
     assert dec.path == "least-distance"
-    assert dec.i_first != 0.0
+    assert dec.i_traj[0] != 0.0
     assert mpc_constraints_satisfied(p, dec.i_traj)
     assert dec.kkt_residual <= 1e-6
 
@@ -451,7 +451,7 @@ def test_shrinking_horizon_decay(bank):
         e_prev = p.e_k
         dec = solve(p)
         assert dec.status == "solved"
-        i = dec.i_first
+        i = dec.i_traj[0]
         x_next, v = voltage_step(vm, x_plant, i)
         b = 0.98 * v * i / 1000.0
         samples.append(load + b)
@@ -466,12 +466,6 @@ def test_to_power_setpoint():
     assert to_power_setpoint(0.0, 650.0) == 0.0
     assert to_power_setpoint(100.0, 650.0) == pytest.approx(65.0)
     assert to_power_setpoint(-50.0, 650.0) < 0.0
-
-
-def test_decision_invariant():
-    with pytest.raises(ValueError):
-        ControlDecision(i_traj=np.array([1.0, 2.0]), i_first=2.0, b_setpoint=0.0,
-                        status="solved")
 
 
 def test_psd_guard_in_problem(bank):

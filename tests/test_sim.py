@@ -113,7 +113,7 @@ def test_tracking_report_constant_offset(bank_module):
                         v=np.full(n, 650.0), i_a=np.zeros(n), e_kwh=np.zeros(n),
                         b_setpoint_kw=np.zeros(n), horizon=np.ones(n, int),
                         status=["solved"] * n, active=["-"] * n,
-                        solve_seconds=np.zeros(n), seed=0, config={})
+                        solve_seconds=np.zeros(n), config={})
     rep = tracking_report(run, plan)
     assert rep.dispatch.rmse == pytest.approx(1.0)
     assert rep.dispatch.mean == pytest.approx(1.0)
@@ -132,7 +132,7 @@ def test_peak_shave_check(bank_module):
                         v=np.full(n, 650.0), i_a=np.zeros(n), e_kwh=np.zeros(n),
                         b_setpoint_kw=np.zeros(n), horizon=np.ones(n, int),
                         status=["solved"] * n, active=["-"] * n,
-                        solve_seconds=np.zeros(n), seed=0, config={})
+                        solve_seconds=np.zeros(n), config={})
     viol = peak_shave_check(run, p_max=200.0)
     assert len(viol) == 1 and viol[0].slot == 10
     assert viol[0].excess_kw == pytest.approx(5.0)

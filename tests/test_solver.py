@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -139,6 +142,40 @@ def test_least_distance_proves_infeasibility():
     assert ld_cert.kkt_residual <= 1e-15 and ld_cert.objective == pytest.approx(-1.0)
     sol, cert = solve_qcqp(p)
     assert sol is None and cert.status == "infeasible" and cert.path == "least-distance"
+
+
+def test_no_rows_and_no_closed_form():
+    # SciPy's nnls aborts the interpreter on a matrix with no columns, so the
+    # solve runs in a child process: a regression fails this test alone. With
+    # no rows the least-distance point is the unconstrained minimum x = 0,
+    # where f_q = 1 > 0 proves the problem infeasible
+    code = ("import numpy as np\n"
+            "from feederdispatch.solver import QcqpProblem, solve_qcqp\n"
+            "sol, cert = solve_qcqp(QcqpProblem(c=[1], q=[[1]], l=[0], r=-1,\n"
+            "                                  a_ineq=np.zeros((0, 1)), b_ineq=[]))\n"
+            "print(cert.status, cert.path, sol.x.tolist(), cert.objective)\n")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(solver.__file__))}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["infeasible", "least-distance", "[0.0]", "1.0"]
+
+
+def test_least_distance_rounding_solved_again_in_x():
+    # a nearly linear quadratic (2Qx << l): the whitened NNLS point misses the
+    # gate by rounding, the same active set solved in x passes it, and the
+    # walk from there certifies a point within 5e-6 of the exact root 1.04847102
+    p = QcqpProblem(c=[0.15342497989588852], q=[[1.2122730283206471e-11]],
+                    l=[3.2951881847011264], r=3.454909314133631,
+                    a_ineq=[[1.0], [-1.0]], b_ineq=[15.837, 15.837])
+    w0, h0 = solver._whitened_rhs(p)
+    assert solver.qp_kkt_residual(p, solver._ld_point(p, *solver._nnls(p, h0), w0)) \
+        > solver.KKT_GATE
+    assert solver.least_distance(p)[1].status == "optimal"
+    sol, cert = solve_qcqp(p)
+    assert cert.status == "optimal" and cert.path == "parametric"
+    assert cert.kkt_residual <= solver.KKT_GATE
+    assert abs(sol.x[0] - 1.04847102) < 5e-6
 
 
 def test_least_distance_two_binding_rows():

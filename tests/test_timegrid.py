@@ -10,7 +10,6 @@ grid = DEFAULT_GRID
 
 def test_grid_consistency():
     assert grid.n_steps == grid.n_slots * grid.steps_per_slot
-    assert grid.slot_seconds == grid.steps_per_slot * grid.step_seconds
     with pytest.raises(ValueError):
         TimeGrid(n_slots=288, n_steps=8000, steps_per_slot=30)
 

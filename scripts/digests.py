@@ -16,7 +16,13 @@ Prints one line each for:
   from 50 kWh, SOC 0.1 and scale 1.1; the ceiling day from 450 kWh, SOC 0.9
   and scale 0.9. The rate day is the baseline day with a current-rate limit of
   +-5 A per step (``MpcLimits(di_min=-5, di_max=5)``), so the rate rows bind.
-  The ceiling day takes the longest, about 20 s on 2 vCPUs.
+  The ceiling day takes the longest, about 20 s on 2 vCPUs;
+- ``chain``: for each day in order, the bytes of the plan (``p_hat``) and of the
+  actuated currents, then the statuses and then the active groups, each joined
+  by ``|``, of ``run_multi_day(3, synthesize_history(7, 60),
+  DayAheadConfig(soe0=0.0), MpcLimits(), PlantConfig(), seed=0,
+  realization_scale=1.1)``: prosumption 10 % over the forecast pins the SOC at
+  its floor from the first day on (7–11 s on 2 vCPUs).
 
 Run from the repository root:
 
@@ -38,7 +44,7 @@ from feederdispatch.dayahead import DayAheadConfig, plan_day
 from feederdispatch.forecast import (TargetDayInfo, forecast_day, is_working_dayofyear,
                                      save_history, synthesize_history)
 from feederdispatch.mpc import MpcLimits
-from feederdispatch.sim import InitState, PlantConfig, run_day, step_trace
+from feederdispatch.sim import InitState, PlantConfig, run_day, run_multi_day, step_trace
 
 DAYS = {"baseline": (250.0, 0.5, 1.0, MpcLimits()), "floor": (50.0, 0.1, 1.1, MpcLimits()),
         "ceiling": (450.0, 0.9, 0.9, MpcLimits()),
@@ -74,8 +80,17 @@ def day_digest(soe0: float, soc: float, scale: float, limits: MpcLimits) -> str:
     trace = step_trace(fc.point * scale, np.random.default_rng(3), 1.0, 0.9)
     run = run_day(plan, PlantConfig(), InitState(soc=soc), trace_kw=trace, seed=0,
                   limits=limits)
-    return sha(run.i_a.tobytes() + "|".join(run.status).encode()
-               + "|".join(run.active).encode())
+    return sha(_run_bytes(run))
+
+
+def _run_bytes(run) -> bytes:
+    return run.i_a.tobytes() + "|".join(run.status).encode() + "|".join(run.active).encode()
+
+
+def chain_digest() -> str:
+    days = run_multi_day(3, synthesize_history(7, 60), DayAheadConfig(soe0=0.0), MpcLimits(),
+                         PlantConfig(), seed=0, realization_scale=1.1)
+    return sha(b"".join(day.plan.p_hat.tobytes() + _run_bytes(day.run) for day in days))
 
 
 def main() -> None:
@@ -85,6 +100,7 @@ def main() -> None:
     print(f"plans    {plans[:16]}")
     for name, day in DAYS.items():
         print(f"{name:8s} {day_digest(*day)[:16]}")
+    print(f"chain    {chain_digest()[:16]}")
 
 
 if __name__ == "__main__":

@@ -101,7 +101,6 @@ class DiscreteStateSpace:
     d_1: float
     k: np.ndarray
     g: float
-    n: int
     label: str = ""
 
 
@@ -126,7 +125,7 @@ def reduce_and_discretize(p: TtcParameters, ts: float = STEP_SECONDS) -> Discret
     k = m1 @ m2.T
     return DiscreteStateSpace(a=a, b_i=b[:, 0].copy(), b_1=b[:, 1].copy(),
                               c=np.ones(2), d_i=p.rs + p.r3, d_1=p.e,
-                              k=k, g=p.sigma_g, n=2, label=p.soc_range)
+                              k=k, g=p.sigma_g, label=p.soc_range)
 
 
 def voltage_step(m: DiscreteStateSpace, x: np.ndarray, i: float) -> tuple[np.ndarray, float]:
@@ -149,7 +148,7 @@ def soc_statespace() -> DiscreteStateSpace:
     b = STEP_SECONDS / 3600.0 / C_NOM_AH
     return DiscreteStateSpace(a=np.array([[1.0]]), b_i=np.array([b]), b_1=np.array([0.0]),
                               c=np.ones(1), d_i=b, d_1=0.0, k=np.zeros((1, 1)),
-                              g=0.0, n=1, label="soc")
+                              g=0.0, label="soc")
 
 
 def soc_step(soc: float, i: float) -> float:
@@ -176,7 +175,7 @@ def build_transition(m: DiscreteStateSpace, horizon: int) -> TransitionMatrices:
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    n = m.n
+    n = m.a.shape[0]
     phi = np.empty((horizon, n))
     h_i = np.empty(horizon)
     h_1 = np.empty(horizon)
@@ -270,28 +269,14 @@ def _is_psd(p: np.ndarray) -> bool:
 
 
 class ModelBank:
-    """Discretized voltage models for all SOC ranges plus the SOC integrator,
-    with cached prediction matrices per (model, horizon), each built on first
-    use and kept with what the controller derives from it (its QCQP structure).
+    """Discretized voltage models of TABLE1's SOC ranges plus the SOC integrator, with
+    prediction matrices per (model, horizon) cached on first use with their QCQP structure,
+    whose Cholesky factor checks convexity. The plant's own parameters never reach it."""
 
-    Construction asserts the convexity hypothesis of the real-time problem: the
-    symmetric part of every voltage psi_i must have a Cholesky factor, as each
-    control step's QCQP requires (checked at the maximum horizon; leading
-    principal blocks inherit it), so a parameter table that breaks it is
-    rejected here rather than at a control step.
-    """
-
-    def __init__(self, table: tuple[TtcParameters, ...] = TABLE1):
-        self.voltage_models = tuple(reduce_and_discretize(p) for p in table)
+    def __init__(self):
+        self.voltage_models = tuple(reduce_and_discretize(p) for p in TABLE1)
         self.soc_model = soc_statespace()
         self._cache: dict[tuple[str, int], TransitionMatrices] = {}
-        for m in self.voltage_models:
-            tm = self.transitions(m, 30)        # a slot's steps, the longest horizon
-            try:
-                np.linalg.cholesky(0.5 * (tm.psi_i + tm.psi_i.T))
-            except np.linalg.LinAlgError:
-                raise ValueError(f"voltage model {m.label}: psi_i symmetric part "
-                                 f"not positive definite") from None
 
     def voltage_model(self, soc: float) -> DiscreteStateSpace:
         return self.voltage_models[schedule_index(soc)]

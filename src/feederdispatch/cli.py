@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .battery import ModelBank, load_parameter_table
+from .battery import load_parameter_table
 from .dayahead import (DayAheadConfig, InfeasiblePlanError, load_plan, plan_day,
                        save_plan)
 from .forecast import (TargetDayInfo, forecast_day, is_working_dayofyear,
@@ -197,7 +197,6 @@ def cmd_run(args) -> int:
     limits = mpc_limits(doc)
     plant_cfg = plant_config(doc)
     out_dir = Path(args.out_dir or doc.get("paths", {}).get("out_dir", "run_out"))
-    bank = ModelBank()
     initial_soc = args.initial_soc if args.initial_soc is not None \
         else float(doc.get("initial_soc", 0.5))
 
@@ -205,12 +204,11 @@ def cmd_run(args) -> int:
         history = load_history(_required_input(args, doc, "history"))
         cfg = dayahead_config(doc, soe0=0.0, p_max=args.p_max)
         results = run_multi_day(args.days, history, cfg, limits, plant_cfg,
-                                seed=seed, initial_soc=initial_soc, bank=bank)
-        for res in results:
-            day_dir = out_dir / f"day{res.day_index}"
-            write_run_artifacts(day_dir, res.run, res.plan, res.report, doc,
+                                seed=seed, initial_soc=initial_soc)
+        for d, res in enumerate(results):
+            write_run_artifacts(out_dir / f"day{d}", res.run, res.plan, res.report, doc,
                                 emit_plots=args.emit_plots, limits=limits)
-            print(format_report(res.report, label=f"day {res.day_index}"))
+            print(format_report(res.report, label=f"day {d}"))
             if cfg.p_max is not None:
                 viol = peak_shave_check(res.run, cfg.p_max)
                 print(f"peak-shave violations above {cfg.p_max} kW: {len(viol)}")
@@ -218,7 +216,7 @@ def cmd_run(args) -> int:
         print("day-final plant SOC: " + ", ".join(f"{s:.3f}" for s in focs))
         return EXIT_OK
 
-    plan = load_plan(_required_input(args, doc, "plan"), dayahead_config(doc))
+    plan = load_plan(_required_input(args, doc, "plan"))
     trace_path = args.trace or doc.get("paths", {}).get("trace")
     if trace_path:
         trace = np.loadtxt(trace_path, comments="#")
@@ -229,7 +227,7 @@ def cmd_run(args) -> int:
         trace = step_trace(np.asarray(plan.forecast.point), rng,
                            plant_cfg.step_noise_kw, plant_cfg.step_noise_ar)
     run = run_day(plan, plant_cfg, InitState(soc=initial_soc), trace_kw=trace,
-                  seed=seed, bank=bank, limits=limits,
+                  seed=seed, limits=limits,
                   battery_enabled=not args.no_battery)
     report = tracking_report(run, plan)
     write_run_artifacts(out_dir, run, plan, report, doc,

@@ -24,6 +24,7 @@ to 18.5 kW, so a faster LP first needs a stated rule for which point is the plan
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 import scipy.sparse as sp
@@ -55,7 +56,7 @@ class DayAheadConfig:
     b_max: float = 250.0              # kW (charge limit)
     p_max: float | None = None        # kW, optional peak-shaving cap on the plan
     eta: float = 0.96                 # conversion efficiency
-    ts: float = SLOT_SECONDS          # s
+    ts: ClassVar[float] = SLOT_SECONDS  # s, the slot length
     e_nom: float = E_NOM_KWH          # kWh, for SOC <-> SOE conversion
     soe_backoff: float = 0.0          # kWh margin inside the SOE bounds
     power_backoff: float = 0.0        # kW margin inside the power bounds
@@ -71,9 +72,9 @@ class DayAheadConfig:
 
 @dataclass(frozen=True)
 class OffsetPlan:
-    f: np.ndarray                 # kW, offset profile
-    soe_low: np.ndarray           # kWh, worst-case low SOE trajectory (n+1 points)
-    soe_high: np.ndarray          # kWh, worst-case high SOE trajectory
+    """The offset profile f (kW) and its LP's result; :func:`worst_case_soe` gives its SOE."""
+
+    f: np.ndarray
     objective: float
     certificate: solver.SolveCertificate
 
@@ -177,20 +178,19 @@ def solve_offset(forecast: ProsumptionForecast, cfg: DayAheadConfig) -> OffsetPl
         raise _infeasibility(sol.x[4 * n:], cfg)
     if cert.status != "optimal":
         raise solver.SolverError("day-ahead LP solve failed")
-    kp, km = sol.x[:n], sol.x[n:2 * n]
-    gp, gm = sol.x[2 * n:3 * n], sol.x[3 * n:]
-    scale = 1.0 + float(np.abs(sol.x).max(initial=0.0))
-    comp = max(float(np.max(kp * km, initial=0.0)), float(np.max(gp * gm, initial=0.0)))
-    if comp > COMPLEMENTARITY_TOL * scale:
+    parts = sol.x.reshape(2, 2, n)          # [[K+, K-], [G+, G-]]
+    loose = parts[:, 0] * parts[:, 1] > COMPLEMENTARITY_TOL * (1.0 + np.abs(sol.x).max())
+    if loose.any():
         # the split relaxation came back loose (simultaneous charge/discharge);
         # the underlying nonconvex problem is not represented by this solution
+        slot, side = divmod(int(np.argmax(loose.T)), 2)      # the first slot, K before G
+        name, (plus, minus) = "KG"[side], parts[side, :, slot]
         raise InfeasiblePlanError(
-            f"offset solution not physically realizable: positive/negative split "
-            f"overlaps by {comp:.2e} (binding SOE ceiling requires dissipation)")
-    f = kp - km - env_low
-    soe_low, soe_high = worst_case_soe(f, forecast, cfg)
-    return OffsetPlan(f=f, soe_low=soe_low, soe_high=soe_high,
-                      objective=cert.objective, certificate=cert)
+            f"offset solution not physically realizable: at slot {slot}, {name}+ = "
+            f"{plus:.6g} kW and {name}- = {minus:.6g} kW are both positive "
+            f"(binding SOE ceiling requires dissipation)", slot=slot, constraint=f"split({name})")
+    return OffsetPlan(f=sol.x[:n] - sol.x[n:2 * n] - env_low, objective=cert.objective,
+                      certificate=cert)
 
 
 def assemble_plan(forecast: ProsumptionForecast, offset: OffsetPlan) -> DispatchPlan:
@@ -224,19 +224,15 @@ def save_plan(path, plan: DispatchPlan) -> None:
         fh.writelines(f"{i},{','.join(map(repr, row))}\r\n" for i, row in enumerate(cols))
 
 
-def load_plan(path, cfg: DayAheadConfig) -> DispatchPlan:
-    """Rebuild a DispatchPlan from a plan file, with the SOE trajectories
-    re-propagated under ``cfg``. A file whose envelopes have the wrong sign
-    raises ValueError."""
+def load_plan(path) -> DispatchPlan:
+    """Rebuild a DispatchPlan from a plan file, its forecast without members and its
+    offset without an objective; wrong envelope signs raise ValueError."""
     data = np.loadtxt(path, delimiter=",", ndmin=2)
     if data.shape[1] != 6:
         raise ValueError(f"{path}: expected 6 columns per plan row")
     order = np.argsort(data[:, 0])
     data = data[order]
     forecast = ProsumptionForecast(data[:, 3], data[:, 4], data[:, 5], members=())
-    f = data[:, 2]
-    soe_low, soe_high = worst_case_soe(f, forecast, cfg)
-    offset = OffsetPlan(f=f, soe_low=soe_low, soe_high=soe_high,
-                        objective=np.nan,
+    offset = OffsetPlan(f=data[:, 2], objective=np.nan,
                         certificate=solver.SolveCertificate(status="optimal"))
     return DispatchPlan(p_hat=data[:, 1], forecast=forecast, offset=offset)

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-N_SLOTS = 288
+from .timegrid import N_SLOTS
+
 OMEGA_B_SIZE = 10
 OMEGA_C_SIZE = 5
 

@@ -18,7 +18,7 @@ import numpy as np
 from . import solver
 from .battery import CONVERTER_EFF, ModelBank
 from .dayahead import DispatchPlan
-from .timegrid import SLOT_SECONDS, STEP_SECONDS, TimeGrid, DEFAULT_GRID
+from .timegrid import SLOT_SECONDS, STEP_SECONDS, STEPS_PER_SLOT, TimeGrid, DEFAULT_GRID
 from .forecast import short_term_predict
 
 # kWh per kW of DC power over one step, incl. converter loss
@@ -57,7 +57,7 @@ class StepTelemetry:
 
     p_avg: float               # kW, average composite GCP power so far in the slot
     last_load: float           # kW, prosumption of the previous step
-    soc: float                 # controller-side SOC estimate
+    soc: float                 # SOC of the plant
     x: np.ndarray              # voltage-model state estimate (from the Kalman filter)
     v: float                   # V, measured DC voltage
 
@@ -94,8 +94,8 @@ class MpcProblem:
     _qcqp: solver.QcqpProblem = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not 1 <= self.horizon <= 30:
-            raise ValueError("horizon must be in 1..30")
+        if not 1 <= self.horizon <= STEPS_PER_SLOT:
+            raise ValueError(f"horizon must be in 1..{STEPS_PER_SLOT}")
         if self._structure is None:
             self._structure = _mpc_structure(self.psi_v_i, self.psi_v_1, self.psi_soc_i,
                                              self.horizon)
@@ -197,7 +197,7 @@ def _rhs(p: MpcProblem, v_free: np.ndarray) -> np.ndarray:
 
 
 _GROUPS = np.array(["box", "rate", "v", "soc"])
-_GROUP_STARTS = [np.array([0, 2 * h, 4 * h - 2, 6 * h - 2]) for h in range(31)]
+_GROUP_STARTS = [np.array([0, 2 * h, 4 * h - 2, 6 * h - 2]) for h in range(STEPS_PER_SLOT + 1)]
 
 
 def _active_groups(h: int, sol: solver.QcqpSolution) -> str:

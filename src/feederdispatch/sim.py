@@ -20,12 +20,12 @@ import numpy as np
 
 from . import battery
 from .battery import (CONVERTER_EFF, ModelBank, KalmanState, TtcParameters, TABLE1,
-                      kalman_update, soc_step)
+                      kalman_update)
 from .dayahead import (DayAheadConfig, DispatchPlan, plan_day, save_plan)
 from .forecast import (SyntheticShape, HistoricalDay, TargetDayInfo, ar1_noise,
                        forecast_day, is_working_dayofyear, synthesize_day)
 from .mpc import MpcLimits, StepTelemetry, build_problem, solve
-from .timegrid import TimeGrid, DEFAULT_GRID
+from .timegrid import N_SLOTS, STEPS_PER_SLOT, TimeGrid, DEFAULT_GRID
 
 
 class PlantStateError(RuntimeError):
@@ -135,14 +135,13 @@ class BatteryPlant:
 
 
 def step_trace(profile_kw: np.ndarray, rng: np.random.Generator | None = None,
-               noise_std: float = 0.0, ar: float = 0.9,
-               grid: TimeGrid = DEFAULT_GRID) -> np.ndarray:
-    """10-second prosumption realization from a daily slot profile: each slot
-    value held for 30 steps plus, when ``noise_std`` > 0 and ``rng`` is given,
-    stationary AR(1) fast noise drawn by :func:`forecast.ar1_noise`."""
-    trace = np.repeat(np.asarray(profile_kw, dtype=float), grid.steps_per_slot)
+               noise_std: float = 0.0, ar: float = 0.9) -> np.ndarray:
+    """10-second prosumption realization from a slot profile of any length: each
+    slot value held for STEPS_PER_SLOT steps plus, when ``noise_std`` > 0 and
+    ``rng`` is given, stationary AR(1) fast noise drawn by :func:`forecast.ar1_noise`."""
+    trace = np.repeat(np.asarray(profile_kw, dtype=float), STEPS_PER_SLOT)
     if noise_std > 0.0 and rng is not None:
-        trace = trace + ar1_noise(rng, grid.n_steps, noise_std, ar,
+        trace = trace + ar1_noise(rng, trace.size, noise_std, ar,
                                   noise_std / np.sqrt(1 - ar * ar))
     return trace
 
@@ -156,20 +155,19 @@ class InitState:
 
 @dataclass
 class SimulationRun:
-    """Full closed-loop trace of one day. ``l_kw`` is the replayed trace, not a
-    copy; ``k`` and ``horizon`` (at most 30 steps) are kept in int32 and int8."""
+    """Closed-loop trace of one day or a stretch of whole slots. ``l_kw`` is the replayed
+    trace, not a copy; ``k`` is int32. ``soc`` is the plant's, which the controller reads;
+    step k's horizon is the STEPS_PER_SLOT - k % STEPS_PER_SLOT steps left in its slot."""
 
     k: np.ndarray
     l_kw: np.ndarray
     b_kw: np.ndarray
     p_kw: np.ndarray               # l_kw + b_kw, exact composition
     soc: np.ndarray                # plant SOC after each step
-    soc_ctrl: np.ndarray           # controller-side integrator estimate
     v: np.ndarray
     i_a: np.ndarray
     e_kwh: np.ndarray
     b_setpoint_kw: np.ndarray
-    horizon: np.ndarray
     status: list[str]
     active: list[str]
     solve_seconds: np.ndarray
@@ -178,8 +176,8 @@ class SimulationRun:
     final_kalman: KalmanState | None = None
     final_last_load: float = 0.0
 
-    def slot_average(self, series: np.ndarray, grid: TimeGrid = DEFAULT_GRID) -> np.ndarray:
-        return series.reshape(grid.n_slots, grid.steps_per_slot).mean(axis=1)
+    def slot_average(self, series: np.ndarray) -> np.ndarray:
+        return series.reshape(-1, STEPS_PER_SLOT).mean(axis=1)
 
 
 def run_day(plan: DispatchPlan, plant_cfg: PlantConfig, init: InitState, *,
@@ -190,13 +188,13 @@ def run_day(plan: DispatchPlan, plant_cfg: PlantConfig, init: InitState, *,
             limits: MpcLimits = MpcLimits(),
             grid: TimeGrid = DEFAULT_GRID,
             battery_enabled: bool = True) -> SimulationRun:
-    """Execute one day of real-time operation (8640 control steps).
+    """Execute one day of real-time operation (8640 control steps, or ``grid``'s).
 
     Per step: previous-interval measurements arrive, the slot set-point and
     window indices are derived, the persistence forecast and dispatch error are
     computed, the Kalman filter is updated from the DC voltage reading, the
-    model is scheduled by SOC and the control problem solved, and the first
-    current of the law is actuated on the plant.
+    model is scheduled by the plant's SOC and the control problem solved, and
+    the first current of the law is actuated on the plant.
     """
     trace_kw = np.asarray(trace_kw, dtype=float)
     if trace_kw.shape != (grid.n_steps,):
@@ -206,12 +204,10 @@ def run_day(plan: DispatchPlan, plant_cfg: PlantConfig, init: InitState, *,
     plant = plant if plant is not None else BatteryPlant(plant_cfg, seed, init.soc)
     kalman = init.kalman if init.kalman is not None else KalmanState.initial()
     last_load = init.last_load if init.last_load is not None else float(plan.forecast.point[0])
-    soc_ctrl = plant.soc
     initial_soc = plant.soc
 
     n = grid.n_steps
-    rows: list[tuple] = []       # per step, the nine float series of SimulationRun
-    horizon: list[int] = []
+    rows: list[tuple] = []       # per step, the eight float series of SimulationRun
     status: list[str] = []
     active: list[str] = []
 
@@ -220,7 +216,7 @@ def run_day(plan: DispatchPlan, plant_cfg: PlantConfig, init: InitState, *,
     prev_sample = 0.0        # measured composite of the previous step
 
     for k, l_k in enumerate(trace_kw.tolist()):
-        if k % grid.steps_per_slot == 0:      # the first step of a slot
+        if k % STEPS_PER_SLOT == 0:      # the first step of a slot
             slot_sum = 0.0
             slot_count = 0
         else:
@@ -229,11 +225,11 @@ def run_day(plan: DispatchPlan, plant_cfg: PlantConfig, init: InitState, *,
         p_avg = slot_sum / slot_count if slot_count else 0.0
 
         v_meas = plant.measure_voltage(rng, plant_cfg)
-        model = bank.voltage_model(soc_ctrl)
+        model = bank.voltage_model(plant.soc)
         kalman = kalman_update(kalman, model, plant.last_i, v_meas)
 
         t0 = time.perf_counter()
-        telemetry = StepTelemetry(p_avg=p_avg, last_load=last_load, soc=soc_ctrl,
+        telemetry = StepTelemetry(p_avg=p_avg, last_load=last_load, soc=plant.soc,
                                   x=kalman.x, v=v_meas)
         problem = build_problem(k, plan, telemetry, bank, limits, grid)
         if battery_enabled:
@@ -246,9 +242,7 @@ def run_day(plan: DispatchPlan, plant_cfg: PlantConfig, init: InitState, *,
         solve_s = time.perf_counter() - t0
 
         p_k = l_k + b_k
-        soc_ctrl = soc_step(soc_ctrl, i_k)
-        rows.append((b_k, p_k, plant.soc, soc_ctrl, v_k, i_k, problem.e_k, b_sp, solve_s))
-        horizon.append(problem.horizon)
+        rows.append((b_k, p_k, plant.soc, v_k, i_k, problem.e_k, b_sp, solve_s))
         status.append(st)
         active.append(act)
 
@@ -257,11 +251,10 @@ def run_day(plan: DispatchPlan, plant_cfg: PlantConfig, init: InitState, *,
         prev_sample = p_meas
         last_load = p_meas - b_k
 
-    b_kw, p_kw, soc, soc_c, v, i_a, e_kwh, b_setpoint, solve_seconds = \
-        np.array(rows).reshape(n, 9).T.copy()
+    b_kw, p_kw, soc, v, i_a, e_kwh, b_setpoint, solve_seconds = \
+        np.array(rows).reshape(n, 8).T.copy()
     return SimulationRun(k=np.arange(n, dtype=np.int32), l_kw=trace_kw, b_kw=b_kw, p_kw=p_kw,
-                         soc=soc, soc_ctrl=soc_c, v=v, i_a=i_a, e_kwh=e_kwh,
-                         b_setpoint_kw=b_setpoint, horizon=np.array(horizon, dtype=np.int8),
+                         soc=soc, v=v, i_a=i_a, e_kwh=e_kwh, b_setpoint_kw=b_setpoint,
                          status=status, active=active, solve_seconds=solve_seconds,
                          config=asdict(plant_cfg), initial_soc=initial_soc,
                          final_kalman=kalman, final_last_load=last_load)
@@ -292,12 +285,11 @@ class TrackingReport:
     no_dispatch: ErrorStats       # forecast vs realized 5-minute prosumption
 
 
-def tracking_report(run: SimulationRun, plan: DispatchPlan,
-                    grid: TimeGrid = DEFAULT_GRID) -> TrackingReport:
+def tracking_report(run: SimulationRun, plan: DispatchPlan) -> TrackingReport:
     """Per-slot error statistics in both operating modes; without dispatch, the
     plan's own forecast is compared with the realized prosumption."""
-    p_avg = run.slot_average(run.p_kw, grid)
-    l_avg = run.slot_average(run.l_kw, grid)
+    p_avg = run.slot_average(run.p_kw)
+    l_avg = run.slot_average(run.l_kw)
     return TrackingReport(dispatch=ErrorStats.of(plan.p_hat - p_avg),
                           no_dispatch=ErrorStats.of(np.asarray(plan.forecast.point) - l_avg))
 
@@ -320,15 +312,15 @@ class PeakViolation:
     excess_kw: float
 
 
-def peak_shave_check(run: SimulationRun, p_max: float, tol_kw: float = 2.0,
-                     grid: TimeGrid = DEFAULT_GRID) -> list[PeakViolation]:
+def peak_shave_check(run: SimulationRun, p_max: float,
+                     tol_kw: float = 2.0) -> list[PeakViolation]:
     """Slots whose realized 5-minute average exceeds the cap beyond tolerance.
 
     The comparison is strict, ``avg > p_max + tol_kw``: a slot exactly at the
     tolerated level is not a violation. ``excess_kw`` is measured from
     ``p_max``, not from ``p_max + tol_kw``.
     """
-    p_avg = run.slot_average(run.p_kw, grid)
+    p_avg = run.slot_average(run.p_kw)
     out = []
     for slot in np.nonzero(p_avg > p_max + tol_kw)[0]:
         out.append(PeakViolation(slot=int(slot), avg_p_kw=float(p_avg[slot]),
@@ -343,7 +335,6 @@ def peak_shave_check(run: SimulationRun, p_max: float, tol_kw: float = 2.0,
 
 @dataclass
 class DayResult:
-    day_index: int
     plan: DispatchPlan
     run: SimulationRun
     report: TrackingReport
@@ -356,21 +347,18 @@ def run_multi_day(days: int, history: list[HistoricalDay],
                   dayahead_cfg: DayAheadConfig, limits: MpcLimits,
                   plant_cfg: PlantConfig, *, seed: int = 0,
                   initial_soc: float = 0.5,
-                  shape: SyntheticShape = SyntheticShape(),
-                  realization_scale: float = 1.0,
-                  bank: ModelBank | None = None,
-                  grid: TimeGrid = DEFAULT_GRID) -> list[DayResult]:
+                  realization_scale: float = 1.0) -> list[DayResult]:
     """Chain consecutive days with battery-state continuity.
 
     Each day's plan is computed one hour before its start, predicting the
     initial stored energy by persistence: the SOC observed at 23:00 (for the
     first day, the SOC the simulation starts from). The realized prosumption is
-    a fresh synthetic draw for the target date, optionally scaled to emulate
-    systematically biased forecasts; its radiation is the forecast's.
+    a fresh draw of the default SyntheticShape for the target date, optionally
+    scaled to emulate systematically biased forecasts; its radiation is the forecast's.
     """
     if days < 1:
         raise ValueError("days must be >= 1")
-    bank = bank if bank is not None else ModelBank()
+    bank = ModelBank()
     plant = BatteryPlant(plant_cfg, seed, initial_soc)
     kalman = KalmanState.initial()
     last_load: float | None = None
@@ -383,7 +371,7 @@ def run_multi_day(days: int, history: list[HistoricalDay],
         year = last.year + (doy - 1) // 365
         doy = (doy - 1) % 365 + 1
         rng_day = np.random.default_rng([seed, 10_000 + d])
-        true_day = synthesize_day(rng_day, year, doy, shape)
+        true_day = synthesize_day(rng_day, year, doy, SyntheticShape())
         true_profile = true_day.profile * realization_scale
         target = TargetDayInfo(year=year, day_of_year=doy,
                                radiation_forecast=true_day.daily_radiation,
@@ -397,17 +385,15 @@ def run_multi_day(days: int, history: list[HistoricalDay],
                 exc.add_note(f"while planning day {d} of the chain")
             raise
         trace = step_trace(true_profile, rng_day, plant_cfg.step_noise_kw,
-                           plant_cfg.step_noise_ar, grid)
+                           plant_cfg.step_noise_ar)
         run = run_day(plan, plant_cfg, InitState(soc=plant.soc, kalman=kalman,
                                                  last_load=last_load),
                       trace_kw=trace, seed=seed, rng=rng_day, plant=plant,
-                      bank=bank, limits=limits, grid=grid)
-        results.append(DayResult(day_index=d, plan=plan, run=run,
-                                 report=tracking_report(run, plan, grid)))
+                      bank=bank, limits=limits)
+        results.append(DayResult(plan=plan, run=run, report=tracking_report(run, plan)))
         kalman = run.final_kalman
         last_load = run.final_last_load
-        soc_at_plan_time = float(run.soc[(grid.n_slots - PLAN_LEAD_SLOTS)
-                                         * grid.steps_per_slot - 1])
+        soc_at_plan_time = float(run.soc[(N_SLOTS - PLAN_LEAD_SLOTS) * STEPS_PER_SLOT - 1])
     return results
 
 
@@ -434,7 +420,7 @@ def write_run_artifacts(out_dir, run: SimulationRun, plan: DispatchPlan,
             vals = [run.l_kw[k], run.b_kw[k], run.p_kw[k], run.soc[k], run.v[k],
                     run.i_a[k], run.e_kwh[k]]
             fh.write(f"{k}," + ",".join(_FMT % v for v in vals)
-                     + f",{run.horizon[k]},{run.status[k]},{run.active[k]},"
+                     + f",{STEPS_PER_SLOT - k % STEPS_PER_SLOT},{run.status[k]},{run.active[k]},"
                      + (_FMT % run.b_setpoint_kw[k]) + "\n")
     save_plan(out / "plan.csv", plan)
     with open(out / "report.txt", "w") as fh:
@@ -447,8 +433,7 @@ def write_run_artifacts(out_dir, run: SimulationRun, plan: DispatchPlan,
 
 
 def write_plot_data(out_dir, run: SimulationRun, plan: DispatchPlan,
-                    limits: MpcLimits | None = None,
-                    grid: TimeGrid = DEFAULT_GRID) -> None:
+                    limits: MpcLimits | None = None) -> None:
     """Tabular data for the three standard panels: forecast band + offset,
     plan vs realizations, and battery SOC/current/voltage with limits."""
     out = Path(out_dir)
@@ -460,8 +445,8 @@ def write_plot_data(out_dir, run: SimulationRun, plan: DispatchPlan,
                                [slots, fc.point, fc.member_min, fc.member_max,
                                 plan.offset.f, plan.p_hat]),
         "tracking_panel.csv": ("slot,p_hat_kw,p_avg_kw,l_avg_kw",
-                               [slots, plan.p_hat, run.slot_average(run.p_kw, grid),
-                                run.slot_average(run.l_kw, grid)]),
+                               [slots, plan.p_hat, run.slot_average(run.p_kw),
+                                run.slot_average(run.l_kw)]),
         "battery_panel.csv": (f"limits: i=[{lim.i_min},{lim.i_max}] v=[{lim.v_min},"
                               f"{lim.v_max}] soc=[{lim.soc_min},{lim.soc_max}]\nk,soc,i_a,v_v",
                               [run.k, run.soc, run.i_a, run.v]),

@@ -389,10 +389,14 @@ def least_distance(p: QcqpProblem) -> tuple[QcqpSolution | None, SolveCertificat
     is "optimal" when :func:`qp_kkt_residual` passes the gate, "infeasible" when the NNLS
     solution is a checked Farkas vector of the rows (:func:`_farkas`), "failure" otherwise.
     Fewer rows go first (:func:`_guessed_least_distance`); ``iterations`` counts NNLS solves.
-    Nothing is kept on p: :func:`solve_qcqp` calls it once when the closed form fails.
+    Nothing is kept on p: :func:`solve_qcqp` solves it once, when the closed form fails.
     """
-    w0, h0 = _whitened_rhs(p)
-    ld, solves = _guessed_least_distance(p, w0, h0)
+    return _least_distance(p, _closed_form(p), *_whitened_rhs(p))
+
+
+def _least_distance(p: QcqpProblem, cf: QcqpSolution | None, w0: np.ndarray, h0: np.ndarray):
+    """:func:`least_distance` given p's closed form cf and :func:`_whitened_rhs`."""
+    ld, solves = _guessed_least_distance(p, cf, w0, h0)
     if ld is not None:
         return ld
     w, res, h_scale = _nnls(p, h0)
@@ -417,12 +421,12 @@ def least_distance(p: QcqpProblem) -> tuple[QcqpSolution | None, SolveCertificat
                                   iterations=solves, path="least-distance")
 
 
-def _guessed_least_distance(p: QcqpProblem, w0: np.ndarray, h0: np.ndarray):
-    """Least distance on the rows the closed form breaks, then on those the unconstrained
+def _guessed_least_distance(p: QcqpProblem, cf: QcqpSolution | None, w0: np.ndarray,
+                            h0: np.ndarray):
+    """Least distance on the rows the closed form cf breaks, then on those the unconstrained
     minimum of f_q breaks (u = 0: h0 < 0) unless they are the same rows: relaxations, whose
     point is kept if all rows hold to FEAS_TOL (1 + |b_i|) and the KKT gate passes. Returns
     it or None, and the NNLS solves."""
-    cf = _closed_form(p)
     unconstrained = h0 < 0.0
     guess = unconstrained if cf is None else p.b_ineq - p.a_ineq @ cf.x < 0.0
     solves = 0
@@ -499,8 +503,7 @@ def solve_qcqp(p: QcqpProblem) -> tuple[QcqpSolution | None, SolveCertificate]:
             if residual <= KKT_GATE:
                 return sol, SolveCertificate(status="optimal", objective=float(p.c @ sol.x),
                                              kkt_residual=residual, path="closed-form")
-    # the closed form's t = 1/mu sizes the first steps of the walk
-    return _parametric(p, 1.0 / sol.dual_quad if sol is not None else 1.0)
+    return _parametric(p, sol)
 
 
 def _closed_form(p: QcqpProblem) -> QcqpSolution | None:
@@ -523,10 +526,11 @@ def _closed_form(p: QcqpProblem) -> QcqpSolution | None:
                         active=np.zeros(p.b_ineq.size, dtype=bool))
 
 
-def _parametric(p: QcqpProblem, t_scale: float) -> tuple[QcqpSolution | None, SolveCertificate]:
+def _parametric(p: QcqpProblem,
+                cf: QcqpSolution | None) -> tuple[QcqpSolution | None, SolveCertificate]:
     """Walk the path x(t) of :func:`solve_qcqp` to its root of f_q, from the
     :func:`least_distance` point at t = 0, which instead ends the solve when it
-    is not certified or f_q is positive there.
+    is not certified or f_q is positive there. ``cf`` is p's :func:`_closed_form`.
 
     Each NNLS at some t gives the active set there, and on it the root of the
     scalar quadratic f_q(x(t)) gives a candidate (x, mu = 1/t, lambda = nu/t);
@@ -538,17 +542,19 @@ def _parametric(p: QcqpProblem, t_scale: float) -> tuple[QcqpSolution | None, So
 
     Otherwise the next NNLS runs at the candidate's t. A piece where x stands
     still has no root: the next NNLS runs just past its end toward the root
-    (but at least at ``t_scale``, the closed form's t, going up). Either t must
-    lie inside the bracket of t with f_q <= 0 and f_q > 0 seen so far, or a
-    geometric bisection of the bracket replaces it.
+    (but at least at ``t_scale``, the closed form's t = 1/mu, going up). Either t
+    must lie inside the bracket of t with f_q <= 0 and f_q > 0 seen so far, or a
+    geometric bisection of the bracket replaces it. Every NNLS shares h0.
     """
-    ld_sol, ld = least_distance(p)
+    w0, h0 = _whitened_rhs(p)
+    ld_sol, ld = _least_distance(p, cf, w0, h0)
     if ld.status != "optimal":
         return None, ld
     if ld.objective > FEAS_TOL * (1.0 + abs(p.r)):
         # the certified minimum of f_q over the rows is positive
         return ld_sol, replace(ld, status="infeasible")
     act, solves = ld_sol.active, ld.iterations
+    t_scale = 1.0 / cf.dual_quad if cf is not None else 1.0
     row_tol = FEAS_TOL * (1.0 + np.abs(p.b_ineq))
     row_norms = _whitened(p)[4]
     lam_tol = 1e-12 * float(np.abs(p.c).max())
@@ -589,7 +595,7 @@ def _parametric(p: QcqpProblem, t_scale: float) -> tuple[QcqpSolution | None, So
             t_next = (t - _piece_end(p, act, x, -dx, nu, -dnu)) * (1.0 - 1e-6)
         if not t_lo < t_next < t_hi:
             t_next = _bisect(t_lo, t_hi, t_scale)
-        w, res, _ = _nnls(p, _whitened_rhs(p)[1] - t_next * _whitened(p)[1])
+        w, res, _ = _nnls(p, h0 - t_next * _whitened(p)[1])
         solves += 1
         if not -res[-1] > 1e-12:
             break

@@ -8,9 +8,12 @@ are zero-based.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 SLOT_SECONDS = 300.0
 STEP_SECONDS = 10.0
+STEPS_PER_SLOT = 30
+N_SLOTS = 288
 
 
 @dataclass(frozen=True)
@@ -24,11 +27,11 @@ class SlotWindow:
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """The day's index systems: 288 slots of SLOT_SECONDS, 8640 steps of STEP_SECONDS."""
+    """N_SLOTS slots of STEPS_PER_SLOT steps, or a stretch of slots counted from its start."""
 
-    n_slots: int = 288
-    n_steps: int = 8640
-    steps_per_slot: int = 30
+    n_slots: int = N_SLOTS
+    n_steps: int = N_SLOTS * STEPS_PER_SLOT
+    steps_per_slot: ClassVar[int] = STEPS_PER_SLOT
 
     def __post_init__(self):
         if self.n_steps != self.n_slots * self.steps_per_slot:

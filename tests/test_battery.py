@@ -172,16 +172,6 @@ def test_bank_psd_for_all_sets(bank):
         assert w.min() >= -1e-9
 
 
-def test_bank_rejects_indefinite_throughput():
-    # a 10-s step response far above the series resistance makes the
-    # throughput quadratic indefinite: the table is rejected when the bank is
-    # built, before any control step
-    from dataclasses import replace
-    bad = replace(TABLE1[2], rs=1e-4, r3=1e-5, r1=1.0, c1=100.0)
-    with pytest.raises(ValueError, match="not positive definite"):
-        ModelBank(table=(TABLE1[0], TABLE1[1], bad, TABLE1[3], TABLE1[4]))
-
-
 def test_throughput_monotone_in_constant_current(bank):
     # energy over a constant-current horizon increases with the current level
     # throughout the operating range (max power transfer point is beyond it)

@@ -1,5 +1,6 @@
 import json
 import logging
+import re
 from dataclasses import fields, replace
 
 import pytest
@@ -132,6 +133,18 @@ def test_infeasible_plan_exits_3(synth_history, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_loose_split_exits_3_naming_slot_and_parts(synth_history, tmp_path, capsys):
+    # a 200 kW cap leaves the LP's G split charging and discharging at once on
+    # two slots: the message names the first, its side and both parts in kW
+    out = tmp_path / "plan.csv"
+    argv = ["plan", "--history", str(synth_history), "--out", str(out), "--p-max", "200"]
+    assert cli.main(argv) == cli.EXIT_INFEASIBLE
+    found = re.search(r"at slot 32, G\+ = (\S+) kW and G- = (\S+) kW are both positive",
+                      capsys.readouterr().err)
+    assert found and min(float(v) for v in found.groups()) > 1e4
+    assert not out.exists()
+
+
 def test_plant_abort_exits_4(synth_history, tmp_path, capsys):
     # at SOC 0 the controller actuates zero current, and the converter's
     # noise alone takes the plant below 0 on the first step
@@ -178,7 +191,7 @@ def test_config_sets_every_field(tmp_path):
     built = (cli.dayahead_config(doc), cli.mpc_limits(doc), cli.plant_config(doc))
     assert built == (
         DayAheadConfig(soe0=200.0, soe_min=40.5, soe_max=460.0, b_min=-200.0, b_max=220.5,
-                       p_max=300.0, eta=0.95, ts=300.0, e_nom=480.0, soe_backoff=5.0,
+                       p_max=300.0, eta=0.95, e_nom=480.0, soe_backoff=5.0,
                        power_backoff=2.5),
         MpcLimits(i_min=-700.0, i_max=750.5, di_min=-150.0, di_max=160.0, v_min=540.0,
                   v_max=740.5, soc_min=0.15, soc_max=0.85),

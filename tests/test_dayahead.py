@@ -122,11 +122,9 @@ def test_lp_recursion_consistency(day_forecast):
     cfg = _cfg()
     plan = solve_offset(day_forecast, cfg)
     low, high = worst_case_soe(plan.f, day_forecast, cfg)
-    assert np.abs(low - plan.soe_low).max() <= 1e-6
-    assert np.abs(high - plan.soe_high).max() <= 1e-6
-    assert np.all(plan.soe_low <= plan.soe_high + 1e-9)
-    assert np.all(plan.soe_low[1:] >= cfg.soe_min - 1e-6)
-    assert np.all(plan.soe_high[1:] <= cfg.soe_max + 1e-6)
+    assert np.all(low <= high + 1e-9)
+    assert np.all(low[1:] >= cfg.soe_min - 1e-6)
+    assert np.all(high[1:] <= cfg.soe_max + 1e-6)
 
 
 @pytest.mark.parametrize("kw", [{}, {"p_max": 150.0}, {"soe0": 60.0, "soe_backoff": 10.0,
@@ -207,10 +205,11 @@ def test_complementarity_at_optimum(day_forecast):
     k = plan.f + day_forecast.envelope_low
     g = plan.f + day_forecast.envelope_high
     bp, bm = beta_coeffs(cfg)
+    low, high = worst_case_soe(plan.f, day_forecast, cfg)
     delta_low = bp * np.maximum(k, 0) + bm * np.minimum(k, 0)
-    assert plan.soe_low[1:] == pytest.approx(cfg.soe0 + np.cumsum(delta_low), abs=1e-6)
+    assert low[1:] == pytest.approx(cfg.soe0 + np.cumsum(delta_low), abs=1e-6)
     delta_high = bp * np.maximum(g, 0) + bm * np.minimum(g, 0)
-    assert plan.soe_high[1:] == pytest.approx(cfg.soe0 + np.cumsum(delta_high), abs=1e-6)
+    assert high[1:] == pytest.approx(cfg.soe0 + np.cumsum(delta_high), abs=1e-6)
 
 
 def test_plan_file_roundtrip(tmp_path, day_forecast):
@@ -222,7 +221,7 @@ def test_plan_file_roundtrip(tmp_path, day_forecast):
     assert header.startswith("#")
     csv_save_plan(tmp_path / "csv.csv", plan)
     assert path.read_bytes() == (tmp_path / "csv.csv").read_bytes()
-    back = load_plan(path, cfg)
+    back = load_plan(path)
     assert np.array_equal(back.p_hat, plan.p_hat)
     assert np.array_equal(back.offset.f, plan.offset.f)
     assert np.array_equal(np.asarray(back.forecast.point), day_forecast.point)
@@ -241,11 +240,11 @@ def test_load_plan_rejects_wrong_envelope_sign(tmp_path, day_forecast):
     lines[2] = ",".join(row)
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match="envelope signs"):
-        load_plan(path, _cfg())
+        load_plan(path)
 
 
 def test_backoff_tightens_bounds(day_forecast):
     cfg = _cfg(soe_backoff=20.0)
-    plan = solve_offset(day_forecast, cfg)
-    assert np.all(plan.soe_low[1:] >= cfg.soe_min + 20.0 - 1e-6)
-    assert np.all(plan.soe_high[1:] <= cfg.soe_max - 20.0 + 1e-6)
+    low, high = worst_case_soe(solve_offset(day_forecast, cfg).f, day_forecast, cfg)
+    assert np.all(low[1:] >= cfg.soe_min + 20.0 - 1e-6)
+    assert np.all(high[1:] <= cfg.soe_max - 20.0 + 1e-6)

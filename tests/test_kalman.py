@@ -72,7 +72,7 @@ def test_covariance_trace_non_increasing(rng):
 def test_huge_noise_ignores_measurement():
     m = reduce_and_discretize(TABLE1[2], 10.0)
     noisy = type(m)(a=m.a, b_i=m.b_i, b_1=m.b_1, c=m.c, d_i=m.d_i, d_1=m.d_1,
-                    k=m.k, g=1e9, n=m.n, label=m.label)
+                    k=m.k, g=1e9, label=m.label)
     st = KalmanState.initial()
     st2 = kalman_update(st, noisy, 100.0, 1e5)
     x_pred = m.a @ st.x + m.b_i * 100.0 + m.b_1
@@ -82,7 +82,7 @@ def test_huge_noise_ignores_measurement():
 def test_tiny_noise_trusts_measurement():
     m = reduce_and_discretize(TABLE1[2], 10.0)
     sharp = type(m)(a=m.a, b_i=m.b_i, b_1=m.b_1, c=m.c, d_i=m.d_i, d_1=m.d_1,
-                    k=m.k, g=1e-6, n=m.n, label=m.label)
+                    k=m.k, g=1e-6, label=m.label)
     st = KalmanState.initial()
     v_meas = 655.0
     st2 = kalman_update(st, sharp, 50.0, v_meas)
@@ -149,7 +149,7 @@ def test_indefinite_covariance_is_clipped():
     # with its negative eigenvalue clipped to zero
     m = reduce_and_discretize(TABLE1[2], 10.0)
     blind = type(m)(a=np.eye(2), b_i=m.b_i, b_1=m.b_1, c=m.c, d_i=m.d_i, d_1=m.d_1,
-                    k=np.zeros((2, 2)), g=1e150, n=m.n, label=m.label)
+                    k=np.zeros((2, 2)), g=1e150, label=m.label)
     p = np.array([[1.0, 2.0], [2.0, 1.0]])          # eigenvalues 3 and -1
     w, vecs = np.linalg.eigh(p)
     with pytest.warns(RuntimeWarning, match="positive semidefiniteness"):

@@ -56,8 +56,8 @@ def _plan_for(bank, level=100.0):
     from feederdispatch.dayahead import OffsetPlan
     from feederdispatch import solver
     fc = ProsumptionForecast(np.full(288, level), np.zeros(288), np.zeros(288), members=())
-    offset = OffsetPlan(f=np.zeros(288), soe_low=np.zeros(289), soe_high=np.zeros(289),
-                        objective=0.0, certificate=solver.SolveCertificate("optimal"))
+    offset = OffsetPlan(f=np.zeros(288), objective=0.0,
+                        certificate=solver.SolveCertificate("optimal"))
     return DispatchPlan(p_hat=fc.point.copy(), forecast=fc, offset=offset)
 
 

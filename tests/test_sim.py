@@ -6,7 +6,7 @@ import pytest
 from feederdispatch import sim, solver
 from feederdispatch.battery import TABLE1, ModelBank, reduce_and_discretize, voltage_step
 from feederdispatch.dayahead import DayAheadConfig, DispatchPlan, OffsetPlan, plan_day
-from feederdispatch.forecast import (ProsumptionForecast, SyntheticShape, point_forecast,
+from feederdispatch.forecast import (ProsumptionForecast, point_forecast,
                                      synthesize_history)
 from feederdispatch.mpc import MpcLimits
 from feederdispatch.sim import (BatteryPlant, ErrorStats, InitState, PlantConfig,
@@ -23,8 +23,7 @@ grid = DEFAULT_GRID
 def _flat_plan(level=150.0):
     n = grid.n_slots
     fc = ProsumptionForecast(np.full(n, level), np.zeros(n), np.zeros(n), members=())
-    offset = OffsetPlan(f=np.zeros(n), soe_low=np.full(n + 1, 250.0),
-                        soe_high=np.full(n + 1, 250.0), objective=0.0,
+    offset = OffsetPlan(f=np.zeros(n), objective=0.0,
                         certificate=solver.SolveCertificate("optimal"))
     return DispatchPlan(p_hat=fc.point.copy(), forecast=fc, offset=offset)
 
@@ -55,11 +54,6 @@ def test_self_consistency_flat_day(noiseless_day):
     p_avg = run.slot_average(run.p_kw)
     assert np.abs(plan.p_hat - p_avg).max() <= 1e-3
     assert all(s == "solved" for s in run.status)
-
-
-def test_controller_plant_soc_agreement(noiseless_day):
-    _, run = noiseless_day
-    assert np.abs(run.soc - run.soc_ctrl).max() <= 0.005
 
 
 def test_b_respects_power_envelope(noiseless_day):
@@ -109,9 +103,9 @@ def test_tracking_report_constant_offset(bank_module):
     n = grid.n_steps
     run = SimulationRun(k=np.arange(n), l_kw=np.full(n, 119.0),
                         b_kw=np.zeros(n), p_kw=np.full(n, 119.0),
-                        soc=np.full(n, 0.5), soc_ctrl=np.full(n, 0.5),
+                        soc=np.full(n, 0.5),
                         v=np.full(n, 650.0), i_a=np.zeros(n), e_kwh=np.zeros(n),
-                        b_setpoint_kw=np.zeros(n), horizon=np.ones(n, int),
+                        b_setpoint_kw=np.zeros(n),
                         status=["solved"] * n, active=["-"] * n,
                         solve_seconds=np.zeros(n), config={})
     rep = tracking_report(run, plan)
@@ -128,9 +122,9 @@ def test_peak_shave_check(bank_module):
     p = np.full(n, 119.0)
     p[30 * 10:30 * 11] = 205.0        # one hot slot
     run = SimulationRun(k=np.arange(n), l_kw=p, b_kw=np.zeros(n), p_kw=p,
-                        soc=np.full(n, 0.5), soc_ctrl=np.full(n, 0.5),
+                        soc=np.full(n, 0.5),
                         v=np.full(n, 650.0), i_a=np.zeros(n), e_kwh=np.zeros(n),
-                        b_setpoint_kw=np.zeros(n), horizon=np.ones(n, int),
+                        b_setpoint_kw=np.zeros(n),
                         status=["solved"] * n, active=["-"] * n,
                         solve_seconds=np.zeros(n), config={})
     viol = peak_shave_check(run, p_max=200.0)
@@ -233,6 +227,24 @@ def test_step_trace_matches_scalar_oracle(noise_std, ar):
                                                 noise_std, ar))
 
 
+def _check_steps_csv(path, run):
+    """Every numeric column of steps.csv parses back bit for bit to the run's
+    arrays, the strings to its statuses and active groups, and the horizon
+    column is the steps left in the slot, 30 - k % 30. The active groups are
+    written unquoted, with their own commas, so a row is cut from both ends."""
+    lines = path.read_text().splitlines()
+    assert lines[1] == "k,l_kw,b_kw,p_kw,soc,v_v,i_a,e_kwh,horizon,status,active,b_setpoint_kw"
+    rows = [line.split(",", 10) for line in lines[2:]]
+    cols = list(zip(*(row[:10] + row[10].rsplit(",", 1) for row in rows)))
+    assert len(cols[0]) == run.k.size
+    assert np.array_equal(np.array(cols[0], dtype=int), run.k)
+    for col, series in zip(cols[1:8] + cols[11:], ("l_kw", "b_kw", "p_kw", "soc", "v",
+                                                   "i_a", "e_kwh", "b_setpoint_kw")):
+        assert np.array_equal(np.array(col, dtype=float), getattr(run, series)), series
+    assert np.array_equal(np.array(cols[8], dtype=int), 30 - run.k % 30)
+    assert list(cols[9]) == run.status and list(cols[10]) == run.active
+
+
 def test_artifacts_roundtrip(tmp_path, noiseless_day, bank_module):
     plan, run = noiseless_day
     rep = tracking_report(run, plan)
@@ -241,9 +253,7 @@ def test_artifacts_roundtrip(tmp_path, noiseless_day, bank_module):
     for name in ("steps.csv", "plan.csv", "report.txt", "config.json",
                  "forecast_panel.csv", "tracking_panel.csv", "battery_panel.csv"):
         assert (tmp_path / name).exists()
-    rows = [l for l in (tmp_path / "steps.csv").read_text().splitlines()
-            if not l.startswith("#") and not l.startswith("k,")]
-    assert len(rows) == grid.n_steps
+    _check_steps_csv(tmp_path / "steps.csv", run)
     # plot data round-trips exactly
     data = np.array([[float(v) for v in l.split(",")[1:]]
                      for l in (tmp_path / "tracking_panel.csv").read_text().splitlines()
@@ -260,11 +270,11 @@ def test_artifacts_roundtrip(tmp_path, noiseless_day, bank_module):
 
 
 @pytest.fixture(scope="module")
-def two_day_chain(bank_module):
+def two_day_chain():
     history = synthesize_history(seed=7, days=45)
     cfg = DayAheadConfig(soe0=250.0)
     results = run_multi_day(2, history, cfg, MpcLimits(), PlantConfig(),
-                            seed=3, initial_soc=0.5, bank=bank_module)
+                            seed=3, initial_soc=0.5)
     return results
 
 
@@ -289,14 +299,13 @@ def test_offset_sign_follows_stored_energy(day_forecast):
     assert low.offset.f.mean() > 0.0
 
 
-def test_three_day_perfect_forecast_soc_band(bank_module):
+def test_three_day_perfect_forecast_soc_band():
     # zero forecast error and no noise: the battery stays near its start
     history = synthesize_history(seed=11, days=45)
-    shape = SyntheticShape()
     cfg = DayAheadConfig(soe0=250.0)
     plant = PlantConfig.noiseless()
     results = run_multi_day(3, history, cfg, MpcLimits(), plant, seed=8,
-                            initial_soc=0.5, shape=shape, bank=bank_module)
+                            initial_soc=0.5)
     for res in results:
         assert np.abs(res.run.soc - 0.5).max() <= 0.2
 
@@ -366,23 +375,24 @@ def test_soc_floor_guess_matches_nnls(day_forecast, monkeypatch):
 
 def _two_slot_plan(levels, shift):
     fc = ProsumptionForecast(np.asarray(levels, float), np.zeros(2), np.zeros(2), members=())
-    offset = OffsetPlan(f=np.zeros(2), soe_low=np.zeros(3), soe_high=np.zeros(3),
-                        objective=0.0, certificate=solver.SolveCertificate("optimal"))
+    offset = OffsetPlan(f=np.zeros(2), objective=0.0,
+                        certificate=solver.SolveCertificate("optimal"))
     return DispatchPlan(p_hat=fc.point + np.asarray(shift, float), forecast=fc, offset=offset)
+
+
+def _two_slot_run(bank, soc, levels, shift, limits=MpcLimits(di_min=-5.0, di_max=5.0)):
+    """run_day on a grid of two slots, with a +-5 A/step rate limit by default."""
+    trace = step_trace(np.asarray(levels, float), np.random.default_rng(3), 1.0, 0.9)
+    return run_day(_two_slot_plan(levels, shift), PlantConfig(), InitState(soc=soc),
+                   trace_kw=trace, seed=0, bank=bank, limits=limits,
+                   grid=TimeGrid(n_slots=2, n_steps=60))
 
 
 def test_warm_bank_reproduces_fresh_bank():
     # a stretch at the SOC floor with +-5 A/step (closed-form, parametric and
     # clipped steps) gives the same run with a fresh bank as with one whose
     # problem structures another stretch on the same models already built
-    grid2 = TimeGrid(n_slots=2, n_steps=60)
-    limits = MpcLimits(di_min=-5.0, di_max=5.0)
-
-    def run(bank, soc, levels, shift, limits=limits):
-        trace = step_trace(np.asarray(levels, float), np.random.default_rng(3), 1.0, 0.9, grid2)
-        return run_day(_two_slot_plan(levels, shift), PlantConfig(), InitState(soc=soc),
-                       trace_kw=trace, seed=0, bank=bank, limits=limits, grid=grid2)
-
+    run = _two_slot_run
     warm = ModelBank()
     run(warm, 0.15, [80.0, 120.0], [-60.0, 30.0])
     run(warm, 0.5, [100.0, 100.0], [0.0, -150.0])
@@ -399,3 +409,15 @@ def test_warm_bank_reproduces_fresh_bank():
     assert np.array_equal(fresh_run.i_a, warm_run.i_a)
     assert fresh_run.status == warm_run.status
     assert fresh_run.active == warm_run.active
+
+
+def test_steps_csv_of_a_two_slot_grid(tmp_path):
+    # the stretch of test_warm_bank_reproduces_fresh_bank, written as a run:
+    # its horizons restart at each slot of the cut grid, and some of its steps
+    # hold more than one active group
+    levels, shift = [100.0, 100.0], [0.0, -150.0]
+    run = _two_slot_run(ModelBank(), 0.1003, levels, shift)
+    plan = _two_slot_plan(levels, shift)
+    write_run_artifacts(tmp_path, run, plan, tracking_report(run, plan))
+    _check_steps_csv(tmp_path / "steps.csv", run)
+    assert any("," in a for a in run.active)

@@ -11,7 +11,7 @@ grid = DEFAULT_GRID
 def test_grid_consistency():
     assert grid.n_steps == grid.n_slots * grid.steps_per_slot
     with pytest.raises(ValueError):
-        TimeGrid(n_slots=288, n_steps=8000, steps_per_slot=30)
+        TimeGrid(n_slots=288, n_steps=8000)
 
 
 def test_window_of():

@@ -7,6 +7,9 @@ Prints one line each for:
 - ``history``: the file ``save_history`` writes for ``synthesize_history(1, 365)``;
 - ``plans``: the plan files of ``feederdispatch plan --target-year 2017
   --target-day d`` for d = 1..14 from that file, concatenated;
+- ``plans-lp``: the same 14 plans from an almost empty battery, with
+  ``--config`` holding ``{"dayahead": {"soe0_kwh": 60}}``: a SOE row cuts the
+  centred offset on every day, so each plan is HiGHS's optimum;
 - ``baseline``, ``floor``, ``ceiling`` and ``rate``: the bytes of the actuated currents
   (``i_a``, float64), then the statuses and then the active groups, each joined
   by ``|``, of one whole day of ``run_day`` (seed 0) on the ROADMAP scenario:
@@ -34,6 +37,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import tempfile
 from pathlib import Path
 
@@ -55,19 +59,26 @@ def sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def file_digests(workdir: Path) -> tuple[str, str]:
+def file_digests(workdir: Path) -> tuple[str, str, str]:
     history = workdir / "history.csv"
     save_history(history, synthesize_history(1, 365))
+    config = workdir / "empty.json"
+    config.write_text(json.dumps({"dayahead": {"soe0_kwh": 60}}))
+    return (sha(history.read_bytes()), plans_digest(workdir, history, []),
+            plans_digest(workdir, history, ["--config", str(config)]))
+
+
+def plans_digest(workdir: Path, history: Path, extra: list[str]) -> str:
     plans = b""
     for day in range(1, 15):
         out = workdir / f"plan-{day}.csv"
         with contextlib.redirect_stdout(io.StringIO()):
             rc = cli.main(["plan", "--history", str(history), "--out", str(out),
-                           "--target-year", "2017", "--target-day", str(day)])
+                           "--target-year", "2017", "--target-day", str(day), *extra])
         if rc != cli.EXIT_OK:
             raise SystemExit(f"plan for day {day} exited {rc}")
         plans += out.read_bytes()
-    return sha(history.read_bytes()), sha(plans)
+    return sha(plans)
 
 
 def day_digest(soe0: float, soc: float, scale: float, limits: MpcLimits) -> str:
@@ -95,9 +106,10 @@ def chain_digest() -> str:
 
 def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
-        history, plans = file_digests(Path(tmp))
+        history, plans, plans_lp = file_digests(Path(tmp))
     print(f"history  {history[:16]}")
     print(f"plans    {plans[:16]}")
+    print(f"plans-lp {plans_lp[:16]}")
     for name, day in DAYS.items():
         print(f"{name:8s} {day_digest(*day)[:16]}")
     print(f"chain    {chain_digest()[:16]}")

@@ -180,13 +180,13 @@ def cmd_plan(args) -> int:
     plan = plan_day(fc, cfg)
     wall = time.perf_counter() - t0
     cert = plan.offset.certificate
-    log.info("offset LP: status %s, %d iterations, objective %.6f, KKT residual %.3g; "
-             "forecast and plan: %.3f s", cert.status, cert.iterations, cert.objective,
-             cert.kkt_residual, wall)
+    log.info("offset LP: status %s, path %s, %d iterations, objective %.6f, KKT residual "
+             "%.3g; forecast and plan: %.3f s", cert.status, cert.path, cert.iterations,
+             cert.objective, cert.kkt_residual, wall)
     save_plan(args.out, plan)
     print(f"plan for year {year} day {doy}: feasible, objective {plan.offset.objective:.3f}, "
           f"peak {plan.p_hat.max():.1f} kW, wall time {wall:.2f} s "
-          f"({cert.iterations} solver iterations)")
+          f"({cert.path}, {cert.iterations} solver iterations)")
     print(f"wrote {plan.p_hat.size} slots to {args.out}")
     return EXIT_OK
 

@@ -10,6 +10,7 @@ affects what the controller sees.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import time
@@ -412,16 +413,17 @@ def write_run_artifacts(out_dir, run: SimulationRun, plan: DispatchPlan,
     """Write the per-step trace, plan, report and config snapshot (plain text)."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "steps.csv", "w") as fh:
+    with open(out / "steps.csv", "w", newline="") as fh:
         fh.write(STEPS_HEADER + "\n")
-        fh.write("k,l_kw,b_kw,p_kw,soc,v_v,i_a,e_kwh,horizon,status,active,"
-                 "b_setpoint_kw\n")
+        # minimal quoting: an active field that joins several groups with commas is quoted
+        rows = csv.writer(fh, lineterminator="\n")
+        rows.writerow(["k", "l_kw", "b_kw", "p_kw", "soc", "v_v", "i_a", "e_kwh", "horizon",
+                       "status", "active", "b_setpoint_kw"])
         for k in range(run.k.size):
             vals = [run.l_kw[k], run.b_kw[k], run.p_kw[k], run.soc[k], run.v[k],
                     run.i_a[k], run.e_kwh[k]]
-            fh.write(f"{k}," + ",".join(_FMT % v for v in vals)
-                     + f",{STEPS_PER_SLOT - k % STEPS_PER_SLOT},{run.status[k]},{run.active[k]},"
-                     + (_FMT % run.b_setpoint_kw[k]) + "\n")
+            rows.writerow([k, *(_FMT % v for v in vals), STEPS_PER_SLOT - k % STEPS_PER_SLOT,
+                           run.status[k], run.active[k], _FMT % run.b_setpoint_kw[k]])
     save_plan(out / "plan.csv", plan)
     with open(out / "report.txt", "w") as fh:
         fh.write(format_report(report) + "\n")

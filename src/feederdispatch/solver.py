@@ -52,10 +52,12 @@ class SolveCertificate:
     objective: float = np.nan
     kkt_residual: float = np.nan
     iterations: int = 0
-    # QCQP stage that ran last: "closed-form" | "parametric" | "least-distance";
-    # an "infeasible" least-distance verdict holds either the positive minimum
-    # of the quadratic (objective) or a Farkas vector's relative b'y
-    # (objective, < 0) and |A'y| (kkt_residual)
+    # "lp" for a HiGHS solve; "closed-form" for a point certified without a
+    # solver (a QCQP's or the centred day-ahead offset); else the QCQP stage
+    # that ran last, "parametric" | "least-distance". An "infeasible"
+    # least-distance verdict holds either the positive minimum of the quadratic
+    # (objective) or a Farkas vector's relative b'y (objective, < 0) and |A'y|
+    # (kkt_residual)
     path: str = ""
 
 
@@ -180,7 +182,7 @@ def _highs(p: LinearProgram) -> tuple[LpSolution | None, SolveCertificate, int]:
                   options={"maxiter": max(LP_ITERATION_CAP * 100, 10000)})
     nit = int(getattr(res, "nit", 0) or 0)
     if res.status != 0:
-        return None, SolveCertificate(status="failure", iterations=nit), res.status
+        return None, SolveCertificate(status="failure", iterations=nit, path="lp"), res.status
     x = np.asarray(res.x, dtype=float)
     # scipy marginals are d(objective)/d(rhs); convert to nonnegative multipliers.
     m_in = p.a_ineq.shape[0] if p.a_ineq is not None else 0
@@ -192,7 +194,7 @@ def _highs(p: LinearProgram) -> tuple[LpSolution | None, SolveCertificate, int]:
     sol = LpSolution(x=x, dual_ineq=np.maximum(dual_ineq, 0.0), dual_eq=dual_eq,
                      dual_lb=np.maximum(dual_lb, 0.0), dual_ub=np.maximum(dual_ub, 0.0))
     cert = SolveCertificate(status="optimal", objective=float(p.c @ x),
-                            kkt_residual=lp_kkt_residual(p, sol), iterations=nit)
+                            kkt_residual=lp_kkt_residual(p, sol), iterations=nit, path="lp")
     return sol, cert, 0
 
 

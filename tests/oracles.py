@@ -96,6 +96,41 @@ def dense_offset_optimum(l_hat, env_low, env_high, cfg: DayAheadConfig):
     return float(res.fun), res.x[:n] - res.x[n:2 * n] - env_low
 
 
+def bmat_offset_lp(l_hat, env_low, env_high, cfg: DayAheadConfig):
+    """The day-ahead offset LP's arrays as first assembled: a dense lower
+    triangle converted to CSR and the blocks joined by ``scipy.sparse.bmat``.
+    Returns (a_ineq, b_ineq, a_eq, b_eq)."""
+    import scipy.sparse as sp
+
+    n = l_hat.size
+    beta_p, beta_m = beta_coeffs(cfg)
+    eye = sp.eye(n, format="csr")
+    tril = sp.csr_array(np.tril(np.ones((n, n))))
+    b_lo = cfg.b_min + cfg.power_backoff
+    b_hi = cfg.b_max - cfg.power_backoff
+    a_eq = sp.hstack([eye, -eye, -eye, eye], format="csr")
+    rows = [
+        [-beta_p * tril, beta_m * tril, None, None],
+        [None, None, beta_p * tril, -beta_m * tril],
+        [eye, -eye, None, None],
+        [-eye, eye, None, None],
+        [None, None, eye, -eye],
+        [None, None, -eye, eye],
+    ]
+    rhs = [
+        np.full(n, cfg.soe0 - cfg.soe_min - cfg.soe_backoff),
+        np.full(n, cfg.soe_max - cfg.soe_backoff - cfg.soe0),
+        np.full(n, b_hi),
+        np.full(n, -b_lo),
+        np.full(n, b_hi),
+        np.full(n, -b_lo),
+    ]
+    if cfg.p_max is not None:
+        rows.append([eye, -eye, None, None])
+        rhs.append(cfg.p_max - l_hat + env_low)
+    return sp.bmat(rows, format="csr"), np.concatenate(rhs), a_eq, env_low - env_high
+
+
 def active_groups_loop(h, quad_active, active):
     """Comma-joined names of the MPC constraint groups with an active row, one
     row at a time over the row order box, -box, rate, -rate, v, -v, soc,

@@ -46,16 +46,27 @@ def test_plan_takes_no_seed(tmp_path, history):
 def test_plan_logs_facts_at_info(synth_history, tmp_path, caplog, capsys):
     argv = ["plan", "--history", str(synth_history), "--out", str(tmp_path / "plan.csv")]
     assert cli.main(argv) == cli.EXIT_OK
-    assert not caplog.records and "feasible" not in capsys.readouterr().err
+    printed = capsys.readouterr()
+    assert not caplog.records and "feasible" not in printed.err
+    assert "(closed-form, 0 solver iterations)" in printed.out
     with caplog.at_level(logging.INFO, logger="feederdispatch"):
         assert cli.main(argv) == cli.EXIT_OK
     facts = [r.getMessage() for r in caplog.records if r.name == "feederdispatch"]
     assert len(facts) == 2
     assert facts[0].startswith("history: 20 rows loaded in ")
     assert "; target: year 2016 day 21, radiation " in facts[0]
-    assert facts[1].startswith("offset LP: status optimal, ")
+    assert facts[1].startswith("offset LP: status optimal, path closed-form, 0 iterations, ")
     for fact in (" iterations, objective ", ", KKT residual ", "; forecast and plan: "):
         assert fact in facts[1]
+    # from a nearly empty battery a SOE row cuts the centred offset, and HiGHS plans
+    caplog.clear()
+    config = tmp_path / "empty.json"
+    config.write_text('{"dayahead": {"soe0_kwh": 60}}')
+    with caplog.at_level(logging.INFO, logger="feederdispatch"):
+        assert cli.main(argv + ["--config", str(config)]) == cli.EXIT_OK
+    facts = [r.getMessage() for r in caplog.records if r.name == "feederdispatch"]
+    assert facts[1].startswith("offset LP: status optimal, path lp, ")
+    assert "(lp, " in capsys.readouterr().out
 
 
 def test_synth_plan_run_report(tmp_path, capsys):

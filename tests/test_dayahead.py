@@ -8,8 +8,8 @@ from feederdispatch.dayahead import (DayAheadConfig, InfeasiblePlanError, _offse
                                      worst_case_soe)
 from feederdispatch.forecast import N_SLOTS, ProsumptionForecast
 
-from oracles import (csv_save_plan, dayahead_plan_feasible, dense_offset_optimum,
-                     grid_offset_search)
+from oracles import (bmat_offset_lp, csv_save_plan, dayahead_plan_feasible,
+                     dense_offset_optimum, grid_offset_search)
 
 
 def _cfg(**kw):
@@ -130,12 +130,63 @@ def test_lp_recursion_consistency(day_forecast):
 @pytest.mark.parametrize("kw", [{}, {"p_max": 150.0}, {"soe0": 60.0, "soe_backoff": 10.0,
                                                       "power_backoff": 5.0}])
 def test_sparse_offset_lp_matches_dense_oracle(day_forecast, kw):
-    cfg = _cfg(**kw)
-    plan = solve_offset(day_forecast, cfg)
-    objective, f = dense_offset_optimum(day_forecast.point, day_forecast.envelope_low,
-                                        day_forecast.envelope_high, cfg)
-    assert plan.objective == pytest.approx(objective, rel=1e-9)
-    assert np.array_equal(plan.f, f)
+    fc, cfg = day_forecast, _cfg(**kw)
+    sol, cert = solver.solve_lp(_offset_lp(fc.point, fc.envelope_low, fc.envelope_high, cfg))
+    objective, f = dense_offset_optimum(fc.point, fc.envelope_low, fc.envelope_high, cfg)
+    assert cert.status == "optimal" and cert.path == "lp"
+    assert cert.objective == pytest.approx(objective, rel=1e-9)
+    assert np.array_equal(sol.x[:N_SLOTS] - sol.x[N_SLOTS:2 * N_SLOTS] - fc.envelope_low, f)
+
+
+@pytest.mark.parametrize("kw", [{}, {"soe0": 60.0, "p_max": 150.0, "soe_backoff": 10.0,
+                                     "power_backoff": 5.0}])
+def test_offset_lp_arrays_match_bmat_oracle(day_forecast, kw):
+    # built directly, the CSR arrays are the bytes sparse.bmat made, so HiGHS
+    # sees the same model
+    fc, cfg = day_forecast, _cfg(**kw)
+    p = _offset_lp(fc.point, fc.envelope_low, fc.envelope_high, cfg)
+    a_ineq, b_ineq, a_eq, b_eq = bmat_offset_lp(fc.point, fc.envelope_low,
+                                                fc.envelope_high, cfg)
+    for got, want in ((p.a_ineq, a_ineq), (p.a_eq, a_eq)):
+        assert got.shape == want.shape
+        for name in ("indptr", "indices", "data"):
+            mine, theirs = getattr(got, name), getattr(want, name)
+            assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes(), name
+    assert p.b_ineq.tobytes() == b_ineq.tobytes() and p.b_eq.tobytes() == b_eq.tobytes()
+
+
+@pytest.mark.parametrize("kw", [{}, {"p_max": 150.0}])
+def test_centred_offset_rule(day_forecast, kw):
+    # no row cuts the centred offset, the least-norm point of the LP's optimal
+    # face, so it is the plan, with the LP's optimal value
+    fc, cfg = day_forecast, _cfg(**kw)
+    plan = plan_day(fc, cfg)
+    cert = plan.offset.certificate
+    assert (cert.status, cert.path, cert.iterations) == ("optimal", "closed-form", 0)
+    assert np.array_equal(plan.offset.f, -(fc.envelope_low + fc.envelope_high) / 2)
+    objective, _ = dense_offset_optimum(fc.point, fc.envelope_low, fc.envelope_high, cfg)
+    assert plan.offset.objective == pytest.approx(objective, rel=1e-9)
+    assert dayahead_plan_feasible(plan, cfg)
+    assert cert.kkt_residual <= 1e-6
+
+
+@pytest.mark.parametrize("margin", [1e-6, -1e-6])
+def test_centred_offset_boundary(day_forecast, margin):
+    # a SOE ceiling just below the centred plan's worst-case high SOE cuts it:
+    # HiGHS then plans, as the dense oracle does; just above, it holds
+    fc = day_forecast
+    centred = -(fc.envelope_low + fc.envelope_high) / 2
+    peak = float(worst_case_soe(centred, fc, _cfg())[1].max())
+    cfg = _cfg(soe_max=peak - margin)
+    plan = solve_offset(fc, cfg)
+    if margin > 0:
+        assert plan.certificate.path == "lp"
+        assert np.array_equal(plan.f, dense_offset_optimum(fc.point, fc.envelope_low,
+                                                           fc.envelope_high, cfg)[1])
+    else:
+        assert plan.certificate.path == "closed-form"
+        assert np.array_equal(plan.f, centred)
+    assert plan.certificate.status == "optimal" and plan.certificate.kkt_residual <= 1e-6
 
 
 def test_offset_lp_is_sparse(day_forecast):

@@ -1,3 +1,4 @@
+import csv
 from dataclasses import replace
 
 import numpy as np
@@ -228,14 +229,17 @@ def test_step_trace_matches_scalar_oracle(noise_std, ar):
 
 
 def _check_steps_csv(path, run):
-    """Every numeric column of steps.csv parses back bit for bit to the run's
-    arrays, the strings to its statuses and active groups, and the horizon
-    column is the steps left in the slot, 30 - k % 30. The active groups are
-    written unquoted, with their own commas, so a row is cut from both ends."""
-    lines = path.read_text().splitlines()
-    assert lines[1] == "k,l_kw,b_kw,p_kw,soc,v_v,i_a,e_kwh,horizon,status,active,b_setpoint_kw"
-    rows = [line.split(",", 10) for line in lines[2:]]
-    cols = list(zip(*(row[:10] + row[10].rsplit(",", 1) for row in rows)))
+    """Every row of steps.csv reads as 12 fields with a plain CSV reader; every
+    numeric column parses back bit for bit to the run's arrays, the strings to
+    its statuses and active groups, and the horizon column is the steps left in
+    the slot, 30 - k % 30."""
+    with open(path, newline="") as fh:
+        assert next(fh) == "# feederdispatch run v1\n"
+        header, *rows = list(csv.reader(fh))
+    assert header == ["k", "l_kw", "b_kw", "p_kw", "soc", "v_v", "i_a", "e_kwh", "horizon",
+                      "status", "active", "b_setpoint_kw"]
+    assert all(len(row) == 12 for row in rows)
+    cols = list(zip(*rows))
     assert len(cols[0]) == run.k.size
     assert np.array_equal(np.array(cols[0], dtype=int), run.k)
     for col, series in zip(cols[1:8] + cols[11:], ("l_kw", "b_kw", "p_kw", "soc", "v",

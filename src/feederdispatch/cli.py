@@ -21,7 +21,7 @@ from . import __version__
 from .battery import load_parameter_table
 from .dayahead import (DayAheadConfig, InfeasiblePlanError, load_plan, plan_day,
                        save_plan)
-from .forecast import (TargetDayInfo, forecast_day, is_working_dayofyear,
+from .forecast import (TargetDayInfo, day_after, forecast_day, is_working_dayofyear,
                        load_history, save_history, synthesize_history)
 from .mpc import MpcLimits
 from .sim import (InitState, PlantConfig, PlantStateError, format_report,
@@ -166,8 +166,7 @@ def cmd_plan(args) -> int:
         year = args.target_year
     else:
         last = max(history, key=lambda d: (d.year, d.day_of_year))
-        doy = last.day_of_year % 365 + 1
-        year = last.year + (1 if doy == 1 else 0)
+        year, doy = day_after(last.year, last.day_of_year)
     r_star = args.radiation if args.radiation is not None else float(
         np.mean([d.daily_radiation for d in history[-10:]]))
     target = TargetDayInfo(year=year, day_of_year=doy, radiation_forecast=r_star,

@@ -3,9 +3,11 @@
 The plan committed for the next day is p_hat = point forecast + offset. The
 offset is sized so that, propagating the battery state of energy against the
 worst realizations inside the forecast envelopes, SOE and power stay within
-bounds; it thereby steers the battery back toward a flexible energy level.
+bounds. It keeps the SOE feasible but does not steer it toward a flexible
+energy level: the centred offset below does not read soe0, and only a plan
+that a SOE row cuts depends on it.
 
-The optimization is solved as a linear program over the positive/negative parts
+The optimization is a linear program over the positive/negative parts
 of the two worst-case battery powers K = f + envelope_low and
 G = f + envelope_high (charging and discharging are weighted by different
 efficiency coefficients, which the split keeps linear), with sparse rows. When
@@ -18,10 +20,12 @@ forecast.
 The optimum is a face: on [-env_high, -env_low] a slot's cost is flat. The
 plan is the face's least-norm point (exact regularisation of the LP; Mangasarian
 & Meyer, SIAM J. Control Optim. 1979) whenever no row cuts it: the point of least
-sum(K^2 + G^2) is the centred offset f = -(env_low + env_high) / 2, which is kept
-when every row holds it and its explicit dual passes the KKT gate. When a SOE,
-power or cap row cuts it, the plan is the vertex HiGHS returns, and HiGHS's
-pivoting picks it among the optima.
+sum(K^2 + G^2) is the centred offset f = -(env_low + env_high) / 2. It is
+certified in O(n), without assembling the LP: its SOE-row activities are
+cumulative sums, its power and cap rows read -h or h, and its explicit dual has
+zero row multipliers. Only when a SOE, power or cap row cuts it is the LP
+assembled, and the plan is the vertex HiGHS returns, its pivoting picking it
+among the optima.
 """
 
 from __future__ import annotations
@@ -179,41 +183,50 @@ def _infeasibility(violation: np.ndarray, cfg: DayAheadConfig) -> InfeasiblePlan
         f"total violation {violation.sum():.3f}", slot=slot, constraint=group)
 
 
-def _centred(p: solver.LinearProgram, env_low, env_high) -> OffsetPlan | None:
-    """The centred offset f = -(env_low + env_high) / 2, certified optimal for p,
-    or None when a row of p cuts it.
+def _centred(l_hat, env_low, env_high, cfg: DayAheadConfig) -> OffsetPlan | None:
+    """The centred offset f = -(env_low + env_high) / 2, certified optimal for the
+    LP of :func:`_offset_lp` without assembling it, or None when a row cuts it.
 
-    Its point is [K+, K-, G+, G-] = [0, h, h, 0] with h = (env_high - env_low) / 2,
-    so its objective is the bound sum(env_high - env_low). The dual that proves
-    it: coupling multipliers 1, bound multipliers 2 on K+ and G-, all others 0.
+    Its point is x = [K+, K-, G+, G-] = [0, h, h, 0] with h = (env_high - env_low) / 2.
+    Each row's activity at x is summed in O(n), in the order of the CSR product
+    a_ineq @ x. The dual that proves x optimal (coupling multipliers 1, bound
+    multipliers 2 on K+ and G-, all others 0) has zero row multipliers, so its
+    :func:`solver.lp_kkt_residual` is the primal violation alone: the worst
+    row violation or max(-x), over 1 + |1'x|.
     """
     n = env_low.size
+    beta_p, beta_m = beta_coeffs(cfg)
+    b_lo = cfg.b_min + cfg.power_backoff
+    b_hi = cfg.b_max - cfg.power_backoff
     zero, h = np.zeros(n), (env_high - env_low) / 2
-    x = np.concatenate([zero, h, h, zero])
-    if (p.a_ineq @ x - p.b_ineq).max() > solver.FEAS_TOL \
-            or not np.array_equal(p.a_eq @ x, p.b_eq):
+    # (activity at x, right-hand side) per row group, in the order of _offset_lp
+    rows = [(np.cumsum(beta_m * h), cfg.soe0 - cfg.soe_min - cfg.soe_backoff),
+            (np.cumsum(beta_p * h), cfg.soe_max - cfg.soe_backoff - cfg.soe0),
+            (-h, b_hi), (h, -b_lo), (h, b_hi), (-h, -b_lo)]
+    if cfg.p_max is not None:
+        rows.append((-h, cfg.p_max - l_hat + env_low))
+    worst = float(np.concatenate([activity - rhs for activity, rhs in rows]).max())
+    # the coupling row reads -h - h against env_low - env_high
+    if worst > solver.FEAS_TOL or not np.array_equal(-h - h, env_low - env_high):
         return None
-    two = np.full(n, 2.0)
-    dual = solver.LpSolution(x=x, dual_ineq=np.zeros(p.b_ineq.size), dual_eq=np.ones(n),
-                             dual_lb=np.concatenate([two, zero, zero, two]),
-                             dual_ub=np.zeros(4 * n))
-    residual = solver.lp_kkt_residual(p, dual)
+    # c'x at x = [0, h, h, 0], summed as the assembled LP's c @ x sums it
+    objective = float(np.ones(4 * n) @ np.concatenate([zero, h, h, zero]))
+    residual = max(0.0, worst, float(-h.min())) / (1.0 + abs(objective))
     if residual > solver.KKT_GATE:
         return None
-    cert = solver.SolveCertificate(status="optimal", objective=float(p.c @ x),
+    cert = solver.SolveCertificate(status="optimal", objective=objective,
                                    kkt_residual=residual, path="closed-form")
-    return OffsetPlan(f=-(env_low + env_high) / 2, objective=cert.objective, certificate=cert)
+    return OffsetPlan(f=-(env_low + env_high) / 2, objective=objective, certificate=cert)
 
 
 def solve_offset(forecast: ProsumptionForecast, cfg: DayAheadConfig) -> OffsetPlan:
     """Compute the offset profile for a full day's forecast: the centred offset
-    when every row holds it, else HiGHS's optimum."""
+    when every row holds it, else HiGHS's optimum of the assembled LP."""
     l_hat, env_low, env_high = forecast.point, forecast.envelope_low, forecast.envelope_high
-    n = l_hat.size
-    p = _offset_lp(l_hat, env_low, env_high, cfg)
-    if (plan := _centred(p, env_low, env_high)) is not None:
+    if (plan := _centred(l_hat, env_low, env_high, cfg)) is not None:
         return plan
-    sol, cert = solver.solve_lp(p)
+    n = l_hat.size
+    sol, cert = solver.solve_lp(_offset_lp(l_hat, env_low, env_high, cfg))
     if cert.status == "infeasible":
         raise _infeasibility(sol.x[4 * n:], cfg)
     if cert.status != "optimal":

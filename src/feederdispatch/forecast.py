@@ -94,6 +94,12 @@ def time_distance(day: HistoricalDay, target: TargetDayInfo) -> int:
     return 365 * abs(day.year - target.year) + abs(day.day_of_year - target.day_of_year)
 
 
+def day_after(year: int, day_of_year: int) -> tuple[int, int]:
+    """The (year, day of year) after a day, in the 365-day convention of
+    :func:`time_distance`: day 365 and a leap year's day 366 roll over to day 1."""
+    return (year + 1, 1) if day_of_year >= 365 else (year, day_of_year + 1)
+
+
 def select_days(history, target: TargetDayInfo) -> tuple[HistoricalDay, ...]:
     """Three-stage similar-day selection; returns the 5 chosen days.
 

@@ -24,7 +24,7 @@ from .battery import (CONVERTER_EFF, ModelBank, KalmanState, TtcParameters, TABL
                       kalman_update)
 from .dayahead import (DayAheadConfig, DispatchPlan, plan_day, save_plan)
 from .forecast import (SyntheticShape, HistoricalDay, TargetDayInfo, ar1_noise,
-                       forecast_day, is_working_dayofyear, synthesize_day)
+                       day_after, forecast_day, is_working_dayofyear, synthesize_day)
 from .mpc import MpcLimits, StepTelemetry, build_problem, solve
 from .timegrid import N_SLOTS, STEPS_PER_SLOT, TimeGrid, DEFAULT_GRID
 
@@ -366,11 +366,10 @@ def run_multi_day(days: int, history: list[HistoricalDay],
     soc_at_plan_time = initial_soc
 
     last = max(history, key=lambda d: (d.year, d.day_of_year))
+    year, doy = last.year, last.day_of_year
     results: list[DayResult] = []
     for d in range(days):
-        doy = last.day_of_year + 1 + d
-        year = last.year + (doy - 1) // 365
-        doy = (doy - 1) % 365 + 1
+        year, doy = day_after(year, doy)
         rng_day = np.random.default_rng([seed, 10_000 + d])
         true_day = synthesize_day(rng_day, year, doy, SyntheticShape())
         true_profile = true_day.profile * realization_scale

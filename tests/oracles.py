@@ -131,6 +131,34 @@ def bmat_offset_lp(l_hat, env_low, env_high, cfg: DayAheadConfig):
     return sp.bmat(rows, format="csr"), np.concatenate(rhs), a_eq, env_low - env_high
 
 
+def assembled_centred(l_hat, env_low, env_high, cfg: DayAheadConfig):
+    """The centred offset's certificate as first computed: the rows of
+    :func:`bmat_offset_lp` multiplied out at x = [0, h, h, 0], and
+    ``solver.lp_kkt_residual`` at x and its explicit dual (coupling multipliers
+    1, bound multipliers 2 on K+ and G-, all others 0). Returns
+    (objective, residual), or None when a row cuts x or the residual fails the
+    KKT gate."""
+    from feederdispatch import solver
+
+    a_ineq, b_ineq, a_eq, b_eq = bmat_offset_lp(l_hat, env_low, env_high, cfg)
+    n = l_hat.size
+    p = solver.LinearProgram(c=np.ones(4 * n), a_ineq=a_ineq, b_ineq=b_ineq,
+                             a_eq=a_eq, b_eq=b_eq, lb=np.zeros(4 * n))
+    zero, h = np.zeros(n), (env_high - env_low) / 2
+    x = np.concatenate([zero, h, h, zero])
+    if (p.a_ineq @ x - p.b_ineq).max() > solver.FEAS_TOL \
+            or not np.array_equal(p.a_eq @ x, p.b_eq):
+        return None
+    two = np.full(n, 2.0)
+    dual = solver.LpSolution(x=x, dual_ineq=np.zeros(b_ineq.size), dual_eq=np.ones(n),
+                             dual_lb=np.concatenate([two, zero, zero, two]),
+                             dual_ub=np.zeros(4 * n))
+    residual = solver.lp_kkt_residual(p, dual)
+    if residual > solver.KKT_GATE:
+        return None
+    return float(p.c @ x), residual
+
+
 def active_groups_loop(h, quad_active, active):
     """Comma-joined names of the MPC constraint groups with an active row, one
     row at a time over the row order box, -box, rate, -rate, v, -v, soc,

@@ -43,6 +43,19 @@ def test_plan_takes_no_seed(tmp_path, history):
     assert out.read_bytes() == (tmp_path / "expected.csv").read_bytes()
 
 
+@pytest.mark.parametrize("last_doy", [365, 366])
+def test_plan_targets_the_day_after_the_history(history, tmp_path, capsys, last_doy):
+    # a history ending on day 365, or on a leap year's day 366, is followed by
+    # day 1 of the next year
+    first = last_doy - len(history) + 1
+    path = tmp_path / "history.csv"
+    save_history(path, [replace(d, year=2016, day_of_year=first + i)
+                        for i, d in enumerate(history)])
+    argv = ["plan", "--history", str(path), "--out", str(tmp_path / "plan.csv")]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert "plan for year 2017 day 1: feasible" in capsys.readouterr().out
+
+
 def test_plan_logs_facts_at_info(synth_history, tmp_path, caplog, capsys):
     argv = ["plan", "--history", str(synth_history), "--out", str(tmp_path / "plan.csv")]
     assert cli.main(argv) == cli.EXIT_OK

@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from feederdispatch import solver
-from feederdispatch.dayahead import (DayAheadConfig, InfeasiblePlanError, _offset_lp,
-                                     assemble_plan, beta_coeffs, load_plan,
+from feederdispatch import dayahead, solver
+from feederdispatch.dayahead import (DayAheadConfig, InfeasiblePlanError, _centred,
+                                     _offset_lp, assemble_plan, beta_coeffs, load_plan,
                                      plan_day, save_plan, solve_offset,
                                      worst_case_soe)
-from feederdispatch.forecast import N_SLOTS, ProsumptionForecast
+from feederdispatch.forecast import (N_SLOTS, ProsumptionForecast, TargetDayInfo,
+                                     forecast_day, is_working_dayofyear)
 
-from oracles import (bmat_offset_lp, csv_save_plan, dayahead_plan_feasible,
-                     dense_offset_optimum, grid_offset_search)
+from oracles import (assembled_centred, bmat_offset_lp, csv_save_plan,
+                     dayahead_plan_feasible, dense_offset_optimum, grid_offset_search)
 
 
 def _cfg(**kw):
@@ -170,23 +172,84 @@ def test_centred_offset_rule(day_forecast, kw):
     assert cert.kkt_residual <= 1e-6
 
 
-@pytest.mark.parametrize("margin", [1e-6, -1e-6])
-def test_centred_offset_boundary(day_forecast, margin):
-    # a SOE ceiling just below the centred plan's worst-case high SOE cuts it:
-    # HiGHS then plans, as the dense oracle does; just above, it holds
-    fc = day_forecast
+@given(doy=st.integers(1, 365), radiation=st.floats(0.0, 8.0), soe0=st.floats(0.0, 500.0),
+       soe_backoff=st.floats(0.0, 20.0), power_backoff=st.floats(0.0, 245.0),
+       p_max=st.none() | st.floats(100.0, 400.0))
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_centred_certificate_matches_assembled_lp(history, doy, radiation, soe0, soe_backoff,
+                                                  power_backoff, p_max):
+    # the O(n) certificate gives the verdict, objective and KKT residual that
+    # the assembled rows and lp_kkt_residual give, bit for bit
+    fc = forecast_day(history, TargetDayInfo(year=2016, day_of_year=doy,
+                                             radiation_forecast=radiation,
+                                             is_working_day=is_working_dayofyear(doy)))
+    cfg = _cfg(soe0=soe0, soe_backoff=soe_backoff, power_backoff=power_backoff, p_max=p_max)
+    plan = _centred(fc.point, fc.envelope_low, fc.envelope_high, cfg)
+    want = assembled_centred(fc.point, fc.envelope_low, fc.envelope_high, cfg)
+    assert (plan is None) == (want is None)
+    if plan is not None:
+        assert (plan.objective, plan.certificate.kkt_residual) == want
+        assert plan.certificate.objective == plan.objective
+        assert np.array_equal(plan.f, -(fc.envelope_low + fc.envelope_high) / 2)
+
+
+def _cut(group, fc, margin):
+    """A config whose `group` rows the centred plan violates by `margin` (kWh or
+    kW) when it is positive, and holds with that much room when it is negative."""
     centred = -(fc.envelope_low + fc.envelope_high) / 2
-    peak = float(worst_case_soe(centred, fc, _cfg())[1].max())
-    cfg = _cfg(soe_max=peak - margin)
+    h_max = float(((fc.envelope_high - fc.envelope_low) / 2).max())
+    low, high = worst_case_soe(centred, fc, _cfg())
+    if group == "soe_max":           # the high SOE peaks at soe_max + margin
+        return _cfg(soe_max=float(high.max()) - margin)
+    if group == "soe_min":           # through soe0: the low SOE bottoms out at soe_min - margin
+        return _cfg(soe0=50.0 + 250.0 - float(low.min()) - margin)
+    if group == "b_max":             # G = h at the widest slot
+        return _cfg(b_max=h_max - margin)
+    if group == "b_min":             # K = -h at the widest slot
+        return _cfg(b_min=margin - h_max)
+    return _cfg(p_max=float((fc.point + centred).max()) - margin)
+
+
+@pytest.mark.parametrize("margin", [1e-6, 5e-9, -1e-6])
+@pytest.mark.parametrize("group", ["soe_max", "soe_min", "b_max", "b_min", "p_max"])
+def test_centred_offset_boundary(day_forecast, group, margin):
+    # a row group just cuts the centred offset or just holds it, and the
+    # assembled rows decide the path on each side; past the cut, HiGHS plans as
+    # the dense oracle does. A violation within FEAS_TOL holds, and its KKT
+    # residual is the oracle's
+    fc = day_forecast
+    cfg = _cut(group, fc, margin)
+    want = assembled_centred(fc.point, fc.envelope_low, fc.envelope_high, cfg)
+    held = want is not None
+    assert held == (margin < solver.FEAS_TOL)
     plan = solve_offset(fc, cfg)
-    if margin > 0:
-        assert plan.certificate.path == "lp"
+    assert plan.certificate.path == ("closed-form" if held else "lp")
+    if held:
+        assert np.array_equal(plan.f, -(fc.envelope_low + fc.envelope_high) / 2)
+        assert (plan.objective, plan.certificate.kkt_residual) == want
+        assert (plan.certificate.kkt_residual > 0) == (margin > 0)
+    else:
         assert np.array_equal(plan.f, dense_offset_optimum(fc.point, fc.envelope_low,
                                                            fc.envelope_high, cfg)[1])
-    else:
-        assert plan.certificate.path == "closed-form"
-        assert np.array_equal(plan.f, centred)
     assert plan.certificate.status == "optimal" and plan.certificate.kkt_residual <= 1e-6
+
+
+def test_closed_form_path_builds_no_lp(day_forecast, monkeypatch):
+    # the centred plan is certified without the assembled LP or HiGHS; a plan
+    # that a row cuts assembles the LP once
+    def refuse(*args, **kwargs):
+        raise AssertionError("the closed-form path built or solved the offset LP")
+
+    offset_lp, solve_lp = dayahead._offset_lp, solver.solve_lp
+    monkeypatch.setattr(dayahead, "_offset_lp", refuse)
+    monkeypatch.setattr(solver, "solve_lp", refuse)
+    assert plan_day(day_forecast, _cfg()).offset.certificate.path == "closed-form"
+    built = []
+    monkeypatch.setattr(dayahead, "_offset_lp",
+                        lambda *args: built.append(1) or offset_lp(*args))
+    monkeypatch.setattr(solver, "solve_lp", solve_lp)
+    assert plan_day(day_forecast, _cfg(soe0=60.0)).offset.certificate.path == "lp"
+    assert len(built) == 1
 
 
 def test_offset_lp_is_sparse(day_forecast):

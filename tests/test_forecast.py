@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from feederdispatch.forecast import (N_SLOTS, HistoricalDay,
                                      InsufficientHistoryError, ProsumptionForecast,
                                      SyntheticShape, TargetDayInfo, base_profile,
-                                     is_working_dayofyear, load_history,
+                                     day_after, is_working_dayofyear, load_history,
                                      point_forecast, pv_profile, save_history,
                                      select_days, short_term_predict,
                                      synthesize_history, time_distance)
@@ -77,6 +77,12 @@ def test_time_distance_prefers_recent_and_seasonal():
     last_year = _day(2015, 100, 1.0, 3.0)
     assert time_distance(same_year, target) == 10
     assert time_distance(last_year, target) == 365
+
+
+@pytest.mark.parametrize("day, after", [((2016, 1), (2016, 2)), ((2016, 364), (2016, 365)),
+                                       ((2016, 365), (2017, 1)), ((2016, 366), (2017, 1))])
+def test_day_after_rolls_over_after_day_365(day, after):
+    assert day_after(*day) == after
 
 
 def test_point_forecast_degenerate_members():

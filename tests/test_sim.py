@@ -294,6 +294,25 @@ def test_multi_day_reports(two_day_chain):
         assert res.run.soc.min() >= 0.05
 
 
+@pytest.mark.parametrize("last_doy", [365, 366])
+def test_multi_day_starts_the_day_after_the_history(history, monkeypatch, last_doy):
+    # a chain after a history ending on day 365, or on a leap year's day 366,
+    # starts on day 1 of the next year
+    class Planned(Exception):
+        pass
+
+    def stop(history, target):
+        raise Planned(target)
+
+    first = last_doy - len(history) + 1
+    days = [replace(d, year=2016, day_of_year=first + i) for i, d in enumerate(history)]
+    monkeypatch.setattr(sim, "forecast_day", stop)
+    with pytest.raises(Planned) as exc:
+        run_multi_day(2, days, DayAheadConfig(soe0=250.0), MpcLimits(), PlantConfig())
+    target = exc.value.args[0]
+    assert (target.year, target.day_of_year) == (2017, 1)
+
+
 def test_offset_sign_follows_stored_energy(day_forecast):
     # planning from a nearly full battery biases the plan to discharge,
     # from a nearly empty one to charge

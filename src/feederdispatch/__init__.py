@@ -18,6 +18,6 @@ from .mpc import (MpcLimits, MpcProblem, ControlDecision, dispatch_error,
                   expected_average, build_problem, solve, to_power_setpoint)
 from .solver import (LinearProgram, QcqpProblem, SolveCertificate, solve_lp,
                      solve_qcqp)
-from .sim import (PlantConfig, BatteryPlant, SimulationRun, TrackingReport,
+from .sim import (PlantConfig, BatteryPlant, Controller, SimulationRun, TrackingReport,
                   InitState, run_day, run_multi_day, tracking_report,
                   peak_shave_check, step_trace)

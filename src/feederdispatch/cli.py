@@ -200,10 +200,13 @@ def cmd_run(args) -> int:
         else float(doc.get("initial_soc", 0.5))
 
     if args.days is not None:
+        for flag in ("plan", "trace"):      # a chain plans and draws each of its days
+            if getattr(args, flag):
+                raise ConfigError(f"--{flag} cannot be used with --days")
         history = load_history(_required_input(args, doc, "history"))
         cfg = dayahead_config(doc, soe0=0.0, p_max=args.p_max)
-        results = run_multi_day(args.days, history, cfg, limits, plant_cfg,
-                                seed=seed, initial_soc=initial_soc)
+        results = run_multi_day(args.days, history, cfg, limits, plant_cfg, seed=seed,
+                                initial_soc=initial_soc, battery_enabled=not args.no_battery)
         for d, res in enumerate(results):
             write_run_artifacts(out_dir / f"day{d}", res.run, res.plan, res.report, doc,
                                 emit_plots=args.emit_plots, limits=limits)

@@ -53,6 +53,8 @@ class TargetDayInfo:
     is_working_day: bool
 
     def __post_init__(self):
+        if not 1 <= self.day_of_year <= 366:
+            raise ValueError(f"day_of_year {self.day_of_year} outside 1..366")
         if self.radiation_forecast < 0:
             raise ValueError("radiation_forecast must be >= 0")
 

@@ -1,11 +1,11 @@
-"""Closed-loop simulation: prosumption replay plus battery physics driven by the
-10-second controller over one or more days, with tracking reports.
+"""Closed-loop simulation over one or more days, with tracking reports. Each step,
+the 10-second :class:`Controller` decides from measurements alone, keeping its state
+between steps and days, and a :class:`BatteryPlant` replays the battery's physics.
 
-The plant battery uses the same equivalent-circuit family as the controller but
-with independently perturbable parameters, converter actuation error and
-measurement noise, so model mismatch is exercised without real hardware. The
-composite GCP record always satisfies P = L + B exactly; measurement noise only
-affects what the controller sees.
+The plant uses the controller's equivalent-circuit family with independently
+perturbable parameters, converter actuation error and measurement noise, so model
+mismatch is exercised without real hardware. The composite GCP record always
+satisfies P = L + B exactly; measurement noise only affects what the controller sees.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .battery import (CONVERTER_EFF, ModelBank, KalmanState, TtcParameters, TABL
 from .dayahead import (DayAheadConfig, DispatchPlan, plan_day, save_plan)
 from .forecast import (SyntheticShape, HistoricalDay, TargetDayInfo, ar1_noise,
                        day_after, forecast_day, is_working_dayofyear, synthesize_day)
-from .mpc import MpcLimits, StepTelemetry, build_problem, solve
+from .mpc import ControlDecision, MpcLimits, StepTelemetry, build_problem, solve
 from .timegrid import N_SLOTS, STEPS_PER_SLOT, TimeGrid, DEFAULT_GRID
 
 
@@ -150,8 +150,6 @@ def step_trace(profile_kw: np.ndarray, rng: np.random.Generator | None = None,
 @dataclass
 class InitState:
     soc: float = 0.5
-    kalman: KalmanState | None = None
-    last_load: float | None = None
 
 
 @dataclass
@@ -174,11 +172,46 @@ class SimulationRun:
     solve_seconds: np.ndarray
     config: dict
     initial_soc: float = 0.0
-    final_kalman: KalmanState | None = None
-    final_last_load: float = 0.0
 
     def slot_average(self, series: np.ndarray) -> np.ndarray:
         return series.reshape(-1, STEPS_PER_SLOT).mean(axis=1)
+
+
+class Controller:
+    """The real-time controller of ``plan``: it sees measurements only, and keeps its
+    state (Kalman estimate, slot GCP average, last load) between steps and days.
+    :meth:`step` reads the voltage, previous current and SOC; :meth:`measured`, the GCP
+    and battery power of the step just actuated. The first last load is the forecast's."""
+
+    DISABLED = ControlDecision(np.zeros(0), b_setpoint=0.0, status="disabled", active="-")
+
+    def __init__(self, plan: DispatchPlan, bank: ModelBank, limits: MpcLimits,
+                 grid: TimeGrid, battery_enabled: bool = True):
+        self.bank, self.limits, self.grid = bank, limits, grid
+        self.battery_enabled, self._slot_sum, self._slot_count = battery_enabled, 0.0, 0
+        self.set_plan(plan)
+        self.kalman, self.last_load = KalmanState.initial(), float(plan.forecast.point[0])
+
+    def set_plan(self, plan: DispatchPlan) -> None:
+        if np.shape(plan.p_hat) != (self.grid.n_slots,):
+            raise ValueError(f"plan has {np.size(plan.p_hat)} slots, not {self.grid.n_slots}")
+        self.plan = plan
+
+    def step(self, k: int, v_meas: float, i_prev: float, soc: float):
+        """Update the Kalman filter, then build and solve step k's problem (unsolved and
+        ``DISABLED`` without the battery): (perf_counter before the build, problem, decision)."""
+        if k % STEPS_PER_SLOT == 0:      # the first step of a slot
+            self._slot_sum, self._slot_count = 0.0, 0
+        p_avg = self._slot_sum / self._slot_count if self._slot_count else 0.0
+        self.kalman = kalman_update(self.kalman, self.bank.voltage_model(soc), i_prev, v_meas)
+        t0 = time.perf_counter()
+        telemetry = StepTelemetry(p_avg, self.last_load, soc, self.kalman.x, v_meas)
+        problem = build_problem(k, self.plan, telemetry, self.bank, self.limits, self.grid)
+        return t0, problem, solve(problem) if self.battery_enabled else self.DISABLED
+
+    def measured(self, p_meas: float, b_kw: float) -> None:
+        self._slot_sum, self._slot_count = self._slot_sum + p_meas, self._slot_count + 1
+        self.last_load = p_meas - b_kw
 
 
 def run_day(plan: DispatchPlan, plant_cfg: PlantConfig, init: InitState, *,
@@ -189,76 +222,48 @@ def run_day(plan: DispatchPlan, plant_cfg: PlantConfig, init: InitState, *,
             limits: MpcLimits = MpcLimits(),
             grid: TimeGrid = DEFAULT_GRID,
             battery_enabled: bool = True) -> SimulationRun:
-    """Execute one day of real-time operation (8640 control steps, or ``grid``'s).
-
-    Per step: previous-interval measurements arrive, the slot set-point and
-    window indices are derived, the persistence forecast and dispatch error are
-    computed, the Kalman filter is updated from the DC voltage reading, the
-    model is scheduled by the plant's SOC and the control problem solved, and
-    the first current of the law is actuated on the plant.
-    """
-    trace_kw = np.asarray(trace_kw, dtype=float)
-    if trace_kw.shape != (grid.n_steps,):
-        raise ValueError(f"trace must have {grid.n_steps} values")
-    rng = rng if rng is not None else np.random.default_rng([seed, 1])
-    bank = bank if bank is not None else ModelBank()
+    """Execute one day (8640 steps, or ``grid``'s): a new :class:`Controller` decides from what
+    it measures, and ``plant`` (by default new, at ``init.soc``) actuates its decisions."""
+    controller = Controller(plan, bank or ModelBank(), limits, grid, battery_enabled)
     plant = plant if plant is not None else BatteryPlant(plant_cfg, seed, init.soc)
-    kalman = init.kalman if init.kalman is not None else KalmanState.initial()
-    last_load = init.last_load if init.last_load is not None else float(plan.forecast.point[0])
-    initial_soc = plant.soc
+    return _closed_loop(controller, plant, plant_cfg, trace_kw,
+                        rng if rng is not None else np.random.default_rng([seed, 1]))
 
-    n = grid.n_steps
+
+def _closed_loop(controller: Controller, plant: BatteryPlant, plant_cfg: PlantConfig,
+                 trace_kw: np.ndarray, rng: np.random.Generator) -> SimulationRun:
+    """Per step: the plant's voltage reading reaches the controller, which decides; the plant
+    actuates, and the measured GCP power returns. ``solve_seconds`` spans build to actuation."""
+    trace_kw = np.asarray(trace_kw, dtype=float)
+    n = controller.grid.n_steps
+    if trace_kw.shape != (n,):
+        raise ValueError(f"trace must have {n} values")
+    initial_soc = plant.soc
     rows: list[tuple] = []       # per step, the eight float series of SimulationRun
     status: list[str] = []
     active: list[str] = []
 
-    slot_sum = 0.0
-    slot_count = 0
-    prev_sample = 0.0        # measured composite of the previous step
-
     for k, l_k in enumerate(trace_kw.tolist()):
-        if k % STEPS_PER_SLOT == 0:      # the first step of a slot
-            slot_sum = 0.0
-            slot_count = 0
-        else:
-            slot_sum += prev_sample
-            slot_count += 1
-        p_avg = slot_sum / slot_count if slot_count else 0.0
-
         v_meas = plant.measure_voltage(rng, plant_cfg)
-        model = bank.voltage_model(plant.soc)
-        kalman = kalman_update(kalman, model, plant.last_i, v_meas)
-
-        t0 = time.perf_counter()
-        telemetry = StepTelemetry(p_avg=p_avg, last_load=last_load, soc=plant.soc,
-                                  x=kalman.x, v=v_meas)
-        problem = build_problem(k, plan, telemetry, bank, limits, grid)
-        if battery_enabled:
-            decision = solve(problem)
+        t0, problem, decision = controller.step(k, v_meas, plant.last_i, plant.soc)
+        if controller.battery_enabled:
             i_k, v_k, b_k = plant.apply_power(decision.b_setpoint, rng, plant_cfg, k)
-            st, act, b_sp = decision.status, decision.active, decision.b_setpoint
         else:
             i_k, v_k, b_k = plant.apply_current(0.0, k)
-            st, act, b_sp = "disabled", "-", 0.0
         solve_s = time.perf_counter() - t0
-
         p_k = l_k + b_k
-        rows.append((b_k, p_k, plant.soc, v_k, i_k, problem.e_k, b_sp, solve_s))
-        status.append(st)
-        active.append(act)
-
-        p_meas = p_k + (plant_cfg.power_noise_kw * rng.standard_normal()
-                        if plant_cfg.power_noise_kw > 0.0 else 0.0)
-        prev_sample = p_meas
-        last_load = p_meas - b_k
+        rows.append((b_k, p_k, plant.soc, v_k, i_k, problem.e_k, decision.b_setpoint, solve_s))
+        status.append(decision.status)
+        active.append(decision.active)
+        controller.measured(p_k + (plant_cfg.power_noise_kw * rng.standard_normal()
+                                   if plant_cfg.power_noise_kw > 0.0 else 0.0), b_k)
 
     b_kw, p_kw, soc, v, i_a, e_kwh, b_setpoint, solve_seconds = \
         np.array(rows).reshape(n, 8).T.copy()
     return SimulationRun(k=np.arange(n, dtype=np.int32), l_kw=trace_kw, b_kw=b_kw, p_kw=p_kw,
                          soc=soc, v=v, i_a=i_a, e_kwh=e_kwh, b_setpoint_kw=b_setpoint,
                          status=status, active=active, solve_seconds=solve_seconds,
-                         config=asdict(plant_cfg), initial_soc=initial_soc,
-                         final_kalman=kalman, final_last_load=last_load)
+                         config=asdict(plant_cfg), initial_soc=initial_soc)
 
 
 # ---------------------------------------------------------------------------
@@ -348,8 +353,10 @@ def run_multi_day(days: int, history: list[HistoricalDay],
                   dayahead_cfg: DayAheadConfig, limits: MpcLimits,
                   plant_cfg: PlantConfig, *, seed: int = 0,
                   initial_soc: float = 0.5,
-                  realization_scale: float = 1.0) -> list[DayResult]:
-    """Chain consecutive days with battery-state continuity.
+                  realization_scale: float = 1.0,
+                  battery_enabled: bool = True) -> list[DayResult]:
+    """Chain consecutive days with one plant and one :class:`Controller`, which
+    takes each day's plan in turn.
 
     Each day's plan is computed one hour before its start, predicting the
     initial stored energy by persistence: the SOC observed at 23:00 (for the
@@ -359,10 +366,7 @@ def run_multi_day(days: int, history: list[HistoricalDay],
     """
     if days < 1:
         raise ValueError("days must be >= 1")
-    bank = ModelBank()
     plant = BatteryPlant(plant_cfg, seed, initial_soc)
-    kalman = KalmanState.initial()
-    last_load: float | None = None
     soc_at_plan_time = initial_soc
 
     last = max(history, key=lambda d: (d.year, d.day_of_year))
@@ -372,7 +376,6 @@ def run_multi_day(days: int, history: list[HistoricalDay],
         year, doy = day_after(year, doy)
         rng_day = np.random.default_rng([seed, 10_000 + d])
         true_day = synthesize_day(rng_day, year, doy, SyntheticShape())
-        true_profile = true_day.profile * realization_scale
         target = TargetDayInfo(year=year, day_of_year=doy,
                                radiation_forecast=true_day.daily_radiation,
                                is_working_day=is_working_dayofyear(doy))
@@ -384,15 +387,14 @@ def run_multi_day(days: int, history: list[HistoricalDay],
             if hasattr(exc, "add_note"):
                 exc.add_note(f"while planning day {d} of the chain")
             raise
-        trace = step_trace(true_profile, rng_day, plant_cfg.step_noise_kw,
-                           plant_cfg.step_noise_ar)
-        run = run_day(plan, plant_cfg, InitState(soc=plant.soc, kalman=kalman,
-                                                 last_load=last_load),
-                      trace_kw=trace, seed=seed, rng=rng_day, plant=plant,
-                      bank=bank, limits=limits)
+        if d == 0:
+            controller = Controller(plan, ModelBank(), limits, DEFAULT_GRID, battery_enabled)
+        else:
+            controller.set_plan(plan)
+        trace = step_trace(true_day.profile * realization_scale, rng_day,
+                           plant_cfg.step_noise_kw, plant_cfg.step_noise_ar)
+        run = _closed_loop(controller, plant, plant_cfg, trace, rng_day)
         results.append(DayResult(plan=plan, run=run, report=tracking_report(run, plan)))
-        kalman = run.final_kalman
-        last_load = run.final_last_load
         soc_at_plan_time = float(run.soc[(N_SLOTS - PLAN_LEAD_SLOTS) * STEPS_PER_SLOT - 1])
     return results
 

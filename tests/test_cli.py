@@ -56,6 +56,23 @@ def test_plan_targets_the_day_after_the_history(history, tmp_path, capsys, last_
     assert "plan for year 2017 day 1: feasible" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("day", [0, 367, -3])
+def test_plan_rejects_a_target_day_outside_the_year(synth_history, tmp_path, capsys, day):
+    out = tmp_path / "plan.csv"
+    argv = ["plan", "--history", str(synth_history), "--out", str(out), "--target-day", str(day)]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert f"day_of_year {day} outside 1..366" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("day", [1, 366])
+def test_plan_accepts_the_first_and_last_day_of_the_year(synth_history, tmp_path, capsys, day):
+    argv = ["plan", "--history", str(synth_history), "--out", str(tmp_path / "plan.csv"),
+            "--target-day", str(day)]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert f"plan for year 2016 day {day}: feasible" in capsys.readouterr().out
+
+
 def test_plan_logs_facts_at_info(synth_history, tmp_path, caplog, capsys):
     argv = ["plan", "--history", str(synth_history), "--out", str(tmp_path / "plan.csv")]
     assert cli.main(argv) == cli.EXIT_OK
@@ -147,6 +164,42 @@ def test_trace_of_wrong_length_exits_2(synth_history, tmp_path, capsys):
     assert cli.main(argv) == cli.EXIT_CONFIG
     assert "trace must hold 8640 values" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+def test_plan_shorter_than_the_day_exits_2(synth_history, tmp_path, capsys):
+    # a 10-slot plan with a whole day's trace is refused before the first step
+    plan, short, trace = tmp_path / "plan.csv", tmp_path / "short.csv", tmp_path / "trace.txt"
+    assert cli.main(["plan", "--history", str(synth_history), "--out", str(plan)]) == 0
+    short.write_text("".join(plan.read_text().splitlines(keepends=True)[:12]))
+    trace.write_text("\n".join(["100.0"] * 8640) + "\n")
+    argv = ["run", "--plan", str(short), "--trace", str(trace), "--out-dir", str(tmp_path / "run")]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert "plan has 10 slots, not 288" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("flag", ["plan", "trace"])
+def test_run_days_refuses_a_plan_or_trace(synth_history, tmp_path, capsys, flag):
+    argv = ["run", "--days", "1", "--history", str(synth_history), f"--{flag}", "x.csv",
+            "--out-dir", str(tmp_path / "run")]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert f"--{flag} cannot be used with --days" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_run_days_without_battery(synth_history, tmp_path, capsys):
+    # the chain honours --no-battery; the config's plan and trace paths, which
+    # only a single-day run reads, are not refused
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"paths": {"plan": "p.csv", "trace": "t.txt"}}))
+    out = tmp_path / "run"
+    argv = ["run", "--days", "1", "--history", str(synth_history), "--no-battery",
+            "--config", str(config), "--out-dir", str(out)]
+    assert cli.main(argv) == cli.EXIT_OK
+    rows = (out / "day0" / "steps.csv").read_text().splitlines()[2:]
+    assert len(rows) == 8640
+    assert all(row.split(",")[9] == "disabled" for row in rows)
+    assert all(float(row.split(",")[6]) == 0.0 for row in rows)
 
 
 def test_infeasible_plan_exits_3(synth_history, tmp_path, capsys):

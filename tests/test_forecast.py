@@ -30,6 +30,17 @@ def test_day_validation():
         _day(2016, 10, 1.0, -0.5)
 
 
+@pytest.mark.parametrize("doy", [0, 367, -3])
+def test_target_day_out_of_range_rejected(doy):
+    with pytest.raises(ValueError, match=f"day_of_year {doy} outside 1..366"):
+        TargetDayInfo(2016, doy, 3.0, is_working_day=True)
+
+
+@pytest.mark.parametrize("doy", [1, 366])
+def test_target_day_edges_accepted(doy):
+    assert TargetDayInfo(2016, doy, 3.0, is_working_day=True).day_of_year == doy
+
+
 def test_select_days_filters_kind():
     history = [_day(2016, d, d, 3.0, working=(d % 2 == 0)) for d in range(1, 41)]
     target = TargetDayInfo(2016, 41, 3.0, is_working_day=False)

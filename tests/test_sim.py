@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from feederdispatch import sim, solver
-from feederdispatch.battery import TABLE1, ModelBank, reduce_and_discretize, voltage_step
+from feederdispatch.battery import (TABLE1, KalmanState, ModelBank, reduce_and_discretize,
+                                    voltage_step)
 from feederdispatch.dayahead import DayAheadConfig, DispatchPlan, OffsetPlan, plan_day
 from feederdispatch.forecast import (ProsumptionForecast, point_forecast,
                                      synthesize_history)
@@ -313,6 +314,36 @@ def test_multi_day_starts_the_day_after_the_history(history, monkeypatch, last_d
     assert (target.year, target.day_of_year) == (2017, 1)
 
 
+def test_chain_hands_the_controller_state_to_the_next_day(monkeypatch):
+    # day 1's first Kalman update starts from the state day 0's last update
+    # returned, and its first problem sees day 0's last measured load (with no
+    # GCP measurement noise, p - b of day 0's last step), not the new forecast
+    updates, telemetry = [], []
+    kalman_update, build_problem = sim.kalman_update, sim.build_problem
+
+    def recording_update(state, *args):
+        updates.append((state, kalman_update(state, *args)))
+        return updates[-1][1]
+
+    def recording_build(k, plan, tele, *args):
+        telemetry.append(tele)
+        return build_problem(k, plan, tele, *args)
+
+    monkeypatch.setattr(sim, "kalman_update", recording_update)
+    monkeypatch.setattr(sim, "build_problem", recording_build)
+    history = synthesize_history(seed=7, days=45)
+    day0, day1 = run_multi_day(2, history, DayAheadConfig(soe0=250.0), MpcLimits(),
+                               replace(PlantConfig(), power_noise_kw=0.0), seed=3)
+    n = grid.n_steps
+    assert len(updates) == len(telemetry) == 2 * n
+    assert updates[n][0] is updates[n - 1][1]
+    assert not np.array_equal(updates[n][0].x, KalmanState.initial().x)
+    last_load = day0.run.p_kw[-1] - day0.run.b_kw[-1]
+    assert telemetry[n].last_load == last_load
+    assert last_load != day1.plan.forecast.point[0]
+    assert telemetry[0].last_load == day0.plan.forecast.point[0]
+
+
 def test_offset_sign_follows_stored_energy(day_forecast):
     # planning from a nearly full battery biases the plan to discharge,
     # from a nearly empty one to charge
@@ -444,3 +475,24 @@ def test_steps_csv_of_a_two_slot_grid(tmp_path):
     write_run_artifacts(tmp_path, run, plan, tracking_report(run, plan))
     _check_steps_csv(tmp_path / "steps.csv", run)
     assert any("," in a for a in run.active)
+
+
+def test_run_day_calls_the_layers_by_the_names_sim_binds(monkeypatch):
+    # perfbench times the closed loop's layers by wrapping these four names:
+    # each must run once per step of the stretch
+    calls = {}
+
+    def count(owner, name):
+        fn = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+
+    for name in ("kalman_update", "build_problem", "solve"):
+        count(sim, name)
+    count(sim.BatteryPlant, "apply_power")
+    run = _two_slot_run(ModelBank(), 0.5, [100.0, 100.0], [0.0, 10.0])
+    assert run.k.size == 60
+    assert calls == dict.fromkeys(["kalman_update", "build_problem", "solve", "apply_power"], 60)

@@ -4,7 +4,7 @@ model-predictive tracking controller, plus a closed-loop simulator."""
 
 __version__ = "0.1.0"
 
-from .timegrid import TimeGrid, SlotWindow, DEFAULT_GRID
+from .timegrid import TimeGrid
 from .forecast import (HistoricalDay, TargetDayInfo, ProsumptionForecast,
                        select_days, point_forecast, forecast_day,
                        short_term_predict, synthesize_history)

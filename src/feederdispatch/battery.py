@@ -17,6 +17,7 @@ by the Kalman filter is exp(sigma2).
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -216,7 +217,8 @@ class KalmanState:
 
 def kalman_update(st: KalmanState, m: DiscreteStateSpace, i_prev: float,
                   v_meas: float) -> KalmanState:
-    """One predict + measurement-update cycle of the 2-state voltage model.
+    """One predict + measurement-update cycle of the 2-state voltage model; a NaN
+    ``v_meas`` (no reading) runs the predict step only.
 
     The innovation subtracts the full output prediction including the
     feedthrough d_i*i_prev + d_1 (the EMF channel), since the measured terminal
@@ -240,6 +242,9 @@ def kalman_update(st: KalmanState, m: DiscreteStateSpace, i_prev: float,
     q01 = t00 * a10 + t01 * a11 + (k00 * k10 + k01 * k11)
     q10 = t10 * a00 + t11 * a01 + (k10 * k00 + k11 * k01)
     q11 = t10 * a10 + t11 * a11 + (k10 * k10 + k11 * k11)
+    if math.isnan(v_meas):          # no reading: the predict step only
+        off = 0.5 * (q01 + q10)
+        return KalmanState(x=np.array([y0, y1]), p=np.array([[q00, off], [off, q11]]))
     s = (c0 * q00 + c1 * q10) * c0 + (c0 * q01 + c1 * q11) * c1 + r
     g0, g1 = (q00 * c0 + q01 * c1) / s, (q10 * c0 + q11 * c1) / s
     innov = v_meas - (c0 * y0 + c1 * y1) - m.d_i * i_prev - m.d_1

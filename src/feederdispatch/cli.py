@@ -28,7 +28,7 @@ from .sim import (InitState, PlantConfig, PlantStateError, format_report,
                   peak_shave_check, run_day, run_multi_day, step_trace,
                   tracking_report, write_run_artifacts)
 from .solver import SolverError
-from .timegrid import DEFAULT_GRID
+from .timegrid import N_SLOTS, STEPS_PER_SLOT
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -219,11 +219,13 @@ def cmd_run(args) -> int:
         return EXIT_OK
 
     plan = load_plan(_required_input(args, doc, "plan"))
+    if plan.p_hat.size != N_SLOTS:         # a run of the CLI is a whole day
+        raise ConfigError(f"plan has {plan.p_hat.size} slots, not {N_SLOTS}")
     trace_path = args.trace or doc.get("paths", {}).get("trace")
     if trace_path:
         trace = np.loadtxt(trace_path, comments="#")
-        if trace.shape != (DEFAULT_GRID.n_steps,):
-            raise ConfigError(f"trace must hold {DEFAULT_GRID.n_steps} values")
+        if trace.shape != (N_SLOTS * STEPS_PER_SLOT,):
+            raise ConfigError(f"trace must hold {N_SLOTS * STEPS_PER_SLOT} values")
     else:
         rng = np.random.default_rng([seed, 3])
         trace = step_trace(np.asarray(plan.forecast.point), rng,

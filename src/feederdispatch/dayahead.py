@@ -279,12 +279,20 @@ def save_plan(path, plan: DispatchPlan) -> None:
 
 def load_plan(path) -> DispatchPlan:
     """Rebuild a DispatchPlan from a plan file, its forecast without members and its
-    offset without an objective; wrong envelope signs raise ValueError."""
+    offset without an objective. Its n rows hold the slots 0..n-1 in any order, each
+    once; a bad slot column or wrong envelope signs raise ValueError."""
     data = np.loadtxt(path, delimiter=",", ndmin=2)
     if data.shape[1] != 6:
         raise ValueError(f"{path}: expected 6 columns per plan row")
-    order = np.argsort(data[:, 0])
-    data = data[order]
+    slots, n = data[:, 0], data.shape[0]
+    first = np.zeros(n, dtype=bool)
+    first[np.unique(slots, return_index=True)[1]] = True
+    bad = ~first | (slots != np.round(slots)) | (slots < 0) | (slots >= n)
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise ValueError(f"{path}: plan row {row} has slot {slots[row]:g}; "
+                         f"the slots must be 0..{n - 1}, each once")
+    data = data[np.argsort(slots)]
     forecast = ProsumptionForecast(data[:, 3], data[:, 4], data[:, 5], members=())
     offset = OffsetPlan(f=data[:, 2], objective=np.nan,
                         certificate=solver.SolveCertificate(status="optimal"))

@@ -18,7 +18,7 @@ import numpy as np
 from . import solver
 from .battery import CONVERTER_EFF, ModelBank
 from .dayahead import DispatchPlan
-from .timegrid import SLOT_SECONDS, STEP_SECONDS, STEPS_PER_SLOT, TimeGrid, DEFAULT_GRID
+from .timegrid import SLOT_SECONDS, STEP_SECONDS, STEPS_PER_SLOT
 from .forecast import short_term_predict
 
 # kWh per kW of DC power over one step, incl. converter loss
@@ -128,23 +128,27 @@ def dispatch_error(p_star: float, p_plus: float) -> float:
     return (SLOT_SECONDS / 3600.0) * (p_star - p_plus)
 
 
-def expected_average(window, k: int, p_k: float, short_term: np.ndarray) -> float:
-    """Expected slot-average composite power: observed part plus the short-term
-    prosumption predictions for the remaining steps."""
-    expected = window.k_hi - k + 1
-    if short_term.size != expected:
-        raise ValueError(f"short_term must have {expected} values, got {short_term.size}")
-    return ((k - window.k_lo) * p_k + float(short_term.sum())) / (window.k_hi - window.k_lo + 1)
+def expected_average(done: int, p_k: float, short_term: np.ndarray) -> float:
+    """Expected slot-average composite power: the average ``p_k`` of the ``done``
+    steps already measured in the slot plus the short-term prosumption predictions
+    for the remaining steps."""
+    if short_term.size != STEPS_PER_SLOT - done:
+        raise ValueError(f"short_term must have {STEPS_PER_SLOT - done} values, "
+                         f"got {short_term.size}")
+    return (done * p_k + float(short_term.sum())) / STEPS_PER_SLOT
 
 
 def build_problem(k: int, plan: DispatchPlan, telemetry: StepTelemetry,
-                  bank: ModelBank, limits: MpcLimits,
-                  grid: TimeGrid = DEFAULT_GRID) -> MpcProblem:
-    """Assemble the step-k control problem from the plan and fresh telemetry."""
-    window = grid.window_of(k)
-    horizon = window.k_hi - k + 1
-    p_star = float(plan.p_hat[window.slot])
-    p_plus = expected_average(window, k, telemetry.p_avg,
+                  bank: ModelBank, limits: MpcLimits) -> MpcProblem:
+    """Assemble the step-k control problem from the plan and fresh telemetry: step k
+    lies in slot k // STEPS_PER_SLOT, and its horizon runs to that slot's end.
+    IndexError if k lies outside the plan."""
+    slot, done = divmod(k, STEPS_PER_SLOT)
+    if not 0 <= slot < plan.p_hat.size:
+        raise IndexError(f"step index {k} outside [0, {plan.p_hat.size * STEPS_PER_SLOT})")
+    horizon = STEPS_PER_SLOT - done
+    p_star = float(plan.p_hat[slot])
+    p_plus = expected_average(done, telemetry.p_avg,
                               short_term_predict(telemetry.last_load, horizon))
     e_k = dispatch_error(p_star, p_plus)
     vm = bank.voltage_model(telemetry.soc)

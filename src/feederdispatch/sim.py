@@ -26,7 +26,7 @@ from .dayahead import (DayAheadConfig, DispatchPlan, plan_day, save_plan)
 from .forecast import (SyntheticShape, HistoricalDay, TargetDayInfo, ar1_noise,
                        day_after, forecast_day, is_working_dayofyear, synthesize_day)
 from .mpc import ControlDecision, MpcLimits, StepTelemetry, build_problem, solve
-from .timegrid import N_SLOTS, STEPS_PER_SLOT, TimeGrid, DEFAULT_GRID
+from .timegrid import N_SLOTS, STEPS_PER_SLOT, TimeGrid
 
 
 class PlantStateError(RuntimeError):
@@ -53,6 +53,8 @@ class PlantConfig:
                      "step_noise_kw"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
+        if not -1.0 < self.step_noise_ar < 1.0:     # else the AR(1) noise is not stationary
+            raise ValueError(f"step_noise_ar {self.step_noise_ar} outside (-1, 1)")
 
     @staticmethod
     def noiseless() -> "PlantConfig":
@@ -154,9 +156,10 @@ class InitState:
 
 @dataclass
 class SimulationRun:
-    """Closed-loop trace of one day or a stretch of whole slots. ``l_kw`` is the replayed
-    trace, not a copy; ``k`` is int32. ``soc`` is the plant's, which the controller reads;
-    step k's horizon is the STEPS_PER_SLOT - k % STEPS_PER_SLOT steps left in its slot."""
+    """Closed-loop trace of the plan's slots, a whole day or a stretch: STEPS_PER_SLOT steps
+    per slot. ``l_kw`` is the replayed trace, not a copy; ``k`` is int32. ``soc`` is the
+    plant's, which the controller reads; step k's horizon is the
+    STEPS_PER_SLOT - k % STEPS_PER_SLOT steps left in its slot."""
 
     k: np.ndarray
     l_kw: np.ndarray
@@ -178,39 +181,40 @@ class SimulationRun:
 
 
 class Controller:
-    """The real-time controller of ``plan``: it sees measurements only, and keeps its
-    state (Kalman estimate, slot GCP average, last load) between steps and days.
-    :meth:`step` reads the voltage, previous current and SOC; :meth:`measured`, the GCP
-    and battery power of the step just actuated. The first last load is the forecast's."""
+    """The real-time controller of ``plan``, which a chain replaces each day: it sees
+    measurements only, and keeps its state (Kalman estimate, slot GCP sum, last load)
+    between steps and days. :meth:`step` reads the voltage, previous current and SOC;
+    :meth:`measured`, once per step, the GCP and battery power just actuated. The first
+    last load is the forecast's."""
 
     DISABLED = ControlDecision(np.zeros(0), b_setpoint=0.0, status="disabled", active="-")
 
     def __init__(self, plan: DispatchPlan, bank: ModelBank, limits: MpcLimits,
-                 grid: TimeGrid, battery_enabled: bool = True):
-        self.bank, self.limits, self.grid = bank, limits, grid
-        self.battery_enabled, self._slot_sum, self._slot_count = battery_enabled, 0.0, 0
-        self.set_plan(plan)
+                 battery_enabled: bool = True):
+        self.plan, self.bank, self.limits = plan, bank, limits
+        self.battery_enabled, self._slot_sum = battery_enabled, 0.0
         self.kalman, self.last_load = KalmanState.initial(), float(plan.forecast.point[0])
-
-    def set_plan(self, plan: DispatchPlan) -> None:
-        if np.shape(plan.p_hat) != (self.grid.n_slots,):
-            raise ValueError(f"plan has {np.size(plan.p_hat)} slots, not {self.grid.n_slots}")
-        self.plan = plan
 
     def step(self, k: int, v_meas: float, i_prev: float, soc: float):
         """Update the Kalman filter, then build and solve step k's problem (unsolved and
-        ``DISABLED`` without the battery): (perf_counter before the build, problem, decision)."""
-        if k % STEPS_PER_SLOT == 0:      # the first step of a slot
-            self._slot_sum, self._slot_count = 0.0, 0
-        p_avg = self._slot_sum / self._slot_count if self._slot_count else 0.0
-        self.kalman = kalman_update(self.kalman, self.bank.voltage_model(soc), i_prev, v_meas)
+        ``DISABLED`` without the battery): (perf_counter before the build, problem, decision).
+        A NaN voltage reading runs the filter's predict step only, and the set-point is
+        converted with the voltage the model predicts."""
+        done = k % STEPS_PER_SLOT       # steps of the slot measured so far
+        if done == 0:
+            self._slot_sum = 0.0
+        p_avg = self._slot_sum / done if done else 0.0
+        vm = self.bank.voltage_model(soc)
+        self.kalman = kalman_update(self.kalman, vm, i_prev, v_meas)
+        if math.isnan(v_meas):
+            v_meas = battery.voltage_step(vm, self.kalman.x, i_prev)[1]
         t0 = time.perf_counter()
         telemetry = StepTelemetry(p_avg, self.last_load, soc, self.kalman.x, v_meas)
-        problem = build_problem(k, self.plan, telemetry, self.bank, self.limits, self.grid)
+        problem = build_problem(k, self.plan, telemetry, self.bank, self.limits)
         return t0, problem, solve(problem) if self.battery_enabled else self.DISABLED
 
     def measured(self, p_meas: float, b_kw: float) -> None:
-        self._slot_sum, self._slot_count = self._slot_sum + p_meas, self._slot_count + 1
+        self._slot_sum += p_meas
         self.last_load = p_meas - b_kw
 
 
@@ -220,11 +224,14 @@ def run_day(plan: DispatchPlan, plant_cfg: PlantConfig, init: InitState, *,
             plant: BatteryPlant | None = None,
             bank: ModelBank | None = None,
             limits: MpcLimits = MpcLimits(),
-            grid: TimeGrid = DEFAULT_GRID,
+            grid: TimeGrid | None = None,
             battery_enabled: bool = True) -> SimulationRun:
-    """Execute one day (8640 steps, or ``grid``'s): a new :class:`Controller` decides from what
-    it measures, and ``plant`` (by default new, at ``init.soc``) actuates its decisions."""
-    controller = Controller(plan, bank or ModelBank(), limits, grid, battery_enabled)
+    """Run the plan's slots, a whole day or a stretch, STEPS_PER_SLOT steps each: a new
+    :class:`Controller` decides from what it measures, and ``plant`` (by default new, at
+    ``init.soc``) actuates its decisions. A ``grid`` is only checked against the plan."""
+    if grid is not None and grid.n_slots != plan.p_hat.size:
+        raise ValueError(f"plan has {plan.p_hat.size} slots, not {grid.n_slots}")
+    controller = Controller(plan, bank or ModelBank(), limits, battery_enabled)
     plant = plant if plant is not None else BatteryPlant(plant_cfg, seed, init.soc)
     return _closed_loop(controller, plant, plant_cfg, trace_kw,
                         rng if rng is not None else np.random.default_rng([seed, 1]))
@@ -235,7 +242,7 @@ def _closed_loop(controller: Controller, plant: BatteryPlant, plant_cfg: PlantCo
     """Per step: the plant's voltage reading reaches the controller, which decides; the plant
     actuates, and the measured GCP power returns. ``solve_seconds`` spans build to actuation."""
     trace_kw = np.asarray(trace_kw, dtype=float)
-    n = controller.grid.n_steps
+    n = STEPS_PER_SLOT * controller.plan.p_hat.size
     if trace_kw.shape != (n,):
         raise ValueError(f"trace must have {n} values")
     initial_soc = plant.soc
@@ -388,9 +395,9 @@ def run_multi_day(days: int, history: list[HistoricalDay],
                 exc.add_note(f"while planning day {d} of the chain")
             raise
         if d == 0:
-            controller = Controller(plan, ModelBank(), limits, DEFAULT_GRID, battery_enabled)
+            controller = Controller(plan, ModelBank(), limits, battery_enabled)
         else:
-            controller.set_plan(plan)
+            controller.plan = plan
         trace = step_trace(true_day.profile * realization_scale, rng_day,
                            plant_cfg.step_noise_kw, plant_cfg.step_noise_ar)
         run = _closed_loop(controller, plant, plant_cfg, trace, rng_day)

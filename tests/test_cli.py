@@ -178,6 +178,19 @@ def test_plan_shorter_than_the_day_exits_2(synth_history, tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("ar", [1.0, 1.5])
+def test_run_rejects_a_non_stationary_step_noise(synth_history, tmp_path, capsys, ar):
+    # step_noise_ar outside (-1, 1) is a config error, named before any step runs
+    plan, config = tmp_path / "plan.csv", tmp_path / "config.json"
+    assert cli.main(["plan", "--history", str(synth_history), "--out", str(plan)]) == 0
+    config.write_text(json.dumps({"plant": {"step_noise_ar": ar}}))
+    argv = ["run", "--plan", str(plan), "--config", str(config),
+            "--out-dir", str(tmp_path / "run")]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert f"step_noise_ar {ar} outside (-1, 1)" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("flag", ["plan", "trace"])
 def test_run_days_refuses_a_plan_or_trace(synth_history, tmp_path, capsys, flag):
     argv = ["run", "--days", "1", "--history", str(synth_history), f"--{flag}", "x.csv",

@@ -357,6 +357,32 @@ def test_load_plan_rejects_wrong_envelope_sign(tmp_path, day_forecast):
         load_plan(path)
 
 
+@pytest.mark.parametrize("slots,row", [([0] * 288, 1), ([0, 1, 1, 3] + list(range(4, 288)), 2),
+                                       (list(range(1, 289)), 287), ([0.5] + list(range(1, 288)), 0),
+                                       ([-1] + list(range(1, 288)), 0)])
+def test_load_plan_rejects_a_bad_slot_column(tmp_path, day_forecast, slots, row):
+    # the n rows of a plan file hold the slots 0..n-1, each once, in any order
+    plan = plan_day(day_forecast, _cfg())
+    path = tmp_path / "plan.csv"
+    save_plan(path, plan)
+    lines = path.read_text().splitlines()
+    for j, slot in enumerate(slots):
+        lines[2 + j] = ",".join([str(slot)] + lines[2 + j].split(",")[1:])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"plan row {row} has slot"):
+        load_plan(path)
+
+
+def test_load_plan_sorts_shuffled_rows(tmp_path, day_forecast, rng):
+    plan = plan_day(day_forecast, _cfg())
+    path = tmp_path / "plan.csv"
+    save_plan(path, plan)
+    lines = path.read_text().splitlines()
+    rows = lines[2:]
+    path.write_text("\n".join(lines[:2] + [rows[j] for j in rng.permutation(len(rows))]) + "\n")
+    assert np.array_equal(load_plan(path).p_hat, plan.p_hat)
+
+
 def test_backoff_tightens_bounds(day_forecast):
     cfg = _cfg(soe_backoff=20.0)
     low, high = worst_case_soe(solve_offset(day_forecast, cfg).f, day_forecast, cfg)

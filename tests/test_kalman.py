@@ -156,3 +156,19 @@ def test_indefinite_covariance_is_clipped():
         st = kalman_update(KalmanState(x=np.zeros(2), p=p), blind, 10.0, 650.0)
     assert np.array_equal(st.p, (vecs * np.maximum(w, 0.0)) @ vecs.T)
     assert np.linalg.eigvalsh(st.p).min() >= -1e-12
+
+
+def test_nan_reading_runs_the_predict_step_only(rng):
+    # no voltage reading: the state and covariance are the predicted ones
+    m = reduce_and_discretize(TABLE1[2], 10.0)
+    for _ in range(20):
+        x = rng.normal(size=2) * 3.0
+        f = rng.normal(size=(2, 2))
+        p = f @ f.T
+        i_prev = float(rng.uniform(-810, 810))
+        st = kalman_update(KalmanState(x=x.copy(), p=p.copy()), m, i_prev, float("nan"))
+        x_pred = m.a @ x + m.b_i * i_prev + m.b_1
+        p_pred = m.a @ p @ m.a.T + m.k @ m.k.T
+        assert np.abs(st.x - x_pred).max() <= 1e-12 * np.abs(x_pred).max()
+        assert np.abs(st.p - p_pred).max() <= 1e-12 * np.abs(p_pred).max()
+        assert st.p[0, 1] == st.p[1, 0]

@@ -5,17 +5,14 @@ from hypothesis import example, given, settings, strategies as st
 from feederdispatch import solver
 from feederdispatch.battery import ModelBank, soc_step, voltage_step
 from feederdispatch.dayahead import DispatchPlan
-from feederdispatch.forecast import ProsumptionForecast
+from feederdispatch.forecast import ProsumptionForecast, short_term_predict
 from feederdispatch.mpc import (ALPHA, MpcLimits, MpcProblem,
                                 StepTelemetry, build_problem, dispatch_error,
                                 expected_average, solve, to_power_setpoint)
-from feederdispatch.timegrid import DEFAULT_GRID
 
 from oracles import (active_groups_loop, active_set_qcqp, concatenated_rhs,
                      grid_current_search, min_quadratic_over_rows, mpc_constraints_satisfied,
                      mpc_throughput, qcqp_optimum)
-
-grid = DEFAULT_GRID
 
 
 def _problem(bank, h=30, e_k=0.0, x=None, soc=0.5, limits=None, v=652.0):
@@ -44,12 +41,11 @@ def test_dispatch_error():
 
 
 def test_expected_average():
-    w = grid.window_of(0)
-    assert expected_average(w, 0, 0.0, np.full(30, 7.0)) == pytest.approx(7.0)
-    assert expected_average(w, 29, 7.0, np.array([7.0])) == pytest.approx(7.0)
-    assert expected_average(w, 10, 120.0, np.full(20, 90.0)) == pytest.approx(100.0)
+    assert expected_average(0, 0.0, np.full(30, 7.0)) == pytest.approx(7.0)
+    assert expected_average(29, 7.0, np.array([7.0])) == pytest.approx(7.0)
+    assert expected_average(10, 120.0, np.full(20, 90.0)) == pytest.approx(100.0)
     with pytest.raises(ValueError):
-        expected_average(w, 10, 100.0, np.full(5, 90.0))
+        expected_average(10, 100.0, np.full(5, 90.0))
 
 
 def _plan_for(bank, level=100.0):
@@ -59,6 +55,46 @@ def _plan_for(bank, level=100.0):
     offset = OffsetPlan(f=np.zeros(288), objective=0.0,
                         certificate=solver.SolveCertificate("optimal"))
     return DispatchPlan(p_hat=fc.point.copy(), forecast=fc, offset=offset)
+
+
+def _slot_index_plan(bank, n_slots=288):
+    """A plan whose slot i commits i kW: with no load measured or predicted, step k's
+    target is dispatch_error(k's slot, 0)."""
+    from dataclasses import replace
+    return replace(_plan_for(bank), p_hat=np.arange(n_slots, dtype=float))
+
+
+_IDLE = StepTelemetry(p_avg=0.0, last_load=0.0, soc=0.5, x=np.zeros(2), v=652.0)
+
+
+def test_build_problem_slot_boundaries_and_range(bank):
+    # step k lies in slot k // 30 and its horizon runs to that slot's end;
+    # a k outside the plan's steps raises, whatever the plan's length
+    plan = _slot_index_plan(bank)
+    for k, slot, horizon in ((0, 0, 30), (29, 0, 1), (59, 1, 1), (60, 2, 30),
+                             (90, 3, 30), (96, 3, 24), (119, 3, 1), (8639, 287, 1)):
+        p = build_problem(k, plan, _IDLE, bank, MpcLimits())
+        assert (p.horizon, p.e_k) == (horizon, dispatch_error(float(slot), 0.0)), k
+    for bad in (-1, 8640):
+        with pytest.raises(IndexError):
+            build_problem(bad, plan, _IDLE, bank, MpcLimits())
+    short = _slot_index_plan(bank, 10)
+    assert build_problem(299, short, _IDLE, bank, MpcLimits()).horizon == 1
+    with pytest.raises(IndexError):
+        build_problem(300, short, _IDLE, bank, MpcLimits())
+
+
+@given(st.integers(min_value=0, max_value=8639), st.floats(0.0, 200.0),
+       st.floats(0.0, 200.0))
+def test_build_problem_slot_and_horizon_of_every_step(bank, k, p_avg, last_load):
+    # the slot's committed power, the measured steps and the horizon all follow from k
+    plan = _slot_index_plan(bank)
+    tel = StepTelemetry(p_avg=p_avg, last_load=last_load, soc=0.5, x=np.zeros(2), v=652.0)
+    p = build_problem(k, plan, tel, bank, MpcLimits())
+    done = k % 30
+    assert p.horizon == 30 - done
+    p_plus = expected_average(done, p_avg, short_term_predict(last_load, 30 - done))
+    assert p.e_k == dispatch_error(float(k // 30), p_plus)
 
 
 def test_build_problem_horizons(bank):

@@ -1,4 +1,5 @@
 import csv
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -15,11 +16,11 @@ from feederdispatch.sim import (BatteryPlant, ErrorStats, InitState, PlantConfig
                                 PlantStateError, SimulationRun, format_report,
                                 peak_shave_check, run_day, run_multi_day,
                                 step_trace, tracking_report, write_run_artifacts)
-from feederdispatch.timegrid import DEFAULT_GRID, TimeGrid
+from feederdispatch.timegrid import TimeGrid
 
 from oracles import matrix_voltage_step, mpc_constraints_satisfied, scalar_step_trace
 
-grid = DEFAULT_GRID
+grid = TimeGrid()
 
 
 def _flat_plan(level=150.0):
@@ -149,6 +150,18 @@ def test_plant_state_error():
             plant.apply_current(810.0, step=k)
     assert exc.value.step < 100
     assert "SOC" in str(exc.value)
+
+
+@pytest.mark.parametrize("ar", [1.0, 1.5, -1.0, math.nan])
+def test_plant_config_rejects_a_non_stationary_step_noise(ar):
+    # AR(1) noise with |ar| >= 1 has no stationary variance: the trace would be inf or NaN
+    with pytest.raises(ValueError, match=f"step_noise_ar {ar} outside"):
+        PlantConfig(step_noise_ar=ar)
+
+
+def test_plant_config_accepts_a_stationary_step_noise():
+    for ar in (-0.99, 0.0, 0.9, 0.999):
+        assert PlantConfig(step_noise_ar=ar).step_noise_ar == ar
 
 
 def test_plant_converter_inversion():
@@ -496,3 +509,56 @@ def test_run_day_calls_the_layers_by_the_names_sim_binds(monkeypatch):
     run = _two_slot_run(ModelBank(), 0.5, [100.0, 100.0], [0.0, 10.0])
     assert run.k.size == 60
     assert calls == dict.fromkeys(["kalman_update", "build_problem", "solve", "apply_power"], 60)
+
+
+def test_run_day_runs_the_plans_slots_and_checks_a_grid(bank_module):
+    # a run covers its plan's slots; a grid is only checked against the plan
+    plan = _two_slot_plan([100.0, 100.0], [0.0, 10.0])
+    trace = step_trace(plan.forecast.point)
+    run = run_day(plan, PlantConfig.noiseless(), InitState(soc=0.5), trace_kw=trace,
+                  bank=bank_module)
+    assert run.k.size == 60
+    for bad in (TimeGrid(), TimeGrid(n_slots=3, n_steps=90)):
+        with pytest.raises(ValueError, match="plan has 2 slots"):
+            run_day(plan, PlantConfig.noiseless(), InitState(soc=0.5), trace_kw=trace,
+                    bank=bank_module, grid=bad)
+    with pytest.raises(ValueError, match="trace must have 60 values"):
+        run_day(plan, PlantConfig.noiseless(), InitState(soc=0.5), trace_kw=trace[:59],
+                bank=bank_module)
+
+
+def test_nan_voltage_reading_runs_the_day_on_the_predicted_voltage(day_forecast,
+                                                                    monkeypatch):
+    # a missing voltage reading at step 100: the Kalman filter only predicts, the
+    # set-point is converted with the model's voltage, and the day runs to its end
+    plan = plan_day(day_forecast, DayAheadConfig(soe0=250.0))
+    trace = step_trace(day_forecast.point, np.random.default_rng(3), 1.0, 0.9)
+
+    def day():
+        return run_day(plan, PlantConfig(), InitState(soc=0.5), trace_kw=trace, seed=0)
+
+    clean = day()
+    measure, readings, updates = BatteryPlant.measure_voltage, [], []
+    kalman_update = sim.kalman_update
+
+    def dropped_reading(self, rng, cfg):
+        readings.append(measure(self, rng, cfg))    # its noise is drawn all the same
+        return math.nan if len(readings) == 101 else readings[-1]
+
+    def recording_update(state, m, i_prev, v_meas):
+        updates.append((state, m, i_prev, kalman_update(state, m, i_prev, v_meas)))
+        return updates[-1][-1]
+
+    monkeypatch.setattr(BatteryPlant, "measure_voltage", dropped_reading)
+    monkeypatch.setattr(sim, "kalman_update", recording_update)
+    dropped = day()
+    assert dropped.k.size == 8640 and np.isfinite(dropped.i_a).all()
+    for name in ("i_a", "b_kw", "soc", "v", "b_setpoint_kw"):
+        assert np.array_equal(getattr(dropped, name)[:100], getattr(clean, name)[:100]), name
+    assert dropped.status[:100] == clean.status[:100]
+    assert math.isfinite(dropped.b_setpoint_kw[100]) and dropped.status[100] == "solved"
+    assert dropped.b_setpoint_kw[100] != clean.b_setpoint_kw[100]
+    state, m, i_prev, predicted = updates[100]
+    x_pred = m.a @ state.x + m.b_i * i_prev + m.b_1
+    assert np.abs(predicted.x - x_pred).max() <= 1e-12 * np.abs(x_pred).max()
+    assert not np.isnan(predicted.p).any()

@@ -105,13 +105,14 @@ class DiscreteStateSpace:
     label: str = ""
 
 
-def reduce_and_discretize(p: TtcParameters, ts: float = STEP_SECONDS) -> DiscreteStateSpace:
+def reduce_and_discretize(p: TtcParameters) -> DiscreteStateSpace:
     """Drop the fast (R3, C3) branch into the series feedthrough (the unique
     choice preserving DC gain exactly) and discretize the remaining two states
-    with a single forward-Euler step; process noise per the first-order
-    truncation of Van Loan's matrix exponentials."""
-    if ts <= 0:
-        raise ValueError("ts must be positive")
+    with one forward-Euler step of STEP_SECONDS (10 s), the control step;
+    process noise per the first-order truncation of Van Loan's matrix
+    exponentials. ValueError for a time constant of 5 s or less, whose Euler
+    step is unstable."""
+    ts = STEP_SECONDS
     a_r = np.diag([-1.0 / (p.r1 * p.c1), -1.0 / (p.r2 * p.c2)])
     b_r = np.array([[1.0 / p.c1, 0.0], [1.0 / p.c2, 0.0]])
     k_r = np.diag([p.k1, p.k2])
@@ -119,7 +120,7 @@ def reduce_and_discretize(p: TtcParameters, ts: float = STEP_SECONDS) -> Discret
     rho = float(np.max(np.abs(np.diag(a))))
     if rho >= 1.0:
         raise ValueError(f"unstable discretization for {p.soc_range}: "
-                         f"spectral radius {rho:.4f} at ts={ts}")
+                         f"spectral radius {rho:.4f} at a {ts:g} s step")
     b = b_r * ts
     m1 = np.eye(2) + k_r * ts
     m2 = np.eye(2) + a_r.T * ts

@@ -161,14 +161,14 @@ def cmd_plan(args) -> int:
     t0 = time.perf_counter()
     history = load_history(_required_input(args, doc, "history"))
     load_s = time.perf_counter() - t0
+    recent = sorted(history, key=lambda d: (d.year, d.day_of_year))[-10:]
     if args.target_day is not None:
         doy = args.target_day
         year = args.target_year
     else:
-        last = max(history, key=lambda d: (d.year, d.day_of_year))
-        year, doy = day_after(last.year, last.day_of_year)
+        year, doy = day_after(recent[-1].year, recent[-1].day_of_year)
     r_star = args.radiation if args.radiation is not None else float(
-        np.mean([d.daily_radiation for d in history[-10:]]))
+        np.mean([d.daily_radiation for d in recent]))
     target = TargetDayInfo(year=year, day_of_year=doy, radiation_forecast=r_star,
                            is_working_day=is_working_dayofyear(doy))
     log.info("history: %d rows loaded in %.3f s; target: year %d day %d, radiation %.3f",
@@ -226,6 +226,9 @@ def cmd_run(args) -> int:
         trace = np.loadtxt(trace_path, comments="#")
         if trace.shape != (N_SLOTS * STEPS_PER_SLOT,):
             raise ConfigError(f"trace must hold {N_SLOTS * STEPS_PER_SLOT} values")
+        if not (finite := np.isfinite(trace)).all():
+            k = int(np.argmin(finite))
+            raise ConfigError(f"{trace_path}: trace step {k} is {trace[k]}; values must be finite")
     else:
         rng = np.random.default_rng([seed, 3])
         trace = step_trace(np.asarray(plan.forecast.point), rng,

@@ -280,10 +280,13 @@ def save_plan(path, plan: DispatchPlan) -> None:
 def load_plan(path) -> DispatchPlan:
     """Rebuild a DispatchPlan from a plan file, its forecast without members and its
     offset without an objective. Its n rows hold the slots 0..n-1 in any order, each
-    once; a bad slot column or wrong envelope signs raise ValueError."""
+    once; a non-finite value, a bad slot column or wrong envelope signs raise ValueError."""
     data = np.loadtxt(path, delimiter=",", ndmin=2)
     if data.shape[1] != 6:
         raise ValueError(f"{path}: expected 6 columns per plan row")
+    if not (finite := np.isfinite(data).all(axis=1)).all():
+        row = int(np.argmin(finite))
+        raise ValueError(f"{path}: plan row {row} holds a NaN or infinite value")
     slots, n = data[:, 0], data.shape[0]
     first = np.zeros(n, dtype=bool)
     first[np.unique(slots, return_index=True)[1]] = True

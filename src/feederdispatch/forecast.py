@@ -150,31 +150,21 @@ def short_term_predict(last_observed: float, horizon: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Synthetic history (stand-in for confidential feeder measurements)
 # ---------------------------------------------------------------------------
+# One fixed feeder: an office-style base (night plateau, a working-hours plateau,
+# lower on non-working days), minus a midday PV dip scaled by the day's
+# radiation, plus AR(1) noise correlated from slot to slot.
 
+NIGHT_KW, DAY_KW, WEEKEND_DAY_KW = 120.0, 260.0, 150.0
+MORNING_START_H, MORNING_END_H = 6.5, 9.0
+EVENING_START_H, EVENING_END_H = 17.0, 21.0
+PV_PEAK_KW = 80.0                # dip depth at RADIATION_CLEAR_SKY
+RADIATION_CLEAR_SKY = 8.0        # kWh/day/m^2
+DAYLIGHT_HOURS = 12.0
+NOISE_STD_KW = 2.0               # AR(1) innovation std per slot
+NOISE_AR = 0.8
+RADIATION_MEAN, RADIATION_SPREAD = 4.0, 2.5
 
-@dataclass(frozen=True)
-class SyntheticShape:
-    """Generator parameters for synthetic feeder prosumption.
-
-    The daily base is an office-style shape (night plateau, working-hours
-    plateau), PV shows up as a midday dip scaled by daily radiation, and an
-    AR(1) noise term adds slot-to-slot correlated deviations.
-    """
-
-    night_kw: float = 120.0
-    day_kw: float = 260.0
-    weekend_day_kw: float = 150.0
-    morning_start_h: float = 6.5
-    morning_end_h: float = 9.0
-    evening_start_h: float = 17.0
-    evening_end_h: float = 21.0
-    pv_peak_kw: float = 80.0         # dip depth at radiation_clear_sky
-    radiation_clear_sky: float = 8.0  # kWh/day/m^2
-    daylight_hours: float = 12.0
-    noise_std_kw: float = 2.0        # AR(1) innovation std per slot
-    noise_ar: float = 0.8
-    radiation_mean: float = 4.0
-    radiation_spread: float = 2.5
+_HOURS = (np.arange(N_SLOTS) + 0.5) * 24.0 / N_SLOTS      # slot midpoints
 
 
 def _smoothstep(x: np.ndarray) -> np.ndarray:
@@ -182,23 +172,19 @@ def _smoothstep(x: np.ndarray) -> np.ndarray:
     return x * x * (3.0 - 2.0 * x)
 
 
-def base_profile(shape: SyntheticShape, working: bool) -> np.ndarray:
+def base_profile(working: bool) -> np.ndarray:
     """Deterministic daily base shape (no PV, no noise), kW per slot."""
-    hours = (np.arange(N_SLOTS) + 0.5) * 24.0 / N_SLOTS
-    day_level = shape.day_kw if working else shape.weekend_day_kw
-    up = _smoothstep((hours - shape.morning_start_h)
-                     / (shape.morning_end_h - shape.morning_start_h))
-    down = _smoothstep((hours - shape.evening_start_h)
-                       / (shape.evening_end_h - shape.evening_start_h))
-    return shape.night_kw + (day_level - shape.night_kw) * (up - down)
+    day_level = DAY_KW if working else WEEKEND_DAY_KW
+    up = _smoothstep((_HOURS - MORNING_START_H) / (MORNING_END_H - MORNING_START_H))
+    down = _smoothstep((_HOURS - EVENING_START_H) / (EVENING_END_H - EVENING_START_H))
+    return NIGHT_KW + (day_level - NIGHT_KW) * (up - down)
 
 
-def pv_profile(shape: SyntheticShape, radiation: float) -> np.ndarray:
+def pv_profile(radiation: float) -> np.ndarray:
     """Midday PV generation (positive values; subtracted from demand), kW."""
-    hours = (np.arange(N_SLOTS) + 0.5) * 24.0 / N_SLOTS
-    phase = (hours - 12.0) / shape.daylight_hours * np.pi
+    phase = (_HOURS - 12.0) / DAYLIGHT_HOURS * np.pi
     bell = np.where(np.abs(phase) < np.pi / 2.0, np.cos(phase) ** 2, 0.0)
-    return shape.pv_peak_kw * (radiation / shape.radiation_clear_sky) * bell
+    return PV_PEAK_KW * (radiation / RADIATION_CLEAR_SKY) * bell
 
 
 def is_working_dayofyear(day_of_year: int) -> bool:
@@ -217,30 +203,29 @@ def ar1_noise(rng: np.random.Generator, n: int, std: float, ar: float,
     return np.array(out)
 
 
-def synthesize_day(rng: np.random.Generator, year: int, day_of_year: int,
-                   shape: SyntheticShape) -> HistoricalDay:
-    """One synthetic day: base shape minus PV plus AR(1) noise. Draws from
-    ``rng`` the radiation (one uniform), then the noise (see :func:`ar1_noise`)."""
+def synthesize_day(rng: np.random.Generator, year: int, day_of_year: int) -> HistoricalDay:
+    """One day of the synthetic feeder: base shape minus PV plus AR(1) noise, with
+    a seasonal radiation. Draws from ``rng`` the radiation (one uniform), then the
+    noise (see :func:`ar1_noise`)."""
     working = is_working_dayofyear(day_of_year)
     season = 1.0 + 0.6 * np.sin(2.0 * np.pi * (day_of_year - 80) / 365.0)
-    radiation = float(np.clip(shape.radiation_mean * season / 1.3
-                              + shape.radiation_spread * (rng.random() - 0.3),
-                              0.05, shape.radiation_clear_sky))
-    noise = ar1_noise(rng, N_SLOTS, shape.noise_std_kw, shape.noise_ar,
-                      shape.noise_std_kw / np.sqrt(1 - shape.noise_ar**2))
-    profile = base_profile(shape, working) - pv_profile(shape, radiation) + noise
+    radiation = float(np.clip(RADIATION_MEAN * season / 1.3
+                              + RADIATION_SPREAD * (rng.random() - 0.3),
+                              0.05, RADIATION_CLEAR_SKY))
+    noise = ar1_noise(rng, N_SLOTS, NOISE_STD_KW, NOISE_AR,
+                      NOISE_STD_KW / np.sqrt(1 - NOISE_AR**2))
+    profile = base_profile(working) - pv_profile(radiation) + noise
     return HistoricalDay(year=year, day_of_year=day_of_year, profile=profile,
                          daily_radiation=radiation, is_working_day=working)
 
 
-def synthesize_history(seed: int, days: int,
-                       shape: SyntheticShape = SyntheticShape()) -> list[HistoricalDay]:
+def synthesize_history(seed: int, days: int) -> list[HistoricalDay]:
     """Deterministic-for-seed synthetic dataset of ``days`` consecutive days
     from 2016 day 1."""
     if days < 15:
         raise ValueError("need at least 15 days of history for forecasting")
     rng = np.random.default_rng(seed)
-    return [synthesize_day(rng, 2016 + d // 365, d % 365 + 1, shape) for d in range(days)]
+    return [synthesize_day(rng, 2016 + d // 365, d % 365 + 1) for d in range(days)]
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +238,8 @@ def synthesize_history(seed: int, days: int,
 # as the same double. The reader takes LF or CRLF and quoted fields, skips blank
 # lines, the header and records whose first field starts with '#', and parses
 # as float() does, but refuses '_' and non-ASCII digits. It rejects a record of
-# other than 4 + 288 fields, or with a fractional year, day_of_year or working_day.
+# other than 4 + 288 fields, with a NaN or infinite value, or with a fractional
+# year, day_of_year or working_day.
 
 
 def save_history(path, history) -> None:
@@ -266,8 +252,9 @@ def save_history(path, history) -> None:
                      + ",".join(map(repr, d.profile.tolist())) + "\r\n")
 
 
-def _data_lines(fh, path):
-    """The data records of an open history file; raises at one of the wrong width."""
+def _data_lines(fh, path, linenos):
+    """The data records of an open history file, with their line numbers appended
+    to ``linenos``; raises at one of the wrong width."""
     for lineno, line in enumerate(fh, start=1):
         text = line.rstrip("\r\n")
         quoted = '"' in text
@@ -277,17 +264,21 @@ def _data_lines(fh, path):
         count = len(row) if quoted else text.count(",") + 1
         if count != 4 + N_SLOTS:
             raise ValueError(f"{path}:{lineno}: expected {4 + N_SLOTS} columns, got {count}")
+        linenos.append(lineno)
         yield text
 
 
 def load_history(path) -> list[HistoricalDay]:
+    linenos: list[int] = []
     with open(path, newline="") as fh:
-        lines = _data_lines(fh, path)
+        lines = _data_lines(fh, path, linenos)
         first = next(lines, None)
         if first is None:
             return []
         data = np.loadtxt(itertools.chain([first], lines), delimiter=",", quotechar='"',
                           comments=None, ndmin=2)
+    if not (finite := np.isfinite(data).all(axis=1)).all():
+        raise ValueError(f"{path}:{linenos[int(np.argmin(finite))]}: a NaN or infinite value")
     meta = data[:, :4].tolist()
     if not all(v.is_integer() for row in meta for v in row[:3]):
         raise ValueError(f"{path}: year, day_of_year and working_day must be whole numbers")

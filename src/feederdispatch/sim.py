@@ -23,8 +23,8 @@ from . import battery
 from .battery import (CONVERTER_EFF, ModelBank, KalmanState, TtcParameters, TABLE1,
                       kalman_update)
 from .dayahead import (DayAheadConfig, DispatchPlan, plan_day, save_plan)
-from .forecast import (SyntheticShape, HistoricalDay, TargetDayInfo, ar1_noise,
-                       day_after, forecast_day, is_working_dayofyear, synthesize_day)
+from .forecast import (HistoricalDay, TargetDayInfo, ar1_noise, day_after, forecast_day,
+                       is_working_dayofyear, synthesize_day)
 from .mpc import ControlDecision, MpcLimits, StepTelemetry, build_problem, solve
 from .timegrid import N_SLOTS, STEPS_PER_SLOT, TimeGrid
 
@@ -368,8 +368,8 @@ def run_multi_day(days: int, history: list[HistoricalDay],
     Each day's plan is computed one hour before its start, predicting the
     initial stored energy by persistence: the SOC observed at 23:00 (for the
     first day, the SOC the simulation starts from). The realized prosumption is
-    a fresh draw of the default SyntheticShape for the target date, optionally
-    scaled to emulate systematically biased forecasts; its radiation is the forecast's.
+    a fresh synthetic feeder day for the target date, optionally scaled to emulate
+    systematically biased forecasts; its radiation is the forecast's.
     """
     if days < 1:
         raise ValueError("days must be >= 1")
@@ -382,7 +382,7 @@ def run_multi_day(days: int, history: list[HistoricalDay],
     for d in range(days):
         year, doy = day_after(year, doy)
         rng_day = np.random.default_rng([seed, 10_000 + d])
-        true_day = synthesize_day(rng_day, year, doy, SyntheticShape())
+        true_day = synthesize_day(rng_day, year, doy)
         target = TargetDayInfo(year=year, day_of_year=doy,
                                radiation_forecast=true_day.daily_radiation,
                                is_working_day=is_working_dayofyear(doy))

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from feederdispatch.battery import ModelBank
-from feederdispatch.forecast import (SyntheticShape, TargetDayInfo, forecast_day,
-                                     is_working_dayofyear, synthesize_history)
+from feederdispatch.forecast import (TargetDayInfo, forecast_day, is_working_dayofyear,
+                                     synthesize_history)
 
 
 @pytest.fixture(scope="session")

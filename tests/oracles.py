@@ -9,8 +9,9 @@ import csv
 import numpy as np
 
 from feederdispatch.dayahead import _PLAN_COLUMNS, PLAN_HEADER, DayAheadConfig, beta_coeffs
-from feederdispatch.forecast import (N_SLOTS, HistoricalDay, base_profile,
-                                     is_working_dayofyear, pv_profile)
+from feederdispatch.forecast import (N_SLOTS, NOISE_AR, NOISE_STD_KW, RADIATION_CLEAR_SKY,
+                                     RADIATION_MEAN, RADIATION_SPREAD, HistoricalDay,
+                                     base_profile, is_working_dayofyear, pv_profile)
 
 
 def grid_offset_search(l_hat, env_low, env_high, cfg: DayAheadConfig,
@@ -468,7 +469,7 @@ def piece_cho_solve(p, act, t):
 # ---------------------------------------------------------------------------
 
 
-def scalar_synthesize_history(seed, days, shape):
+def scalar_synthesize_history(seed, days):
     """``forecast.synthesize_history`` with one scalar draw per AR(1) step."""
     rng = np.random.default_rng(seed)
     out = []
@@ -476,15 +477,15 @@ def scalar_synthesize_history(seed, days, shape):
         year, doy = 2016 + d // 365, d % 365 + 1
         working = is_working_dayofyear(doy)
         season = 1.0 + 0.6 * np.sin(2.0 * np.pi * (doy - 80) / 365.0)
-        radiation = float(np.clip(shape.radiation_mean * season / 1.3
-                                  + shape.radiation_spread * (rng.random() - 0.3),
-                                  0.05, shape.radiation_clear_sky))
+        radiation = float(np.clip(RADIATION_MEAN * season / 1.3
+                                  + RADIATION_SPREAD * (rng.random() - 0.3),
+                                  0.05, RADIATION_CLEAR_SKY))
         noise = np.empty(N_SLOTS)
-        prev = rng.normal(0.0, shape.noise_std_kw / np.sqrt(1 - shape.noise_ar**2))
+        prev = rng.normal(0.0, NOISE_STD_KW / np.sqrt(1 - NOISE_AR**2))
         for i in range(N_SLOTS):
-            prev = shape.noise_ar * prev + rng.normal(0.0, shape.noise_std_kw)
+            prev = NOISE_AR * prev + rng.normal(0.0, NOISE_STD_KW)
             noise[i] = prev
-        profile = base_profile(shape, working) - pv_profile(shape, radiation) + noise
+        profile = base_profile(working) - pv_profile(radiation) + noise
         out.append(HistoricalDay(year=year, day_of_year=doy, profile=profile,
                                  daily_radiation=radiation, is_working_day=working))
     return out

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -39,7 +41,7 @@ def test_schedule_boundaries():
 
 
 def test_discretization_euler_entries():
-    m = reduce_and_discretize(TABLE1[2], 10.0)
+    m = reduce_and_discretize(TABLE1[2])
     p = TABLE1[2]
     assert m.a[0, 0] == pytest.approx(1.0 - 10.0 / (p.r1 * p.c1))
     assert m.a[1, 1] == pytest.approx(1.0 - 10.0 / (p.r2 * p.c2))
@@ -49,20 +51,21 @@ def test_discretization_euler_entries():
 
 def test_discretization_stability_all_sets():
     for p in TABLE1:
-        m = reduce_and_discretize(p, 10.0)
+        m = reduce_and_discretize(p)
         assert np.max(np.abs(np.linalg.eigvals(m.a))) < 1.0
 
 
 def test_discretization_rejects_unstable():
-    p = TABLE1[1]
-    with pytest.raises(ValueError):
-        reduce_and_discretize(p, 60.0)   # ts beyond 2*tau2 flips the pole
+    # tau2 = r2 * c2 = 4.5 s, under half the 10 s step: the Euler pole is 1 - 10 / 4.5
+    p = replace(TABLE1[1], c2=500.0)
+    with pytest.raises(ValueError, match="unstable discretization for 20-40%"):
+        reduce_and_discretize(p)
 
 
 def test_dc_gain_preserved_exactly():
     # steady state under constant current must match the full-circuit DC gain
     for p in TABLE1:
-        m = reduce_and_discretize(p, 10.0)
+        m = reduce_and_discretize(p)
         for i in (-500.0, 120.0):
             x_ss = np.linalg.solve(np.eye(2) - m.a, m.b_i * i + m.b_1)
             v_ss = float(m.c @ x_ss + m.d_i * i + m.d_1)
@@ -71,7 +74,10 @@ def test_dc_gain_preserved_exactly():
 
 
 def test_euler_limit_small_ts():
-    m = reduce_and_discretize(TABLE1[2], 1e-7)
+    # capacitances 1e8 times larger make the 10 s step act on the circuit as a
+    # 1e-7 s step would
+    p = TABLE1[2]
+    m = reduce_and_discretize(replace(p, c1=p.c1 * 1e8, c2=p.c2 * 1e8))
     assert m.a == pytest.approx(np.eye(2), abs=1e-8)
     assert m.b_i == pytest.approx(np.zeros(2), abs=1e-8)
 
@@ -91,7 +97,7 @@ def test_euler_vs_expm_entrywise():
 
 def test_noise_discretization():
     p = TABLE1[2]
-    m = reduce_and_discretize(p, 10.0)
+    m = reduce_and_discretize(p)
     a_r = np.diag([-1.0 / (p.r1 * p.c1), -1.0 / (p.r2 * p.c2)])
     k_r = np.diag([p.k1, p.k2])
     expected = (np.eye(2) + k_r * 10.0) @ (np.eye(2) + a_r.T * 10.0).T
@@ -99,14 +105,14 @@ def test_noise_discretization():
 
 
 def test_voltage_step_open_circuit():
-    m = reduce_and_discretize(TABLE1[2], 10.0)
+    m = reduce_and_discretize(TABLE1[2])
     _, v = voltage_step(m, np.zeros(2), 0.0)
     assert v == pytest.approx(652.9)
 
 
 def test_voltage_step_converges_to_dc_gain():
     p = TABLE1[2]
-    m = reduce_and_discretize(p, 10.0)
+    m = reduce_and_discretize(p)
     x = np.zeros(2)
     i = 200.0
     for _ in range(20000):
@@ -115,7 +121,7 @@ def test_voltage_step_converges_to_dc_gain():
 
 
 def test_voltage_step_superposition():
-    m = reduce_and_discretize(TABLE1[0], 10.0)
+    m = reduce_and_discretize(TABLE1[0])
     x = np.zeros(2)
     x1, v1 = voltage_step(m, x, 100.0)
     x2, v2 = voltage_step(m, x, 40.0)
@@ -126,7 +132,7 @@ def test_voltage_step_superposition():
 
 
 def test_transition_horizon_one():
-    m = reduce_and_discretize(TABLE1[2], 10.0)
+    m = reduce_and_discretize(TABLE1[2])
     tm = build_transition(m, 1)
     assert np.allclose(tm.phi, m.c.reshape(1, 2))
     assert np.allclose(tm.psi_i, [[m.d_i]])
@@ -134,7 +140,7 @@ def test_transition_horizon_one():
 
 
 def test_transition_matches_chained_steps(rng):
-    m = reduce_and_discretize(TABLE1[3], 10.0)
+    m = reduce_and_discretize(TABLE1[3])
     x0 = rng.uniform(-2, 2, 2)
     currents = rng.uniform(-300, 300, 5)
     tm = build_transition(m, 5)

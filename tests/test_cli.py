@@ -166,6 +166,67 @@ def test_trace_of_wrong_length_exits_2(synth_history, tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+def test_plan_radiation_is_the_mean_of_the_latest_days_in_any_row_order(tmp_path, capsys):
+    # the default radiation averages the ten most recent days by date, not the
+    # last ten rows: a history written in reverse row order gives the same plan
+    history, backward = tmp_path / "history.csv", tmp_path / "backward.csv"
+    assert cli.main(["synth", "--days", "40", "--out", str(history)]) == cli.EXIT_OK
+    header, *rows = history.read_text().splitlines(keepends=True)
+    backward.write_text(header + "".join(reversed(rows)))
+    plans = []
+    for path in (history, backward):
+        plans.append(tmp_path / f"plan-{path.stem}.csv")
+        assert cli.main(["plan", "--history", str(path), "--out", str(plans[-1])]) == 0
+    assert "plan for year 2016 day 41: feasible" in capsys.readouterr().out
+    assert plans[0].read_bytes() == plans[1].read_bytes()
+
+
+def _with_value(path, line, field, value):
+    """``path`` with field ``field`` of its line ``line`` (both from 0) set to ``value``."""
+    lines = path.read_text().splitlines(keepends=True)
+    cells = lines[line].rstrip("\r\n").split(",")
+    cells[field] = value
+    lines[line] = ",".join(cells) + "\n"
+    path.write_text("".join(lines))
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_plan_rejects_a_non_finite_history_value(synth_history, tmp_path, capsys, value):
+    # a value of the first day, which the forecast does not select, is refused
+    # with the file and the line named
+    history = tmp_path / "history.csv"
+    history.write_bytes(synth_history.read_bytes())
+    _with_value(history, 1, 100, value)
+    argv = ["plan", "--history", str(history), "--out", str(tmp_path / "plan.csv")]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert f"{history}:2: a NaN or infinite value" in capsys.readouterr().err
+    assert not (tmp_path / "plan.csv").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_run_rejects_a_non_finite_plan_value(synth_history, tmp_path, capsys, value):
+    plan = tmp_path / "plan.csv"
+    assert cli.main(["plan", "--history", str(synth_history), "--out", str(plan)]) == 0
+    _with_value(plan, 2 + 8, 1, value)          # p_hat of slot 8, below the two headers
+    argv = ["run", "--plan", str(plan), "--out-dir", str(tmp_path / "run")]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert f"{plan}: plan row 8 holds a NaN or infinite value" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_run_rejects_a_non_finite_trace_value(synth_history, tmp_path, capsys, value):
+    # refused before the first step: the controller has no use for an infinite
+    # or missing load, and the step that read one would fail
+    plan, trace = tmp_path / "plan.csv", tmp_path / "trace.txt"
+    assert cli.main(["plan", "--history", str(synth_history), "--out", str(plan)]) == 0
+    trace.write_text("\n".join(["100.0"] * 50 + [value] + ["100.0"] * 8589) + "\n")
+    argv = ["run", "--plan", str(plan), "--trace", str(trace), "--out-dir", str(tmp_path / "run")]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert f"{trace}: trace step 50 is {float(value)}" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_plan_shorter_than_the_day_exits_2(synth_history, tmp_path, capsys):
     # a 10-slot plan with a whole day's trace is refused before the first step
     plan, short, trace = tmp_path / "plan.csv", tmp_path / "short.csv", tmp_path / "trace.txt"

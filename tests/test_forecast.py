@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from feederdispatch.forecast import (N_SLOTS, HistoricalDay,
-                                     InsufficientHistoryError, ProsumptionForecast,
-                                     SyntheticShape, TargetDayInfo, base_profile,
+from feederdispatch.forecast import (N_SLOTS, NOISE_AR, NOISE_STD_KW, PV_PEAK_KW,
+                                     HistoricalDay, InsufficientHistoryError,
+                                     ProsumptionForecast, TargetDayInfo, base_profile,
                                      day_after, is_working_dayofyear, load_history,
                                      point_forecast, pv_profile, save_history,
                                      select_days, short_term_predict,
@@ -166,10 +166,9 @@ def test_synthesize_minimum_days():
 
 
 def test_zero_radiation_means_zero_pv():
-    shape = SyntheticShape()
-    assert pv_profile(shape, 0.0) == pytest.approx(np.zeros(N_SLOTS))
-    assert np.all(pv_profile(shape, 8.0) >= 0.0)
-    assert pv_profile(shape, 8.0).max() == pytest.approx(shape.pv_peak_kw, rel=1e-2)
+    assert pv_profile(0.0) == pytest.approx(np.zeros(N_SLOTS))
+    assert np.all(pv_profile(8.0) >= 0.0)
+    assert pv_profile(8.0).max() == pytest.approx(PV_PEAK_KW, rel=1e-2)
 
 
 def test_weekend_pattern():
@@ -178,13 +177,14 @@ def test_weekend_pattern():
 
 
 def test_profile_mean_approaches_base_shape():
-    # law of large numbers against the generator parameters, PV disabled
-    shape = SyntheticShape(pv_peak_kw=0.0)
-    days = synthesize_history(seed=11, days=1400, shape=shape)
-    working = np.stack([d.profile for d in days if d.is_working_day])[:1000]
+    # law of large numbers against the generator parameters, with each day's
+    # PV added back
+    days = synthesize_history(seed=11, days=1400)
+    working = np.stack([d.profile + pv_profile(d.daily_radiation)
+                        for d in days if d.is_working_day])[:1000]
     assert working.shape[0] == 1000
-    base = base_profile(shape, working=True)
-    sigma = shape.noise_std_kw / np.sqrt(1.0 - shape.noise_ar ** 2)
+    base = base_profile(working=True)
+    sigma = NOISE_STD_KW / np.sqrt(1.0 - NOISE_AR ** 2)
     bound = 3.0 * sigma / np.sqrt(1000.0)
     err = np.abs(working.mean(axis=0) - base)
     # a 3-sigma bound leaves ~0.3% expected exceedances over 288 slots
@@ -225,9 +225,8 @@ def test_bulk_history_paths_match_scalar_oracles(tmp_path, seed, days):
     # one vector draw per day, one join per record and one loadtxt per file
     # give the arrays, bytes and values of the scalar and csv-module paths;
     # 400 days run into 2017
-    shape = SyntheticShape(noise_std_kw=1.5, noise_ar=0.7) if seed == 11 else SyntheticShape()
-    days_ = synthesize_history(seed, days, shape)
-    _same_days(days_, scalar_synthesize_history(seed, days, shape))
+    days_ = synthesize_history(seed, days)
+    _same_days(days_, scalar_synthesize_history(seed, days))
     assert days_[-1].year == 2016 + (days - 1) // 365
     save_history(tmp_path / "bulk.csv", days_)
     csv_save_history(tmp_path / "csv.csv", days_)

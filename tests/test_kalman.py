@@ -23,7 +23,7 @@ def _simulate_measurements(m, rng, steps=50):
 
 
 def test_matches_textbook_recursion(rng):
-    m = reduce_and_discretize(TABLE1[2], 10.0)
+    m = reduce_and_discretize(TABLE1[2])
     currents, voltages = _simulate_measurements(m, rng)
     st = KalmanState.initial()
     xs_ref, ps_ref = textbook_kalman(m.a, m.b_i, m.b_1, m.c, m.d_i, m.d_1, m.k,
@@ -40,7 +40,7 @@ def test_scalar_update_matches_matrix_oracle(params, rng):
     # states, covariances (spanning twelve decades), currents and voltages;
     # every other draw replaces the models' diagonal a and k and their c of
     # ones by full random ones
-    model = reduce_and_discretize(params, 10.0)
+    model = reduce_and_discretize(params)
     for j in range(500):
         m = model if j % 2 else replace(model, a=rng.normal(size=(2, 2)) * 0.6,
                                         k=rng.normal(size=(2, 2)), c=rng.normal(size=2))
@@ -60,7 +60,7 @@ def test_scalar_update_matches_matrix_oracle(params, rng):
 
 
 def test_covariance_trace_non_increasing(rng):
-    m = reduce_and_discretize(TABLE1[1], 10.0)
+    m = reduce_and_discretize(TABLE1[1])
     currents, voltages = _simulate_measurements(m, rng)
     st = KalmanState.initial()
     for i_prev, v_meas in zip(currents, voltages):
@@ -70,7 +70,7 @@ def test_covariance_trace_non_increasing(rng):
 
 
 def test_huge_noise_ignores_measurement():
-    m = reduce_and_discretize(TABLE1[2], 10.0)
+    m = reduce_and_discretize(TABLE1[2])
     noisy = type(m)(a=m.a, b_i=m.b_i, b_1=m.b_1, c=m.c, d_i=m.d_i, d_1=m.d_1,
                     k=m.k, g=1e9, label=m.label)
     st = KalmanState.initial()
@@ -80,7 +80,7 @@ def test_huge_noise_ignores_measurement():
 
 
 def test_tiny_noise_trusts_measurement():
-    m = reduce_and_discretize(TABLE1[2], 10.0)
+    m = reduce_and_discretize(TABLE1[2])
     sharp = type(m)(a=m.a, b_i=m.b_i, b_1=m.b_1, c=m.c, d_i=m.d_i, d_1=m.d_1,
                     k=m.k, g=1e-6, label=m.label)
     st = KalmanState.initial()
@@ -92,7 +92,7 @@ def test_tiny_noise_trusts_measurement():
 
 def test_information_and_joseph_agree(rng):
     # the library's Joseph-form update against the information form
-    m = reduce_and_discretize(TABLE1[4], 10.0)
+    m = reduce_and_discretize(TABLE1[4])
     currents, voltages = _simulate_measurements(m, rng)
     st = KalmanState.initial()
     xs_ref, ps_ref = information_kalman(m.a, m.b_i, m.b_1, m.c, m.d_i, m.d_1, m.k,
@@ -104,7 +104,7 @@ def test_information_and_joseph_agree(rng):
 
 
 def test_covariance_stays_symmetric_psd(rng):
-    m = reduce_and_discretize(TABLE1[0], 10.0)
+    m = reduce_and_discretize(TABLE1[0])
     st = KalmanState.initial()
     for _ in range(200):
         st = kalman_update(st, m, float(rng.uniform(-800, 800)),
@@ -115,7 +115,7 @@ def test_covariance_stays_symmetric_psd(rng):
 
 def test_state_tracks_true_plant(rng):
     # matched model, moderate noise: estimate converges toward the true state
-    m = reduce_and_discretize(TABLE1[2], 10.0)
+    m = reduce_and_discretize(TABLE1[2])
     x_true = np.array([0.5, -0.3])
     st = KalmanState.initial()
     for _ in range(300):
@@ -147,7 +147,7 @@ def test_indefinite_covariance_is_clipped():
     # a = I, no process noise and a measurement noise so large that the gain
     # underflows: the update returns the prior covariance, here indefinite,
     # with its negative eigenvalue clipped to zero
-    m = reduce_and_discretize(TABLE1[2], 10.0)
+    m = reduce_and_discretize(TABLE1[2])
     blind = type(m)(a=np.eye(2), b_i=m.b_i, b_1=m.b_1, c=m.c, d_i=m.d_i, d_1=m.d_1,
                     k=np.zeros((2, 2)), g=1e150, label=m.label)
     p = np.array([[1.0, 2.0], [2.0, 1.0]])          # eigenvalues 3 and -1
@@ -160,7 +160,7 @@ def test_indefinite_covariance_is_clipped():
 
 def test_nan_reading_runs_the_predict_step_only(rng):
     # no voltage reading: the state and covariance are the predicted ones
-    m = reduce_and_discretize(TABLE1[2], 10.0)
+    m = reduce_and_discretize(TABLE1[2])
     for _ in range(20):
         x = rng.normal(size=2) * 3.0
         f = rng.normal(size=(2, 2))

@@ -182,7 +182,7 @@ def test_float_plant_matches_matrix_oracle(params, rng):
     # form is exact or a single rounding in the same order, so the results are
     # equal bit for bit. With full ones, BLAS may fuse a multiply-add or reorder
     # a sum, so they agree to 1e-12 of the size of their terms.
-    model = reduce_and_discretize(params, 10.0)
+    model = reduce_and_discretize(params)
     plant = BatteryPlant(PlantConfig.noiseless(), seed=0, initial_soc=0.5)
     for j in range(500):
         full = j % 2 == 1
